@@ -3,7 +3,8 @@ certificate, plus extraction of nearly-cancelling subgradient pairs.
 
 The existential minimization step is realized constructively: multistart
 local descent seeded from a grid, followed by an a-posteriori grid check
-of the domination inequality g(z) + eps ||z - u|| >= g(u).
+of the domination inequality g(z) + eps ||z - u|| >= g(u).  Both read g
+from one ``GTable`` of the grid, built once per pipeline run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 from .functions import TestFunction, f_eval, f_subgrad
 from .geometry import HullInflation, as_point, sample_set
 from .simplex_optim import golden_max
-from .supconv import SupConvSpec, SupergradientError, phi_eval, phi_on_grid
+from .supconv import (
+    SupConvSpec,
+    SupergradientError,
+    phi_eval,
+    phi_on_grid,
+    phi_supergradient,
+)
 
 DEFAULT_EVP_TOL = 1e-6
 DEFAULT_RESIDUAL_FACTOR = 10.0
@@ -59,6 +66,32 @@ def default_schedule() -> list[float]:
     return [10.0 ** (-1.0 - n / 2.0) for n in range(9)]
 
 
+class GTable(NamedTuple):
+    """f1, phi_K and g = f1 - phi_K on the points of a grid.
+
+    phi is NaN and g is +inf where f1 is +inf (outside its domain); the
+    smoothing is not evaluated there.
+    """
+
+    pts: np.ndarray
+    f1: np.ndarray
+    phi: np.ndarray
+    g: np.ndarray
+
+
+def g_table(f1: TestFunction, sc: SupConvSpec, pts, tol: float = 1e-8) -> GTable:
+    """Evaluate f1 once per point and the smoothing once per finite one,
+    warm-starting each smoothing solve from its neighbor."""
+    pts = np.asarray(pts, dtype=float)
+    fvals = np.array([f_eval(f1, z) for z in pts])
+    finite = np.isfinite(fvals)
+    phis = np.full(len(pts), np.nan)
+    phis[finite] = phi_on_grid(sc, pts[finite], tol=tol)
+    gvals = np.full(len(pts), np.inf)
+    gvals[finite] = fvals[finite] - phis[finite]
+    return GTable(pts, fvals, phis, gvals)
+
+
 def minimize_g(
     f1: TestFunction,
     sc: SupConvSpec,
@@ -68,11 +101,29 @@ def minimize_g(
     seed: int = 0,
     phi_tol: float = 1e-8,
 ) -> list[EkelandPoint]:
+    """Near-minimizers of g = f1 - phi_K on C, one per schedule entry,
+    seeded from a grid of C at ``resolution`` (see ``descend_g``)."""
+    grid = sample_set(region.A, region.B, region.delta, resolution)
+    return descend_g(
+        g_table(f1, sc, grid, tol=phi_tol), f1, sc, region.delta, schedule, seed, phi_tol
+    )
+
+
+def descend_g(
+    table: GTable,
+    f1: TestFunction,
+    sc: SupConvSpec,
+    delta: float,
+    schedule,
+    seed: int = 0,
+    phi_tol: float = 1e-8,
+) -> list[EkelandPoint]:
     """Near-minimizers of g = f1 - phi_K on C, one per schedule entry.
 
     Multistart coordinate-and-random-direction descent with exact line
-    searches, seeded from the best grid points.  Deterministic given the
-    seed; ties break by lexicographic point order.
+    searches, seeded from the best points of ``table``, a grid of C
+    inflated by ``delta``.  Deterministic given the seed; ties break by
+    lexicographic point order.
     """
     schedule = [float(e) for e in schedule]
     if not schedule or any(e <= 0 for e in schedule):
@@ -80,29 +131,25 @@ def minimize_g(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
 
-    grid = sample_set(region.A, region.B, region.delta, resolution)
-    fvals = np.array([f_eval(f1, z) for z in grid])
-    finite = np.isfinite(fvals)
+    grid, gvals = table.pts, table.g
+    finite = np.isfinite(gvals)
     if not finite.any():
         raise DescentError("f1 is identically +inf on C")
-    gvals = np.full(len(grid), np.inf)
-    gvals[finite] = fvals[finite] - phi_on_grid(sc, grid[finite], tol=phi_tol)
-
     order = sorted(np.nonzero(finite)[0], key=lambda i: (gvals[i], tuple(grid[i])))
-    seeds = [grid[i] for i in order[:3]]
+    seeds = order[:3]
 
+    dim = grid.shape[1]
     rng = np.random.default_rng(seed)
-    dirs = [np.eye(region.A.dim)[i] for i in range(region.A.dim)]
+    dirs = [np.eye(dim)[i] for i in range(dim)]
     for _ in range(2):
-        d = rng.standard_normal(region.A.dim)
+        d = rng.standard_normal(dim)
         nrm = np.linalg.norm(d)
         if nrm > 1e-12:
             dirs.append(d / nrm)
-    span = float(np.linalg.norm(grid.max(axis=0) - grid.min(axis=0))) + region.delta
+    span = float(np.linalg.norm(grid.max(axis=0) - grid.min(axis=0))) + delta
 
-    def descend(x0: np.ndarray) -> tuple[np.ndarray, float]:
-        x = x0.copy()
-        fx = _g_eval(x, f1, sc, tol=phi_tol)
+    def descend(x0: np.ndarray, g0: float) -> tuple[np.ndarray, float]:
+        x, fx = x0.copy(), g0
         for _ in range(30):
             improved = False
             for d in dirs:
@@ -121,8 +168,8 @@ def minimize_g(
         return x, fx
 
     best_x, best_f = None, np.inf
-    for s in seeds:
-        x, fx = descend(s)
+    for i in seeds:
+        x, fx = descend(grid[i], float(gvals[i]))
         key = (fx, tuple(x))
         if best_x is None or key < (best_f, tuple(best_x)):
             best_x, best_f = x, fx
@@ -143,23 +190,30 @@ def evp_verify(
     grid,
     tol_evp: float = DEFAULT_EVP_TOL,
 ) -> EvpReport:
-    """Grid check of the domination inequality around u:
-
-        g(z) + eps ||z - u|| >= g(u) - tol_evp  for all grid z.
-
-    worst is the smallest left-minus-right margin over the grid.
-    """
+    """Grid check of the domination inequality around u (see ``evp_check``)."""
     u = as_point(u)
     gu = _g_eval(u, f1, sc)
     if not np.isfinite(gu):
         raise ValueError("g(u) must be finite")
-    worst = np.inf
-    for z in np.asarray(grid, dtype=float):
-        gz = _g_eval(z, f1, sc)
-        if not np.isfinite(gz):
-            continue
-        worst = min(worst, gz + eps * float(np.linalg.norm(z - u)) - gu)
-    return EvpReport(worst >= -tol_evp, float(worst))
+    return evp_check(g_table(f1, sc, grid), u, gu, eps, tol_evp)
+
+
+def evp_check(
+    table: GTable, u, gu: float, eps: float, tol_evp: float = DEFAULT_EVP_TOL
+) -> EvpReport:
+    """Grid check of the domination inequality around u, whose g value is
+    ``gu``:
+
+        g(z) + eps ||z - u|| >= g(u) - tol_evp  for all table points z.
+
+    worst is the smallest left-minus-right margin over the finite ones.
+    """
+    u = as_point(u)
+    finite = np.isfinite(table.g)
+    # row by row, so each distance rounds exactly as a single norm does
+    dists = np.array([np.linalg.norm(z - u) for z in table.pts[finite]])
+    worst = float(np.min(table.g[finite] + eps * dists - gu, initial=np.inf))
+    return EvpReport(worst >= -tol_evp, worst)
 
 
 def _perturbation_offsets(n: int, radius: float) -> list[np.ndarray]:
@@ -182,6 +236,7 @@ def fuzzy_pair(
     search_radius: float,
     grid: np.ndarray | None = None,
     k_residual: float = DEFAULT_RESIDUAL_FACTOR,
+    tol: float = 1e-8,
 ) -> FuzzyPair:
     """Nearly-cancelling pair: p from f's representatives at x, q from the
     negated smoothing supergradient at y, with x, y within search_radius
@@ -190,6 +245,7 @@ def fuzzy_pair(
     Minimizes residual plus separation over a deterministic perturbation
     pattern; fails loudly when the residual exceeds k_residual times the
     schedule entry of u (a kink coincidence the caller must refine past).
+    ``tol`` is the duality-gap tolerance of every smoothing evaluation.
     """
     if search_radius <= 0:
         raise ValueError("search_radius must be positive")
@@ -199,7 +255,7 @@ def fuzzy_pair(
     for off in _perturbation_offsets(f.dim, search_radius):
         y = base + off
         try:
-            sg = phi_supergradient_cached(y, sc, grid)
+            sg = phi_supergradient(y, sc, grid=grid, tol=tol)
         except SupergradientError:
             continue
         q = -sg.p
@@ -230,21 +286,3 @@ def fuzzy_pair(
             f"{base.tolist()} (best {got}); refine the schedule"
         )
     return best
-
-
-def phi_supergradient_cached(y: np.ndarray, sc: SupConvSpec, grid) -> "Supergradient":
-    from .supconv import Supergradient, phi_supergradient
-
-    key = ("fuzzy_sg", y.tobytes(), None if grid is None else id(grid))
-    hit = sc._cache.get(key)
-    if hit is not None:
-        if isinstance(hit, SupergradientError):
-            raise hit
-        return hit
-    try:
-        sg = phi_supergradient(y, sc, grid=grid)
-    except SupergradientError as exc:
-        sc._cache[key] = exc
-        raise
-    sc._cache[key] = sg
-    return sg

@@ -16,8 +16,6 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
-_VERTEX_EQ_ATOL = 0.0  # vertices are appended to grids only when bit-identical
-
 
 class DimensionMismatch(ValueError):
     """Raised when points or polytopes of different dimensions are mixed."""
@@ -66,9 +64,6 @@ class Polytope:
     def support(self, d: np.ndarray) -> float:
         """Support function h(d) = max over vertices of <d, v>."""
         return float(np.max(self.vertices @ d))
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def to_json(self) -> list[list[float]]:
         return [[float(c) for c in row] for row in self.vertices]

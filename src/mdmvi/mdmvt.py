@@ -26,9 +26,10 @@ from .ekeland import (
     FuzzyPairError,
     HullInflation,
     default_schedule,
-    evp_verify,
+    descend_g,
+    evp_check,
     fuzzy_pair,
-    minimize_g,
+    g_table,
 )
 from .functions import Domain, TestFunction, f_eval, f_subgrad, make_function
 from .geometry import (
@@ -42,8 +43,8 @@ from .geometry import (
     _direction_net,
 )
 from .simplex_optim import golden_max
-from .supconv import SupConvSpec, phi_eval, phi_on_grid, uv_disjoint
-from .tent import TentSpec
+from .supconv import LevelSets, SupConvSpec, level_sets, phi_eval, phi_on_grid
+from .tent import TentSpec, psi_on_grid
 
 _DEF_TOL = 1e-9
 
@@ -212,16 +213,21 @@ def _project_region(x: np.ndarray, A: Polytope, B: Polytope, delta: float) -> np
 
 
 def _estimate_inf(
-    f: TestFunction, A: Polytope, B: Polytope, delta: float, resolution: int
+    f: TestFunction, A: Polytope, B: Polytope, delta: float, resolution: int,
+    pts: np.ndarray | None = None, vals: np.ndarray | None = None,
 ) -> _InfEstimate:
     """Grid minimum of f over the inflated hull, refined by projected
-    line searches from the best grid point.  Exact for singleton regions."""
-    V = np.vstack([A.vertices, B.vertices])
-    if len(V) == 1 and delta == 0.0:
-        v = V[0]
-        return _InfEstimate(f_eval(f, v), v.copy(), 0.0)
-    pts = sample_set(A, B, delta, resolution)
-    vals = np.array([f_eval(f, z) for z in pts])
+    line searches from the best grid point.  Exact for singleton regions.
+
+    ``pts``, the region's grid, and ``vals``, f there, are computed when
+    the caller does not already have them.
+    """
+    if pts is None:
+        V = np.unique(np.vstack([A.vertices, B.vertices]), axis=0)
+        single = len(V) == 1 and delta == 0.0
+        pts = V if single else sample_set(A, B, delta, resolution)
+    if vals is None:
+        vals = np.array([f_eval(f, z) for z in pts])
     finite = np.isfinite(vals)
     if not finite.any():
         raise SpecInvariantError("f is +inf on the whole sampled region")
@@ -231,6 +237,8 @@ def _estimate_inf(
     spans = pts.max(axis=0) - pts.min(axis=0)
     step = float(spans.max() / (resolution - 1)) if np.any(spans > 1e-12) else 0.0
     span = float(np.linalg.norm(spans)) + delta
+    if span == 0.0:
+        return _InfEstimate(fx, x, step)  # a single point: nothing to search
 
     dirs = np.eye(A.dim)
     for _ in range(12):
@@ -252,17 +260,24 @@ def _estimate_inf(
 
 
 def choose_params(ps: ProblemSpec) -> PipelineParams:
-    """Deterministic parameter rule.
+    """Deterministic parameter rule (see ``_choose_params``), from fresh
+    estimates of the infima of f over A and over the inflated B."""
+    inf_a = _estimate_inf(ps.f, ps.A, ps.A, 0.0, ps.resolution)
+    inf_bd = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, ps.resolution)
+    return _choose_params(ps, inf_a.value, inf_bd.value)
+
+
+def _choose_params(ps: ProblemSpec, inf_a: float, inf_bd: float) -> PipelineParams:
+    """Deterministic parameter rule, given the infimum ``inf_a`` of f over A
+    and ``inf_bd`` over the inflated B.
 
     s1 sits halfway into the admissible open interval above s, nudged by a
     further quarter on collision with r.  delta1 walks the dyadic family
     delta * (1 - 2^-j) upward until the Lipschitz constant
     K = (max(r, s1) - mu) / delta1 clears its strict bound with margin.
     """
-    inf_a = _estimate_inf(ps.f, ps.A, ps.A, 0.0, ps.resolution)
-    inf_bd = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, ps.resolution)
-    r = inf_a.value
-    room = min(ps.epsilon, ps.epsilon * ps.delta, inf_bd.value - ps.s)
+    r = inf_a
+    room = min(ps.epsilon, ps.epsilon * ps.delta, inf_bd - ps.s)
     if room <= 0:
         raise SpecInvariantError(
             "s must lie strictly below the infimum of f over the inflated B"
@@ -341,26 +356,28 @@ def boundary_samples(
     return np.array(out)
 
 
-def _lipschitz_estimate(f: TestFunction, pts: np.ndarray) -> float:
+def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals=None) -> float:
+    """Largest subgradient norm at the points where f (``fvals``, when
+    the caller already has them) is finite; at least 1."""
+    if fvals is None:
+        fvals = [f_eval(f, z) for z in pts]
     best = 1.0
-    for z in pts:
-        if not np.isfinite(f_eval(f, z)):
+    for z, fz in zip(pts, fvals):
+        if not np.isfinite(fz):
             continue
         for g in f_subgrad(f, z):
             best = max(best, float(np.linalg.norm(g)))
     return best
 
 
-def _bisect_disjoint(
-    ybar: np.ndarray, sc: SupConvSpec, s1: float, grid: np.ndarray, c_hi: float
-) -> float | None:
+def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
     """Largest dyadic-bisection c in (0, c_hi] with disjoint level sets.
 
     Disjointness is monotone (both sets shrink as c drops), so bisection
     on the threshold applies; None after 60 steps means failure even for
     tiny c.
     """
-    if uv_disjoint(ybar, c_hi, sc, s1, grid):
+    if levels.disjoint(c_hi):
         return c_hi
     lo, hi = 0.0, c_hi  # lo: last known disjoint (0 in the limit), hi: not
     found = None
@@ -368,7 +385,7 @@ def _bisect_disjoint(
         mid = 0.5 * (lo + hi)
         if mid <= 0:
             break
-        if uv_disjoint(ybar, mid, sc, s1, grid):
+        if levels.disjoint(mid):
             found = mid
             lo = mid
         else:
@@ -382,10 +399,11 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     """Execute the full pipeline and return the first valid certificate.
 
     ``tol`` is the duality-gap tolerance for every smoothing evaluation.
-    Raises CertificateSearchError with a per-step report when the schedule
-    is exhausted, and SpecInvariantError when the problem data breaks a
-    hypothesis (including a positive grid infimum of g, which signals a
-    misestimated r).
+    The C grid and the hull grid are each evaluated once, into tables that
+    every later stage reads.  Raises CertificateSearchError with a
+    per-step report when the schedule is exhausted, and SpecInvariantError
+    when the problem data breaks a hypothesis (including a positive grid
+    infimum of g, which signals a misestimated r).
     """
     if not tol > 0:
         raise SpecFormatError("tol must be positive")
@@ -396,9 +414,10 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     c_grid = sample_set(A, B, delta, ps.resolution)
 
     inf_a = _estimate_inf(ps.f, A, A, 0.0, ps.resolution)
-    inf_c = _estimate_inf(ps.f, A, B, delta, ps.resolution)
+    inf_c = _estimate_inf(ps.f, A, B, delta, ps.resolution, c_grid)
     inf_bd = _estimate_inf(ps.f, B, B, delta, ps.resolution)
-    inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution)
+    hull_f = np.array([f_eval(ps.f, z) for z in hull_grid])
+    inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution, hull_grid, hull_f)
     if not np.isfinite(inf_a.value):
         raise SpecInvariantError("A does not meet the domain of f")
     if not ps.mu < inf_c.value:
@@ -406,13 +425,14 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     if not ps.s < inf_bd.value:
         raise SpecInvariantError("s must lie strictly below inf of f over inflated B")
 
-    params = choose_params(ps)
+    params = _choose_params(ps, inf_a.value, inf_bd.value)
     r, s1, delta1, K = params.r, params.s1, params.delta1, params.K
     tent = TentSpec(A, B, r, s1)
     sc = SupConvSpec(tent, K)
 
     bpts = boundary_samples(A, B, delta, ps.resolution)
-    b_margins = ps.mu - phi_on_grid(sc, bpts, tol=tol)
+    b_phi = phi_on_grid(sc, bpts, tol=tol)
+    b_margins = ps.mu - b_phi
     boundary_margin = float(b_margins.min())
     if boundary_margin <= 0:
         raise SpecInvariantError(
@@ -421,26 +441,22 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
         )
 
     f1 = restrict_f(ps.f, A, B, delta)
-    lip = _lipschitz_estimate(ps.f, hull_grid)
+    lip = _lipschitz_estimate(ps.f, hull_grid, hull_f)
 
-    eval_pts = np.vstack([c_grid, inf_a.argmin[None, :]])
-    fvals = np.array([f_eval(f1, z) for z in eval_pts])
-    finite = np.isfinite(fvals)
-    gvals = np.full(len(eval_pts), np.inf)
-    gvals[finite] = fvals[finite] - phi_on_grid(sc, eval_pts[finite], tol=tol)
-    grid_inf_g = float(np.min(gvals))
+    # the C table also holds the argmin of f over A, where g is about 0
+    c_pts = c_grid
+    if not np.all(c_grid == inf_a.argmin, axis=1).any():
+        c_pts = np.vstack([c_grid, inf_a.argmin[None, :]])
+    c_table = g_table(f1, sc, c_pts, tol=tol)
+    grid_inf_g = float(np.min(c_table.g))
     if grid_inf_g > 1e-6:
         raise SpecInvariantError(
             f"grid infimum of g is {grid_inf_g:.3e} > 0; r is misestimated"
         )
-    boundary_g = float(
-        np.min([f_eval(f1, z) for z in bpts] - phi_on_grid(sc, bpts, tol=tol))
-    )
+    # boundary samples lie in C, where f1 is f
+    boundary_g = float(np.min([f_eval(ps.f, z) for z in bpts] - b_phi))
 
-    region = HullInflation(A, B, delta)
-    ek_points = minimize_g(
-        f1, sc, region, schedule, ps.resolution, seed=ps.seed, phi_tol=tol
-    )
+    ek_points = descend_g(c_table, f1, sc, delta, schedule, seed=ps.seed, phi_tol=tol)
 
     eps_bar = 0.5 * min(
         inf_c.value - ps.mu, inf_bd.value - s1, (delta - delta1) / (1.0 + 1.0 / K)
@@ -450,6 +466,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
 
     attempts = []
     trace = []
+    hull_psi = None  # the tent on the hull grid, read at the first pair found
     for n, ek in enumerate(ek_points):
         radius = min(ek.eps, eps_bar, delta / 4.0)
         entry = {
@@ -461,7 +478,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
         }
         trace.append(entry)
         try:
-            pair = fuzzy_pair(ek, f1, sc, search_radius=radius, grid=c_grid)
+            pair = fuzzy_pair(ek, f1, sc, search_radius=radius, grid=c_grid, tol=tol)
         except FuzzyPairError as exc:
             attempts.append(f"n={n}: {exc}")
             continue
@@ -479,7 +496,10 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
             failures.append("xi is not interior to C")
         interior_margin = delta - d_xi
 
-        c_n = _bisect_disjoint(pair.y, sc, s1, hull_grid, abs(r - s1))
+        if hull_psi is None:
+            hull_psi = psi_on_grid(tent, hull_grid)
+        levels = level_sets(pair.y, sc, s1, hull_grid, hull_psi, tol=tol)
+        c_n = _bisect_disjoint(levels, abs(r - s1))
         if c_n is None:
             failures.append("level sets could not be separated at y")
 
@@ -519,7 +539,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
             attempts.append(f"n={n}: " + "; ".join(failures))
             continue
 
-        evp = evp_verify(ek.u, ek.eps, f1, sc, c_grid)
+        evp = evp_check(c_table, ek.u, ek.value, ek.eps)
         diagnostics = {
             "accepted_n": n,
             "eps_n": ek.eps,

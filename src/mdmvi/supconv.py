@@ -287,6 +287,7 @@ def phi_supergradient(
     tol_sep: float = DEFAULT_SEP_TOL,
     fd_step: float = DEFAULT_FD_STEP,
     tol_super: float = DEFAULT_SUPER_TOL,
+    tol: float = 1e-8,
 ) -> Supergradient:
     """A supergradient of the smoothing at x, verified on a grid.
 
@@ -294,10 +295,11 @@ def phi_supergradient(
     is exact: the cone minorant touches the smoothing from below at x, so
     its gradient is the only possible supergradient.  On the attaining set
     a centered finite difference is used instead and accepted only if the
-    superdifferential inequality holds on the verification grid.
+    superdifferential inequality holds on the verification grid.  ``tol``
+    is the duality-gap tolerance of every smoothing evaluation.
     """
     x = as_point(x, sc.dim)
-    v = phi_eval(x, sc)
+    v = phi_eval(x, sc, tol=tol)
     sep = float(np.linalg.norm(x - v.argmax))
     if sep > tol_sep:
         p = -sc.K * (x - v.argmax) / sep
@@ -307,11 +309,13 @@ def phi_supergradient(
         for i in range(sc.dim):
             e = np.zeros(sc.dim)
             e[i] = fd_step
-            p[i] = (phi_eval(x + e, sc).value - phi_eval(x - e, sc).value) / (2 * fd_step)
+            p[i] = (
+                phi_eval(x + e, sc, tol=tol).value - phi_eval(x - e, sc, tol=tol).value
+            ) / (2 * fd_step)
         mode = "fallback"
 
     pts = default_check_grid(sc) if grid is None else np.asarray(grid, dtype=float)
-    vals = phi_on_grid(sc, pts)
+    vals = phi_on_grid(sc, pts, tol=tol)
     worst = float(np.max(vals - v.value - (pts - x) @ p))
     if worst > tol_super:
         raise SupergradientError(
@@ -347,6 +351,42 @@ def superdiff_transfer_check(p, x, sc: SupConvSpec, eps: float, grid) -> bool:
     return eps_superdiff_check_psi(p, pts[best], eps, sc.tent, pts).ok
 
 
+class LevelSets(NamedTuple):
+    """The level-set test at ybar over a hull grid, for any threshold c:
+
+        U_c = {z : score(z) > phi_bar - c}
+        V_c = {z : level_dist(z) < c}
+
+    score is psi(z) - K ||z - ybar|| and level_dist is |s_anchor - psi(z)|;
+    points off the hull score -inf and lie at distance +inf.
+    """
+
+    phi_bar: float
+    score: np.ndarray
+    level_dist: np.ndarray
+
+    def disjoint(self, c: float, margin: float = 1e-9) -> bool:
+        in_u = self.score > self.phi_bar - c - margin
+        in_v = self.level_dist < c + margin
+        return not bool(np.any(in_u & in_v))
+
+
+def level_sets(
+    ybar, sc: SupConvSpec, s_anchor: float, pts: np.ndarray, psis: np.ndarray,
+    tol: float = 1e-8,
+) -> LevelSets:
+    """Score the grid points ``pts``, whose tent values are ``psis``, once
+    for every threshold of the level-set test at ybar."""
+    ybar = as_point(ybar, sc.dim)
+    phi_bar = phi_eval(ybar, sc, tol=tol).value
+    finite = np.isfinite(psis)
+    score = np.where(
+        finite, psis - sc.K * np.linalg.norm(pts - ybar, axis=1), -np.inf
+    )
+    level_dist = np.where(finite, np.abs(s_anchor - psis), np.inf)
+    return LevelSets(phi_bar, score, level_dist)
+
+
 def uv_disjoint(
     ybar, c: float, sc: SupConvSpec, s_anchor: float, grid, margin: float = 1e-9
 ) -> bool:
@@ -361,17 +401,9 @@ def uv_disjoint(
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    ybar = as_point(ybar, sc.dim)
-    phi_bar = phi_eval(ybar, sc).value
     pts = np.asarray(grid, dtype=float)
     psis = psi_on_grid(sc.tent, pts)
-    finite = np.isfinite(psis)
-    scores = np.where(
-        finite, psis - sc.K * np.linalg.norm(pts - ybar, axis=1), -np.inf
-    )
-    in_u = finite & (scores > phi_bar - c - margin)
-    in_v = finite & (np.abs(s_anchor - psis) < c + margin)
-    return not bool(np.any(in_u & in_v))
+    return level_sets(ybar, sc, s_anchor, pts, psis).disjoint(c, margin)
 
 
 def sample_table(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:

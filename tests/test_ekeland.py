@@ -155,6 +155,25 @@ class TestEvpVerify:
         assert ok and worst >= -1e-9
 
 
+    def test_matches_pointwise_reference_in_2d(self):
+        # the table-based check must reproduce the pointwise loop exactly
+        from mdmvi.ekeland import _g_eval
+        from mdmvi.geometry import sample_set
+
+        A, B = Polytope([[0.0, 0.0]]), Polytope([[1.0, 0.0]])
+        sc = SupConvSpec(TentSpec(A, B, 0.0, 0.425), 2.08)
+        f1 = restrict_f(linear([1.0, 0.3]), A, B, 0.5)
+        grid = sample_set(A, B, 0.5, 9)
+        u, eps = np.array([0.1, -0.2]), 0.05
+        gu = _g_eval(u, f1, sc)
+        ref = min(
+            _g_eval(z, f1, sc) + eps * float(np.linalg.norm(z - u)) - gu
+            for z in grid
+            if np.isfinite(_g_eval(z, f1, sc))
+        )
+        assert evp_verify(u, eps, f1, sc, grid).worst == ref
+
+
 class TestFuzzyPair:
     def test_smooth_interior_point(self, seg_a, seg_b, canonical_smoothing):
         # at a smooth point the residual is |f' - phi'| exactly

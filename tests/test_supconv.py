@@ -194,6 +194,20 @@ class TestUVDisjoint:
         sc = SupConvSpec(unit_tent, 2.0)
         assert not uv_disjoint([0.5], 2.0, sc, 1.0, grid_1d(0, 1, 101))
 
+    def test_matches_pointwise_reference(self, unit_tent):
+        sc = SupConvSpec(unit_tent, 2.0)
+        grid, ybar, s_anchor = grid_1d(-0.2, 1.2, 141), np.array([0.3]), 1.0
+        phi_bar = phi_value(ybar, sc)
+        psis = [psi_value(z, unit_tent) for z in grid]
+        for c in np.linspace(0.01, 1.0, 25):
+            meet = any(
+                np.isfinite(v)
+                and v - 2.0 * abs(z[0] - ybar[0]) > phi_bar - c - 1e-9
+                and abs(s_anchor - v) < c + 1e-9
+                for z, v in zip(grid, psis)
+            )
+            assert uv_disjoint(ybar, c, sc, s_anchor, grid) == (not meet)
+
     def test_rejects_nonpositive_c(self, unit_tent):
         sc = SupConvSpec(unit_tent, 2.0)
         with pytest.raises(ValueError):
