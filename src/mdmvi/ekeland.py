@@ -237,6 +237,7 @@ def fuzzy_pair(
     grid: np.ndarray | None = None,
     k_residual: float = DEFAULT_RESIDUAL_FACTOR,
     tol: float = 1e-8,
+    grid_phi: np.ndarray | None = None,
 ) -> FuzzyPair:
     """Nearly-cancelling pair: p from f's representatives at x, q from the
     negated smoothing supergradient at y, with x, y within search_radius
@@ -245,7 +246,9 @@ def fuzzy_pair(
     Minimizes residual plus separation over a deterministic perturbation
     pattern; fails loudly when the residual exceeds k_residual times the
     schedule entry of u (a kink coincidence the caller must refine past).
-    ``tol`` is the duality-gap tolerance of every smoothing evaluation.
+    ``tol`` is the duality-gap tolerance of every smoothing evaluation;
+    ``grid_phi``, the smoothing on ``grid``, serves every supergradient
+    check when the caller already has it.
     """
     if search_radius <= 0:
         raise ValueError("search_radius must be positive")
@@ -255,7 +258,7 @@ def fuzzy_pair(
     for off in _perturbation_offsets(f.dim, search_radius):
         y = base + off
         try:
-            sg = phi_supergradient(y, sc, grid=grid, tol=tol)
+            sg = phi_supergradient(y, sc, grid=grid, tol=tol, grid_phi=grid_phi)
         except SupergradientError:
             continue
         q = -sg.p

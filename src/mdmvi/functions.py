@@ -30,22 +30,16 @@ _ACTIVE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Effective-domain descriptor: everything, a polytope, or a halfspace."""
+    """Effective-domain descriptor: everything, a polytope, or an inflated
+    hull."""
 
-    kind: str = "all"  # "all" | "polytope" | "halfspace" | "hull_inflation"
+    kind: str = "all"  # "all" | "polytope" | "hull_inflation"
     polytope: Polytope | None = None
-    normal: np.ndarray | None = None
-    offset: float = 0.0
     region: object | None = None  # HullInflation for restricted pipelines
 
     def classify(self, x, tol: float = 1e-9) -> str:
         if self.kind == "all":
             return INTERIOR
-        if self.kind == "halfspace":
-            slack = self.offset - float(self.normal @ x)
-            if slack > tol:
-                return INTERIOR
-            return BOUNDARY if slack >= -tol else EXTERIOR
         if self.kind == "hull_inflation":
             return self.region.classify(x, tol=max(tol, 1e-9))
         P = self.polytope

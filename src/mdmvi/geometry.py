@@ -168,91 +168,81 @@ def _direction_net(n: int) -> np.ndarray:
     return np.vstack([dirs, sphere])
 
 
-def _affine_simplex_lsq(Vs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Least squares of ||w @ Vs - x|| subject to sum(w) = 1 (sign-free)."""
-    k = Vs.shape[0]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = Vs @ Vs.T
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([Vs @ x, [1.0]])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:k]
+def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
+    """Weights, summing to one, of the least-norm point of the affine hull
+    of the rows of Q, from the KKT system of that problem."""
+    k = Q.shape[0]
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = Q @ Q.T
+    kkt[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        return np.linalg.solve(kkt, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
 
 
-def _polish_projection(V: np.ndarray, x: np.ndarray, w0: np.ndarray) -> np.ndarray | None:
-    """Active-set refinement of a near-optimal simplex-weight projection."""
-    active = np.nonzero(w0 > 1e-10)[0]
-    if active.size == 0:
-        active = np.array([int(np.argmin(np.linalg.norm(V - x, axis=1)))])
-    for _ in range(V.shape[0] + 1):
-        ws = _affine_simplex_lsq(V[active], x)
-        if ws.min() >= -1e-12:
-            w = np.zeros(V.shape[0])
-            w[active] = np.clip(ws, 0.0, None)
-            w /= w.sum()
-            return w
-        if active.size == 1:
-            return None
-        active = np.delete(active, int(np.argmin(ws)))
-    return None
+def _min_norm_weights(P: np.ndarray) -> np.ndarray:
+    """Wolfe's minimum-norm-point algorithm (Wolfe 1976): simplex weights
+    w for which w @ P is the point of least norm in the hull of P's rows.
+
+    A major cycle adds to the corral S the row minimizing <z, P_j> (lowest
+    index on ties); minor cycles move z to the least-norm point of S's
+    affine hull, stepping back into the simplex and dropping a row when
+    its weight reaches zero.  Stops when no row beats ||z||^2 by 1e-14 of
+    the largest squared row length, the norm stops falling, or S spans."""
+    m, n = P.shape
+    sq = np.einsum("ij,ij->i", P, P)
+    tol = 1e-14 * float(sq.max())
+    S = [int(np.argmin(sq))]
+    lam = np.ones(1)
+    zz = float(sq[S[0]])
+    for _ in range(10 * m + 10):
+        z = lam @ P[S]
+        j = int(np.argmin(P @ z))
+        if zz - float(P[j] @ z) <= tol or j in S:
+            break
+        S.append(j)
+        lam = np.append(lam, 0.0)
+        alpha = _affine_min_norm(P[S])
+        while alpha.min() <= 0.0:
+            down = alpha <= 0.0
+            ratios = np.full(len(S), np.inf)
+            ratios[down] = lam[down] / np.maximum(lam[down] - alpha[down], 1e-300)
+            k = int(np.argmin(ratios))
+            lam = lam + ratios[k] * (alpha - lam)
+            lam[k] = 0.0
+            S = [s for s, wt in zip(S, lam) if wt > 0.0]
+            lam = lam[lam > 0.0]
+            alpha = _affine_min_norm(P[S])
+        lam = alpha
+        z = lam @ P[S]
+        if len(S) == n + 1 or float(z @ z) >= zz:
+            break
+        zz = float(z @ z)
+    w = np.zeros(m)
+    w[S] = lam / lam.sum()
+    return w
 
 
 def dist_to_hull(x, A: Polytope, B: Polytope) -> DistResult:
     """Euclidean distance from x to [A,B] with the nearest point and its
-    hull coordinates.
+    hull coordinates, from one pass of Wolfe's algorithm on the rows of
+    V - x (see ``_min_norm_weights``).
 
-    Membership is decided exactly by a feasibility LP; exterior points are
-    projected by Frank-Wolfe over the joint vertex simplex followed by an
-    active-set polish, accurate to well below 1e-8.
+    Finite and exact to rounding: the nearest point y meets the optimality
+    condition <y - x, v - y> >= 0 at every vertex v up to 1e-14 of the
+    largest squared vertex distance.  When the final corral spans the
+    space, x lies in the hull and gets d = 0 and y = x.
     """
-    from .simplex_optim import ConcaveObjective, LPProblem, maximize_concave, solve_lp
-
     V = hull_vertex_matrix(A, B)
     x = as_point(x, V.shape[1])
-    mA = A.num_vertices
-    m = V.shape[0]
-
-    lp = LPProblem(
-        objective=np.zeros(m),
-        eq_matrix=np.vstack([V.T, np.ones((1, m))]),
-        eq_rhs=np.concatenate([x, [1.0]]),
-    )
-    res = solve_lp(lp, want_dual=False)
-    if res.status == "optimal":
-        w = res.x
-        y = w @ V
-        coords = HullCoords(w[:mA], w[mA:]).validate(1e-9)
-        return DistResult(float(np.linalg.norm(x - y)), y, coords)
-
-    def value(c: HullCoords) -> float:
-        r = c.weights() @ V - x
-        return -0.5 * float(r @ r)
-
-    def supergrad(c: HullCoords) -> np.ndarray:
-        return -V @ (c.weights() @ V - x)
-
-    def line_max(w: np.ndarray, d: np.ndarray, t_max: float) -> float:
-        rho = w @ V - x
-        sig = d @ V
-        denom = float(sig @ sig)
-        if denom <= 1e-18:
-            return 0.0
-        t = -float(rho @ sig) / denom
-        return float(np.clip(t, 0.0, t_max))
-
-    fw = maximize_concave(
-        ConcaveObjective(value=value, supergrad=supergrad, line_max=line_max),
-        (mA, m - mA),
-        tol=1e-12,
-        max_iters=500,
-    )
-    w = fw.coords.weights()
-    polished = _polish_projection(V, x, w)
-    if polished is not None and np.linalg.norm(polished @ V - x) <= np.linalg.norm(w @ V - x):
-        w = polished
+    w = _min_norm_weights(V - x)
+    coords = HullCoords(w[: A.num_vertices], w[A.num_vertices :])
+    if np.count_nonzero(w) == V.shape[1] + 1:
+        return DistResult(0.0, x.copy(), coords)
     y = w @ V
-    coords = HullCoords(w[:mA], w[mA:]).validate(1e-9)
     return DistResult(float(np.linalg.norm(x - y)), y, coords)
 
 

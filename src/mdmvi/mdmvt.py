@@ -458,6 +458,12 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
 
     ek_points = descend_g(c_table, f1, sc, delta, schedule, seed=ps.seed, phi_tol=tol)
 
+    # the supergradient checks read the smoothing on the C table, evaluated
+    # once more only at the points outside C
+    c_phi = c_table.phi.copy()
+    outside = np.isnan(c_phi)
+    c_phi[outside] = phi_on_grid(sc, c_pts[outside], tol=tol)
+
     eps_bar = 0.5 * min(
         inf_c.value - ps.mu, inf_bd.value - s1, (delta - delta1) / (1.0 + 1.0 / K)
     )
@@ -478,7 +484,9 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
         }
         trace.append(entry)
         try:
-            pair = fuzzy_pair(ek, f1, sc, search_radius=radius, grid=c_grid, tol=tol)
+            pair = fuzzy_pair(
+                ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol, grid_phi=c_phi
+            )
         except FuzzyPairError as exc:
             attempts.append(f"n={n}: {exc}")
             continue

@@ -83,12 +83,11 @@ def _iterate(T: np.ndarray, basis: list[int], ncols: int) -> str:
     raise RuntimeError("simplex iteration cap exceeded")
 
 
-def solve_lp(lp: LPProblem, feas_tol: float = 1e-9, want_dual: bool = True) -> LPResult:
+def solve_lp(lp: LPProblem, feas_tol: float = 1e-9) -> LPResult:
     """Two-phase dense simplex with Bland's rule.
 
     Returns an optimal basic solution with the corresponding dual row
-    multipliers (skipped when ``want_dual`` is false), or an infeasible
-    flag.  Unboundedness is a hard error.
+    multipliers, or an infeasible flag.  Unboundedness is a hard error.
     """
     A0 = lp.eq_matrix
     c = lp.objective
@@ -142,12 +141,10 @@ def solve_lp(lp: LPProblem, feas_tol: float = 1e-9, want_dual: bool = True) -> L
     x[basis] = np.clip(T2[:rows, -1], 0.0, None)
     value = float(c @ x)
 
-    dual = None
-    if want_dual:
-        dual = np.zeros(m)
-        B = A0[row_index][:, basis]
-        y, *_ = np.linalg.lstsq(B.T, c[basis], rcond=None)
-        dual[row_index] = y
+    dual = np.zeros(m)
+    B = A0[row_index][:, basis]
+    y, *_ = np.linalg.lstsq(B.T, c[basis], rcond=None)
+    dual[row_index] = y
     return LPResult("optimal", x, value, dual)
 
 

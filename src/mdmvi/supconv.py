@@ -1,9 +1,10 @@
 """Sup-convolution of the tent with a norm cone: the K-Lipschitz concave
 smoothing phi_K(x) = sup over y of psi(y) - K ||x - y||.
 
-Evaluation maximizes the joint concave objective over hull decompositions
-with Frank-Wolfe plus exact candidate refinement, and certifies the result
-through the conic dual bound
+Where the tent's LP-dual slope at x has norm at most K, the smoothing is
+the tent; elsewhere evaluation maximizes over hull decompositions with
+Frank-Wolfe plus exact candidate refinement.  Both are certified through
+the conic dual bound
 
     phi_K(x) <= <p, x> + max_i (level_i - <p, v_i>)   for any ||p|| <= K,
 
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import HullCoords, as_point, hull_diameter, sample_set
+from .geometry import HullCoords, as_point, dist_to_hull, hull_diameter, sample_set
 from .simplex_optim import ConcaveObjective, golden_max, maximize_concave
 from .tent import TentSpec, psi_eval, psi_on_grid
 
@@ -158,11 +159,14 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
              refine: bool = True) -> PhiValue:
     """Evaluate the smoothing at x with a certified optimality gap.
 
-    Frank-Wolfe over hull weights provides the bulk of the maximization;
-    exact tent evaluations at the attaining point, at x itself, and at the
-    vertices refine the value from below, while conic dual candidates
-    bound it from above.  Raises PhiEvalError when the certified gap stays
-    above the acceptance threshold.
+    The tent LP at x comes first: when x lies in [A,B] and its LP-dual
+    slope p has norm at most K, the conic dual bound at p equals psi(x) by
+    LP duality, so phi_K(x) = psi(x), attained at x.  Elsewhere (exterior
+    points, slopes steeper than K) Frank-Wolfe over hull weights does the
+    bulk of the maximization; exact tent values at the attaining point, at
+    x and at the vertices refine it from below, while conic dual
+    candidates bound it from above.  Raises PhiEvalError when the
+    certified gap stays above the acceptance threshold.
     """
     x = as_point(x, sc.dim)
     key = (x.tobytes(), float(tol))
@@ -170,7 +174,19 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
     if cached is not None:
         return cached
 
+    # the cone dual certificate is second-order loose in the attaining
+    # point, so gaps slightly above tol are normal at converged solves;
+    # 1e-7 stays well under every downstream tolerance (1e-6 and up)
+    accept = max(10.0 * tol, 1e-7)
     t = sc.tent
+    px = psi_eval(x, t)
+    if px.slope is not None and np.linalg.norm(px.slope) <= sc.K:
+        gap = _dual_value(px.slope, x, sc) - px.value
+        if gap <= accept:
+            out = PhiValue(px.value, x.copy(), px.coords, max(gap, 0.0))
+            sc._cache[key] = out
+            return out
+
     V = t.vertex_matrix()
     mA = t.A.num_vertices
     fw = maximize_concave(
@@ -180,7 +196,6 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
 
     cands = [fw.coords.weights() @ V]
     cands.extend(V)
-    px = psi_eval(x, t)
     if np.isfinite(px.value):
         cands.append(x)
 
@@ -200,14 +215,8 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
     for p in duals:
         upper = min(upper, _dual_value(p, x, sc))
 
-    # the cone dual certificate is second-order loose in the attaining
-    # point, so gaps slightly above tol are normal at converged solves;
-    # 1e-7 stays well under every downstream tolerance (1e-6 and up)
-    accept = max(10.0 * tol, 1e-7)
     if refine and upper - best_v > accept:
         # kink-adjacent exterior points attain at the hull projection
-        from .geometry import dist_to_hull
-
         proj = dist_to_hull(x, t.A, t.B)
         if proj.d > 1e-12:
             v_proj = _score(proj.point, x, sc)
@@ -270,14 +279,9 @@ def phi_on_grid(sc: SupConvSpec, pts: np.ndarray, tol: float = 1e-8) -> np.ndarr
 
 def default_check_grid(sc: SupConvSpec) -> np.ndarray:
     """Fallback verification grid: the hull inflated by a quarter diameter."""
-    key = "default_grid"
-    grid = sc._cache.get(key)
-    if grid is None:
-        margin = 0.25 * hull_diameter(sc.tent.A, sc.tent.B) + 0.1
-        res = {1: 81, 2: 15, 3: 7}.get(sc.dim, 7)
-        grid = sample_set(sc.tent.A, sc.tent.B, margin, res)
-        sc._cache[key] = grid
-    return grid
+    margin = 0.25 * hull_diameter(sc.tent.A, sc.tent.B) + 0.1
+    res = {1: 81, 2: 15, 3: 7}.get(sc.dim, 7)
+    return sample_set(sc.tent.A, sc.tent.B, margin, res)
 
 
 def phi_supergradient(
@@ -288,6 +292,7 @@ def phi_supergradient(
     fd_step: float = DEFAULT_FD_STEP,
     tol_super: float = DEFAULT_SUPER_TOL,
     tol: float = 1e-8,
+    grid_phi: np.ndarray | None = None,
 ) -> Supergradient:
     """A supergradient of the smoothing at x, verified on a grid.
 
@@ -295,8 +300,10 @@ def phi_supergradient(
     is exact: the cone minorant touches the smoothing from below at x, so
     its gradient is the only possible supergradient.  On the attaining set
     a centered finite difference is used instead and accepted only if the
-    superdifferential inequality holds on the verification grid.  ``tol``
-    is the duality-gap tolerance of every smoothing evaluation.
+    superdifferential inequality holds on the verification grid, whose
+    smoothing values ``grid_phi`` are computed when the caller does not
+    already have them.  ``tol`` is the duality-gap tolerance of every
+    smoothing evaluation.
     """
     x = as_point(x, sc.dim)
     v = phi_eval(x, sc, tol=tol)
@@ -315,7 +322,7 @@ def phi_supergradient(
         mode = "fallback"
 
     pts = default_check_grid(sc) if grid is None else np.asarray(grid, dtype=float)
-    vals = phi_on_grid(sc, pts, tol=tol)
+    vals = phi_on_grid(sc, pts, tol=tol) if grid_phi is None else grid_phi
     worst = float(np.max(vals - v.value - (pts - x) @ p))
     if worst > tol_super:
         raise SupergradientError(

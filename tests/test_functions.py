@@ -130,16 +130,6 @@ class TestEpsSubdiffCheck:
 
 
 class TestDomain:
-    def test_halfspace_classify(self):
-        from mdmvi.functions import Domain
-        from mdmvi.geometry import BOUNDARY, EXTERIOR, INTERIOR
-
-        dom = Domain(kind="halfspace", normal=np.array([1.0, 0.0]), offset=1.0)
-        assert dom.classify(np.array([0.0, 5.0])) == INTERIOR
-        assert dom.classify(np.array([1.0, -2.0])) == BOUNDARY
-        assert dom.classify(np.array([1.5, 0.0])) == EXTERIOR
-        assert dom.contains(np.array([0.5, 0.0]))
-
     def test_polytope_interior_vs_boundary(self):
         from mdmvi.functions import Domain
         from mdmvi.geometry import BOUNDARY, INTERIOR, Polytope

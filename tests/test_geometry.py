@@ -92,6 +92,44 @@ class TestDistToHull:
             assert abs(d - brute_hull_dist(x, A, B)) <= 2e-3
 
 
+def test_projection_regression_3d():
+    # the nearest point lies on a facet of a 6-vertex hull, where an
+    # inexact projection reads 0.33427
+    A = Polytope([[-0.71, -0.79, -1.7], [0.03, 1.38, -1.34], [1.45, 0.35, 2.17],
+                  [0.31, -0.41, 0.17]])
+    B = Polytope([[-0.79, -0.44, -0.03], [0.33, -1.56, 0.91]])
+    d, y, c = dist_to_hull([0.43, -0.42, -0.35], A, B)
+    assert d == pytest.approx(0.3309828621798, abs=1e-10)
+    assert np.allclose(c.point(A, B), y, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    m_a=st.integers(1, 5),
+    m_b=st.integers(1, 5),
+    inside=st.booleans(),
+    shared=st.booleans(),
+)
+def test_projection_meets_its_optimality_certificate(seed, dim, m_a, m_b, inside, shared):
+    """The nearest point y is feasible (weights >= 0, summing to one, that
+    reproduce y) and optimal: <y - x, v - y> >= 0 at every vertex v."""
+    rng = np.random.default_rng(seed)
+    A = Polytope(rng.normal(size=(m_a, dim)))
+    B = A if shared else Polytope(rng.normal(size=(m_b, dim)))
+    V = np.vstack([A.vertices, B.vertices])
+    x = rng.dirichlet(np.ones(len(V))) @ V if inside else 2.0 * rng.normal(size=dim)
+    d, y, c = dist_to_hull(x, A, B)
+    scale = max(1.0, float(np.max(np.sum((V - x) ** 2, axis=1))))
+    w = c.weights()
+    assert w.min() >= 0.0
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert np.allclose(w @ V, y, rtol=0.0, atol=1e-12 * scale)
+    assert d == pytest.approx(np.linalg.norm(x - y), abs=1e-15)
+    assert float(np.min((V - y) @ (y - x))) >= -1e-12 * scale
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     x=st.lists(finite_coord, min_size=2, max_size=2),

@@ -1,0 +1,31 @@
+"""A 2-D quadratic spec with a 4-vertex A and a 5-vertex B.
+
+Its descent probes up to a full span outside C.  There, hull weights
+read off a membership LP could fail their own sum-to-one check and end
+the run in a bare ValueError.  Every run must end in a certificate that
+the verifier accepts or in one of the pipeline's documented errors.
+"""
+
+from mdmvi import CertificateSearchError, ProblemSpec, SpecInvariantError, run, verify_certificate
+
+MULTIVERTEX_2D = {
+    "function": {"id": "quadratic", "params": {"Q": [[1.0, 0.2], [0.2, 1.0]], "a": [0.0, 0.0]}},
+    "A": [[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]],
+    "B": [[2.0866, 0.0887], [1.8042, 0.3], [1.516, 0.0967], [1.6202, -0.2402], [1.9729, -0.2452]],
+    "delta": 0.5,
+    "mu": -0.1,
+    "s": 0.41,
+    "epsilon": 0.1,
+    "resolution": 11,
+    "seed": 1,
+}
+
+
+def test_multivertex_2d_ends_in_a_certificate_or_a_documented_error():
+    ps = ProblemSpec.from_json_dict(MULTIVERTEX_2D)
+    try:
+        cert = run(ps)
+    except (CertificateSearchError, SpecInvariantError):
+        return
+    valid, report = verify_certificate(cert, ps)
+    assert valid, report

@@ -19,7 +19,7 @@ from mdmvi.supconv import (
     phi_value,
     sample_table,
 )
-from mdmvi.tent import psi_value
+from mdmvi.tent import psi_eval, psi_value
 
 from conftest import grid_1d
 
@@ -119,6 +119,50 @@ class TestPhiEval:
     def test_rejects_bad_K(self, unit_tent):
         with pytest.raises(ValueError):
             SupConvSpec(unit_tent, 0.0)
+
+
+class TestCertificateFirst:
+    """Inside the hull, where the tent's LP-dual slope has norm at most K,
+    the tent's own dual certifies phi_K(x) = psi(x) without Frank-Wolfe."""
+
+    @pytest.fixture
+    def plane_sc(self):
+        # plane_2d's tent and smoothing, as its run chooses them
+        A = Polytope([[0.0, 0.0], [0.0, 1.0]])
+        B = Polytope([[2.0, 0.0], [2.0, 1.0]])
+        return SupConvSpec(TentSpec(A, B, 0.0, 1.325), 4.081889763779527)
+
+    @pytest.fixture
+    def fw_calls(self, monkeypatch):
+        import mdmvi.supconv as sp
+
+        calls = []
+        real = sp.maximize_concave
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "maximize_concave", spy)
+        return calls
+
+    def test_interior_point_needs_no_frank_wolfe(self, plane_sc, fw_calls):
+        x = np.array([0.7, 0.4])
+        slope = psi_eval(x, plane_sc.tent).slope
+        assert np.linalg.norm(slope) <= plane_sc.K
+        v = phi_eval(x, plane_sc)
+        assert fw_calls == []
+        assert v.value == pytest.approx(psi_value(x, plane_sc.tent), abs=1e-12)
+        assert np.array_equal(v.argmax, x)
+        assert 0.0 <= v.gap <= 1e-12
+        assert v.value == pytest.approx(
+            phi_brute(x, plane_sc, 400), abs=(plane_sc.K + 1.325) / 300 * 3
+        )
+
+    def test_exterior_point_still_runs_frank_wolfe(self, plane_sc, fw_calls):
+        v = phi_eval([-0.3, 0.5], plane_sc)
+        assert len(fw_calls) == 1
+        assert v.gap <= 1e-7
 
 
 class TestPhiSupergradient:
