@@ -306,7 +306,7 @@ def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.nd
         keep[i] = dist_to_hull(pts[i], A, B).d <= thresh
     pts = pts[keep]
 
-    extra = [v for v in V if not any(np.array_equal(v, q) for q in pts)]
-    if extra:
-        pts = np.vstack([pts, np.array(extra)])
+    extra = V[~(pts[None] == V[:, None]).all(axis=2).any(axis=1)]
+    if len(extra):
+        pts = np.vstack([pts, extra])
     return pts

@@ -323,22 +323,31 @@ def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestF
 
 
 def boundary_samples(
-    A: Polytope, B: Polytope, delta: float, resolution: int, cap: int = 400
+    A: Polytope, B: Polytope, delta: float, resolution: int, cap: int = 400,
+    hull_pts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deterministic points on the boundary of C, built by pushing hull
     samples outward by delta and keeping those at distance exactly delta.
 
-    Candidates are screened by a vectorized support-function lower bound
-    and exact distances are only computed in descending-bound order, so
-    genuine boundary points surface first.
+    The seeds are a stride of ``hull_pts``, the hull grid at resolution
+    min(resolution, 41) (computed when the caller does not already have
+    it), plus every vertex of A and B: a vertex pushed by delta along its
+    normal cone is at distance exactly delta, while no grid point need lie
+    on a slanted edge.  Candidates are screened by a vectorized
+    support-function lower bound and exact distances are only computed in
+    descending-bound order, so genuine boundary points surface first.
     """
-    hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
+    if hull_pts is None:
+        hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
     stride = max(1, len(hull_pts) // 50)
     seeds = hull_pts[::stride]
+    V = np.vstack([A.vertices, B.vertices])
+    corners = V[np.sort(np.unique(V, axis=0, return_index=True)[1])]
+    fresh = ~(seeds[None] == corners[:, None]).all(axis=2).any(axis=1)
+    seeds = np.vstack([seeds, corners[fresh]])
     dirs = _direction_net(A.dim)
     cands = (seeds[:, None, :] + delta * dirs[None, :, :]).reshape(-1, A.dim)
 
-    V = np.vstack([A.vertices, B.vertices])
     support = np.max(V @ dirs.T, axis=0)
     lower = np.max(cands @ dirs.T - support[None, :], axis=1)
     order = sorted(range(len(cands)), key=lambda i: (-lower[i], i))
@@ -430,7 +439,10 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     tent = TentSpec(A, B, r, s1)
     sc = SupConvSpec(tent, K)
 
-    bpts = boundary_samples(A, B, delta, ps.resolution)
+    bpts = boundary_samples(
+        A, B, delta, ps.resolution,
+        hull_pts=hull_grid if ps.resolution <= 41 else None,
+    )
     b_phi = phi_on_grid(sc, bpts, tol=tol)
     b_margins = ps.mu - b_phi
     boundary_margin = float(b_margins.min())

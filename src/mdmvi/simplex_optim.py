@@ -1,9 +1,9 @@
-"""Shared numerical kernel: a dense two-phase simplex LP solver and
-Frank-Wolfe with away steps over the joint vertex simplex.
+"""Frank-Wolfe with away steps over the joint vertex simplex, golden-section
+line maxima, and a dense two-phase simplex LP solver.
 
-Both solvers are fully deterministic.  Bland's rule guarantees simplex
-termination; performance is irrelevant at the few dozen variables these
-problems carry.
+All are fully deterministic.  The pipeline runs no LP: ``solve_lp`` is the
+reference LP that the closed-form tent is tested against.  Bland's rule
+guarantees simplex termination.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Sup-convolution of the tent with a norm cone: the K-Lipschitz concave
 smoothing phi_K(x) = sup over y of psi(y) - K ||x - y||.
 
-Where the tent's LP-dual slope at x has norm at most K, the smoothing is
-the tent; elsewhere evaluation maximizes over hull decompositions with
-Frank-Wolfe plus exact candidate refinement.  Both are certified through
-the conic dual bound
+Where the slope of the tent's facet plane at x has norm at most K, the
+smoothing is the tent; elsewhere evaluation maximizes over hull
+decompositions with Frank-Wolfe plus exact candidate refinement.  Both
+are certified through the conic dual bound
 
     phi_K(x) <= <p, x> + max_i (level_i - <p, v_i>)   for any ||p|| <= K,
 
@@ -159,13 +159,14 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
              refine: bool = True) -> PhiValue:
     """Evaluate the smoothing at x with a certified optimality gap.
 
-    The tent LP at x comes first: when x lies in [A,B] and its LP-dual
-    slope p has norm at most K, the conic dual bound at p equals psi(x) by
-    LP duality, so phi_K(x) = psi(x), attained at x.  Elsewhere (exterior
-    points, slopes steeper than K) Frank-Wolfe over hull weights does the
-    bulk of the maximization; exact tent values at the attaining point, at
-    x and at the vertices refine it from below, while conic dual
-    candidates bound it from above.  Raises PhiEvalError when the
+    The tent at x comes first: when x lies in [A,B] and the slope p of the
+    facet plane through (x, psi(x)) has norm at most K, the conic dual
+    bound at p equals psi(x), because that plane majorizes every lifted
+    vertex and meets the tent at x; so phi_K(x) = psi(x), attained at x.
+    Elsewhere (exterior points, slopes steeper than K) Frank-Wolfe over
+    hull weights does the bulk of the maximization; exact tent values at
+    the attaining point, at x and at the vertices refine it from below,
+    while conic dual candidates bound it from above.  Raises PhiEvalError when the
     certified gap stays above the acceptance threshold.
     """
     x = as_point(x, sc.dim)

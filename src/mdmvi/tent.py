@@ -1,21 +1,89 @@
 """The concave tent over a pair of polytopes: the function whose hypograph
 is the convex hull of A x (-inf, r] and B x (-inf, s].
 
-On the joint hull [A,B] the tent is evaluated exactly by a small LP; it is
-minus infinity outside.  The LP dual yields an exact supergradient.
+On the joint hull [A,B] the tent is the upper envelope of the lifted
+vertices (v_i, level_i), the lifting-map picture of a regular subdivision
+(Gelfand, Kapranov & Zelevinsky 1994).  By LP duality it is the minimum of
+finitely many affine pieces, one per upper-hull facet.  ``TentSpec`` builds
+those pieces once; a tent value, its hull coordinates and an exact
+supergradient then come from one barycentric product, with no LP.  The
+tent is minus infinity outside [A,B].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import HullCoords, Polytope, as_point, inf_linear
-from .simplex_optim import LPProblem, solve_lp
 
 DEFAULT_CHECK_TOL = 1e-7
+_FEAS_TOL = 1e-9  # hull membership: distance off the affine hull and simplex
+_CHUNK = 1 << 16  # entries of each batched barycentric product
+
+
+class _Facets(NamedTuple):
+    """The tent's affine pieces.  Piece j is the plane through the lifted
+    vertices ``verts[j]``, whose simplex is affinely independent in the
+    affine hull of [A,B]; ``slope[j]``, the plane's gradient, lies in the
+    hull's own direction space.  The affine map ``x @ lin + shift`` gives,
+    for a point x, the barycentric weights of x in every simplex, piece
+    after piece, followed by the residual of x off the affine hull (empty
+    when the hull spans the space).  A weight above ``-slack`` puts x
+    within the feasibility tolerance of that facet of the simplex."""
+
+    verts: np.ndarray  # (P, k+1) vertex indices
+    levels: np.ndarray  # (P, k+1) their levels
+    slope: np.ndarray  # (P, n)
+    slack: np.ndarray  # (P, k+1)
+    lin: np.ndarray  # (n, P*(k+1) + n - k)
+    shift: np.ndarray  # (P*(k+1) + n - k,)
+
+
+def _facets(V: np.ndarray, levels: np.ndarray) -> _Facets:
+    """Upper-hull facets of the lifted vertices (v_i, level_i).
+
+    Reduces V to its affine hull (centroid, SVD, rank k), fits the plane
+    through every affinely independent (k+1)-subset S in one batched solve,
+    and keeps S when its plane lies on or above every lifted vertex: those
+    are exactly the dual-feasible bases of the tent LP.  Every kept plane
+    majorizes the tent on [A,B] and meets it on conv(S), and the kept
+    simplices cover [A,B].
+    """
+    m, n = V.shape
+    center = V.mean(axis=0)
+    _, sv, vt = np.linalg.svd(V - center)
+    k = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+    basis = vt[:k].T
+    Vr = (V - center) @ basis
+    subsets = np.array(list(combinations(range(m), k + 1)))
+    M = np.concatenate([Vr[subsets], np.ones(subsets.shape + (1,))], axis=2)
+    sing = np.linalg.svd(M, compute_uv=False)
+    regular = sing[:, -1] > 1e-10 * sing[:, 0]
+    subsets, M = subsets[regular], M[regular]
+    coef = np.linalg.solve(M, levels[subsets][..., None])[..., 0]
+    p, c = coef[:, :k], coef[:, k]
+    scale = 1.0 + np.abs(levels).max() + (
+        np.linalg.norm(p, axis=1) * np.linalg.norm(Vr, axis=1).max()
+    )
+    keep = np.all(Vr @ p.T + c - levels[:, None] >= -1e-12 * scale, axis=0)
+    # weights of x: bary @ [(x - center) @ basis, 1]; residual: the part of
+    # x - center orthogonal to the basis, in the complement's coordinates
+    bary = np.linalg.inv(M[keep].transpose(0, 2, 1))
+    G = (bary[:, :, :k] @ basis.T).reshape(-1, n)
+    h = bary[:, :, k].ravel() - G @ center
+    perp = vt[k:]
+    return _Facets(
+        verts=subsets[keep],
+        levels=levels[subsets[keep]],
+        slope=p[keep] @ basis.T,
+        slack=_FEAS_TOL * np.linalg.norm(G, axis=1).reshape(-1, k + 1),
+        lin=np.vstack([G, perp]).T,
+        shift=np.concatenate([h, -perp @ center]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +110,7 @@ class TentSpec:
         )
         object.__setattr__(self, "_V", V)
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_facets", _facets(V, levels))
 
     @property
     def dim(self) -> int:
@@ -59,8 +127,8 @@ class TentSpec:
 class PsiValue:
     """Tent value at a point; -inf with no coordinates outside the hull.
 
-    ``slope`` is an exact supergradient extracted from the LP dual (None
-    outside the hull).
+    ``slope`` is an exact supergradient, the gradient of the facet plane
+    whose simplex holds the point (None outside the hull).
     """
 
     value: float
@@ -83,34 +151,57 @@ class IncrementBound(NamedTuple):
     rhs: float
 
 
-def psi_eval(x, t: TentSpec) -> PsiValue:
-    """Exact tent value via the hull-decomposition LP.
+def _locate(F: _Facets, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the rows of X: the first piece whose simplex holds each row (-1
+    off the hull), its normalized barycentric weights clipped at zero, and
+    the tent value they give.
 
-    Maximizes r * sum(gamma) + s * sum(eta) over decompositions of x as a
-    convex combination of the vertices; infeasibility means x is outside
-    [A,B] and the value is -inf.
+    Sums run term by term, so a row gets the same bits alone or in a batch.
+    """
+    g, n = X.shape
+    P, k1 = F.verts.shape
+    Y = F.shift + X[:, :1] * F.lin[0]
+    for j in range(1, n):
+        Y = Y + X[:, j : j + 1] * F.lin[j]
+    W = Y[:, : P * k1].reshape(g, P, k1)
+    inside = (W + F.slack).min(axis=2) >= 0.0
+    if Y.shape[1] > P * k1:
+        R = Y[:, P * k1 :]
+        off = R[:, 0] * R[:, 0]
+        for j in range(1, R.shape[1]):
+            off = off + R[:, j] * R[:, j]
+        inside &= (off <= _FEAS_TOL**2)[:, None]
+    piece = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    w = np.maximum(W[np.arange(g), piece], 0.0)
+    lev = F.levels[piece]
+    total, value = w[:, 0], w[:, 0] * lev[:, 0]
+    for i in range(1, k1):
+        total = total + w[:, i]
+        value = value + w[:, i] * lev[:, i]
+    # sum(w_i level_i) / sum(w_i), the value at the normalized weights
+    return piece, w / total[:, None], np.where(piece >= 0, value / total, -np.inf)
+
+
+def psi_eval(x, t: TentSpec) -> PsiValue:
+    """Exact tent value from the facet planes.
+
+    x is in [A,B] when it lies on the affine hull and in the simplex of some
+    piece, both to 1e-9; the first such piece gives the hull coordinates,
+    the value (so lam = (psi - s) / (r - s)) and a global supergradient.
+    Off the hull the value is -inf, with no coordinates and no slope.
     """
     x = as_point(x, t.dim)
-    key = x.tobytes()
-    cached = t._cache.get(key)
-    if cached is not None:
-        return cached
-    V = t.vertex_matrix()
-    m = V.shape[0]
-    lp = LPProblem(
-        objective=t.vertex_levels(),
-        eq_matrix=np.vstack([V.T, np.ones((1, m))]),
-        eq_rhs=np.concatenate([x, [1.0]]),
+    F = t._facets
+    piece, w, value = _locate(F, x[None, :])
+    j = int(piece[0])
+    if j < 0:
+        return PsiValue(-np.inf, None, None)
+    full = np.zeros(len(t.vertex_levels()))
+    full[F.verts[j]] = w[0]
+    mA = t.A.num_vertices
+    return PsiValue(
+        float(value[0]), HullCoords(full[:mA], full[mA:]), F.slope[j].copy()
     )
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        out = PsiValue(-np.inf, None, None)
-    else:
-        mA = t.A.num_vertices
-        coords = HullCoords(res.x[:mA], res.x[mA:]).validate(1e-9)
-        out = PsiValue(float(res.value), coords, res.dual[: t.dim].copy())
-    t._cache[key] = out
-    return out
 
 
 def psi_value(x, t: TentSpec) -> float:
@@ -118,14 +209,23 @@ def psi_value(x, t: TentSpec) -> float:
 
 
 def psi_on_grid(t: TentSpec, pts: np.ndarray) -> np.ndarray:
-    return np.array([psi_eval(z, t).value for z in np.asarray(pts, dtype=float)])
+    """Tent values on the rows of ``pts``, batched; each equals ``psi_eval``."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, t.dim)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("grid points must be finite")
+    out = np.empty(len(pts))
+    rows = max(1, _CHUNK // t._facets.shift.size)
+    for i in range(0, len(pts), rows):
+        out[i : i + rows] = _locate(t._facets, pts[i : i + rows])[2]
+    return out
 
 
 def psi_supergradient(x, t: TentSpec) -> np.ndarray:
-    """Exact supergradient of the tent at a hull point, from the LP dual.
+    """Exact supergradient of the tent at a hull point: the gradient of a
+    facet plane through (x, psi(x)).
 
-    Valid globally: dual feasibility gives <p, z - x> >= psi(z) - psi(x)
-    for every z in the hull.
+    Valid globally: the plane majorizes the tent, so
+    <p, z - x> >= psi(z) - psi(x) for every z in the hull.
     """
     v = psi_eval(x, t)
     if v.slope is None:

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdmvi import (
+    LPProblem,
     Polytope,
+    ProblemSpec,
     TentSpec,
+    dist_to_hull,
     eps_superdiff_check_psi,
     psi_eval,
     psi_supergradient,
+    run,
+    solve_lp,
     tent_increment_bound_check,
+    verify_certificate,
 )
+from mdmvi.mdmvt import boundary_samples
 from mdmvi.oracles import psi_brute
 from mdmvi.tent import psi_on_grid, psi_value
 
@@ -168,3 +177,121 @@ def test_psi_on_grid_matches_pointwise(unit_tent):
     vals = psi_on_grid(unit_tent, grid)
     for z, v in zip(grid, vals):
         assert psi_value(z, unit_tent) == v
+
+
+def lp_tent(x, t: TentSpec):
+    """The tent as its hull-decomposition LP: maximize the levels over
+    convex weights of the vertices that reproduce x."""
+    V = t.vertex_matrix()
+    return solve_lp(
+        LPProblem(
+            objective=t.vertex_levels(),
+            eq_matrix=np.vstack([V.T, np.ones((1, len(V)))]),
+            eq_rhs=np.concatenate([x, [1.0]]),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    m_a=st.integers(1, 5),
+    m_b=st.integers(1, 5),
+    flat=st.booleans(),
+    shared=st.booleans(),
+    where=st.sampled_from(["inside", "vertex", "outside", "outside_on_span"]),
+)
+def test_facet_tent_matches_the_lp(seed, dim, m_a, m_b, flat, shared, where):
+    """Against the LP: same membership away from the boundary, same value;
+    coordinates that are convex weights reproducing x with lam read off the
+    value; a slope that is a supergradient at every lifted vertex; and the
+    batched grid read equals the pointwise one."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, dim)) if flat and dim > 1 else dim
+    span = rng.normal(size=(k, dim))
+    origin = rng.normal(size=dim)
+    A = Polytope(origin + rng.normal(size=(m_a, k)) @ span)
+    B_rows = origin + rng.normal(size=(m_b, k)) @ span
+    if shared:
+        B_rows[0] = A.vertices[-1]  # a vertex in both sets, at both levels
+    B = Polytope(B_rows)
+    r, s = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+    if abs(r - s) < 0.1:
+        s = r + 0.5
+    t = TentSpec(A, B, r, s)
+    V = t.vertex_matrix()
+    if where == "inside":
+        x = rng.dirichlet(np.ones(len(V))) @ V
+    elif where == "vertex":
+        x = V[int(rng.integers(len(V)))].copy()
+    elif where == "outside":
+        x = origin + 2.0 * rng.normal(size=dim)
+    else:
+        x = origin + 3.0 * rng.normal(size=k) @ span
+
+    v = psi_eval(x, t)
+    ref = lp_tent(x, t)
+    if where in ("inside", "vertex"):
+        assert ref.status == "optimal" and np.isfinite(v.value)
+    elif dist_to_hull(x, A, B).d > 1e-8:
+        assert ref.status == "infeasible" and v.value == -np.inf
+    if ref.status == "optimal" and np.isfinite(v.value):
+        assert v.value == pytest.approx(ref.value, abs=1e-9)
+        w = v.coords.weights()
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        assert np.allclose(w @ V, x, rtol=0.0, atol=1e-8)
+        assert v.lam == pytest.approx((v.value - s) / (r - s), abs=1e-9)
+        gains = t.vertex_levels() - v.value - (V - x) @ v.slope
+        assert gains.max() <= 1e-9
+    if v.coords is None:
+        assert v.slope is None
+    pts = np.vstack([x, V, origin + 2.0 * rng.normal(size=(3, dim))])
+    assert np.array_equal(psi_on_grid(t, pts), [psi_value(z, t) for z in pts])
+
+
+# the point pair of a 3-D stress spec, moved off the coordinate planes
+SHIFT_3D = np.array([-0.807, 0.013, -0.207])
+
+
+def test_slope_stays_in_a_segment_hull():
+    """The supergradient of a tent over a segment in 3-D lies along the
+    segment; a slope with a component across it is steeper than the tent."""
+    A = Polytope([[0.0, 0.0, 0.0]] + SHIFT_3D)
+    B = Polytope([[2.0, 0.0, 0.0]] + SHIFT_3D)
+    t = TentSpec(A, B, 0.0, 0.7)
+    for lam in (0.0, 0.3, 1.0):
+        v = psi_eval(lam * A.vertices[0] + (1 - lam) * B.vertices[0], t)
+        assert np.linalg.norm(v.slope) == pytest.approx(0.35, abs=1e-12)
+
+
+def test_shifted_point_pair_certifies():
+    """The smoothing of the shifted 3-D pair is the tent near the segment,
+    so no smoothing evaluation is left uncertified."""
+    spec = {
+        "function": {"id": "linear", "params": {"a": [1.0, 0.0, 0.0], "b": 0.807}},
+        "A": ([[0.0, 0.0, 0.0]] + SHIFT_3D).tolist(),
+        "B": ([[2.0, 0.0, 0.0]] + SHIFT_3D).tolist(),
+        "delta": 0.5,
+        "mu": -0.7,
+        "s": 1.3,
+        "epsilon": 0.1,
+        "resolution": 11,
+        "seed": 3,
+    }
+    ps = ProblemSpec.from_json_dict(spec)
+    valid, report = verify_certificate(run(ps), ps)
+    assert valid, report
+
+
+def test_boundary_samples_on_a_rotated_hull():
+    """No grid point lies on a slanted edge, so the vertices seed the
+    boundary of the inflated hull."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    A = Polytope(np.array([[0.0, 0.0], [0.0, 1.0]]) @ R.T)
+    B = Polytope(np.array([[2.0, 0.0], [2.0, 1.0]]) @ R.T)
+    pts = boundary_samples(A, B, 0.5, 41)
+    assert len(pts) > 0
+    for z in pts:
+        assert dist_to_hull(z, A, B).d == pytest.approx(0.5, abs=1e-9)
