@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functions import TestFunction, f_eval, f_subgrad
+from .functions import TestFunction, f_eval, f_subgrad, f_values
 from .geometry import HullInflation, as_point, sample_set
 from .simplex_optim import golden_max
 from .supconv import (
@@ -80,10 +80,10 @@ class GTable(NamedTuple):
 
 
 def g_table(f1: TestFunction, sc: SupConvSpec, pts, tol: float = 1e-8) -> GTable:
-    """Evaluate f1 once per point and the smoothing once per finite one,
-    warm-starting each smoothing solve from its neighbor."""
+    """Evaluate f1 on all points at once and the smoothing once per finite
+    value, warm-starting each smoothing solve from its neighbor."""
     pts = np.asarray(pts, dtype=float)
-    fvals = np.array([f_eval(f1, z) for z in pts])
+    fvals = f_values(f1, pts)
     finite = np.isfinite(fvals)
     phis = np.full(len(pts), np.nan)
     phis[finite] = phi_on_grid(sc, pts[finite], tol=tol)

@@ -1,6 +1,12 @@
 """Catalog of lower semicontinuous test functions with exact value and
 subgradient-representative oracles.
 
+Each catalog member defines its value once, on rows: an (m, n) array of
+points maps to their m values, with every sum written term by term, so a
+point gets the same bits alone (``f_eval``) or in a batch (``f_values``).
+A restricted member masks its base with the exact batched hull screen of
+its domain (``geometry.HullScreen``).
+
 Subdifferentials are exposed as finite representative sets: extreme points
 for the convex members (active-piece gradients of a max-affine, the unit
 sphere representatives of the norm at its center), the gradient for smooth
@@ -18,10 +24,11 @@ from .geometry import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
+    HullScreen,
     Polytope,
     _direction_net,
     as_point,
-    dist_to_hull,
+    as_rows,
 )
 
 DEFAULT_CHECK_TOL = 1e-7
@@ -37,14 +44,17 @@ class Domain:
     polytope: Polytope | None = None
     region: object | None = None  # HullInflation for restricted pipelines
 
+    def __post_init__(self):
+        if self.kind == "polytope":
+            object.__setattr__(self, "screen", HullScreen(self.polytope, self.polytope))
+
     def classify(self, x, tol: float = 1e-9) -> str:
         if self.kind == "all":
             return INTERIOR
         if self.kind == "hull_inflation":
             return self.region.classify(x, tol=max(tol, 1e-9))
         P = self.polytope
-        d = dist_to_hull(x, P, P).d
-        if d > tol:
+        if not self.screen.within(np.asarray(x, dtype=float)[None, :], tol)[0]:
             return EXTERIOR
         dirs = _direction_net(P.dim)
         margin = float(np.min(np.max(P.vertices @ dirs.T, axis=0) - dirs @ x))
@@ -54,9 +64,27 @@ class Domain:
         return self.classify(x, tol) != EXTERIOR
 
 
+class RowOracle:
+    """A value oracle defined on rows: ``rows`` maps an (m, n) array to the
+    m values.  Called on one point, it reads that point's row."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+        self.rows = rows
+
+    def __call__(self, x) -> float:
+        return float(self.rows(np.asarray(x, dtype=float)[None, :])[0])
+
+
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Lsc function with exact value and subgradient-representative oracles."""
+    """Lsc function with exact value and subgradient-representative oracles.
+
+    ``value`` is either a ``RowOracle`` or a scalar callable on one point;
+    ``rows``, the batched value on an (m, n) array, is the oracle's own or
+    a loop over the scalar callable.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -66,14 +94,47 @@ class TestFunction:
     value: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray], list[np.ndarray]]
     domain: Domain = field(default_factory=Domain)
+    rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = getattr(self.value, "rows", None)
+        if rows is None:
+            scalar = self.value
+
+            def rows(X):
+                return np.array([float(scalar(x)) for x in X], dtype=float)
+
+        object.__setattr__(self, "rows", rows)
 
 
 def f_eval(f: TestFunction, x) -> float:
-    return float(f.value(as_point(x, f.dim)))
+    """f at one point: one row of ``f.rows``."""
+    return float(f.rows(as_point(x, f.dim)[None, :])[0])
+
+
+def f_values(f: TestFunction, X) -> np.ndarray:
+    """f on every row of X, an (m, dim) array of finite points, validated
+    once; each value equals ``f_eval`` at that row."""
+    return f.rows(as_rows(X, f.dim))
 
 
 def f_subgrad(f: TestFunction, x) -> list[np.ndarray]:
     return f.subgrad(as_point(x, f.dim))
+
+
+def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<x, y> for each row x of X and the matching row y of Y (or one
+    vector Y), summed term by term, so each row rounds as it does alone."""
+    out = X[:, 0] * Y[..., 0]
+    for j in range(1, X.shape[1]):
+        out = out + X[:, j] * Y[..., j]
+    return out
+
+
+def _quad_rows(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """x @ Q @ x for each row x of X, as (x @ Q) @ x, term by term."""
+    XQ = np.stack([_row_dot(X, Q[:, j]) for j in range(Q.shape[1])], axis=1)
+    return _row_dot(XQ, X)
 
 
 def eps_subdiff_check(
@@ -99,12 +160,13 @@ def eps_subdiff_check(
 
 def linear(a, b: float = 0.0) -> TestFunction:
     a = as_point(a)
+    b = float(b)
 
     return TestFunction(
         fid="linear",
-        params={"a": a.tolist(), "b": float(b)},
+        params={"a": a.tolist(), "b": b},
         dim=a.size,
-        value=lambda x: float(a @ x) + b,
+        value=RowOracle(lambda X: _row_dot(X, a) + b),
         subgrad=lambda x: [a.copy()],
     )
 
@@ -122,7 +184,7 @@ def quadratic(Q, a) -> TestFunction:
         fid="quadratic",
         params={"Q": Q.tolist(), "a": a.tolist()},
         dim=a.size,
-        value=lambda x: 0.5 * float(x @ Q @ x) + float(a @ x),
+        value=RowOracle(lambda X: 0.5 * _quad_rows(X, Q) + _row_dot(X, a)),
         subgrad=lambda x: [Q @ x + a],
     )
 
@@ -130,6 +192,10 @@ def quadratic(Q, a) -> TestFunction:
 def l2_norm(x0) -> TestFunction:
     x0 = as_point(x0)
     n = x0.size
+
+    def rows(X):
+        D = X - x0
+        return np.sqrt(_row_dot(D, D))
 
     def subgrad(x):
         d = x - x0
@@ -147,7 +213,7 @@ def l2_norm(x0) -> TestFunction:
         fid="l2_norm",
         params={"x0": x0.tolist()},
         dim=n,
-        value=lambda x: float(np.linalg.norm(x - x0)),
+        value=RowOracle(rows),
         subgrad=subgrad,
     )
 
@@ -158,8 +224,8 @@ def max_affine(slopes, offsets) -> TestFunction:
     if S.shape[0] != b.size:
         raise ValueError("one offset per affine piece")
 
-    def value(x):
-        return float(np.max(S @ x + b))
+    def rows(X):
+        return np.max(np.stack([_row_dot(X, piece) for piece in S], axis=1) + b, axis=1)
 
     def subgrad(x):
         vals = S @ x + b
@@ -171,7 +237,7 @@ def max_affine(slopes, offsets) -> TestFunction:
         fid="max_affine",
         params={"slopes": S.tolist(), "offsets": b.tolist()},
         dim=S.shape[1],
-        value=value,
+        value=RowOracle(rows),
         subgrad=subgrad,
     )
 
@@ -183,24 +249,31 @@ def sin_quadratic(c: float, w, Q, a) -> TestFunction:
     Q = np.asarray(Q, dtype=float)
     Q = 0.5 * (Q + Q.T)
 
+    def rows(X):
+        return c * np.sin(_row_dot(X, w)) + 0.5 * _quad_rows(X, Q) + _row_dot(X, a)
+
     return TestFunction(
         fid="sin_quadratic",
         params={"c": float(c), "w": w.tolist(), "Q": Q.tolist(), "a": a.tolist()},
         dim=w.size,
-        value=lambda x: c * float(np.sin(w @ x)) + 0.5 * float(x @ Q @ x) + float(a @ x),
+        value=RowOracle(rows),
         subgrad=lambda x: [c * np.cos(w @ x) * w + Q @ x + a],
     )
 
 
 def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
     """base plus the indicator of a polytope; boundary points keep the value
-    but expose no subgradients (conservative under locality)."""
+    but expose no subgradients (conservative under locality).  A point is
+    in the domain when its distance to the polytope is at most 1e-9."""
     if domain.dim != base.dim:
         raise ValueError("domain dimension must match the base function")
     dom = Domain(kind="polytope", polytope=domain)
 
-    def value(x):
-        return base.value(x) if dom.contains(x) else np.inf
+    def rows(X):
+        inside = dom.screen.within(X, 1e-9)
+        vals = np.full(len(X), np.inf)
+        vals[inside] = base.rows(X[inside])
+        return vals
 
     def subgrad(x):
         return base.subgrad(x) if dom.classify(x) == INTERIOR else []
@@ -212,7 +285,7 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
             "domain": domain.to_json(),
         },
         dim=base.dim,
-        value=value,
+        value=RowOracle(rows),
         subgrad=subgrad,
         domain=dom,
     )

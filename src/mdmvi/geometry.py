@@ -8,6 +8,7 @@ treated as immutable, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,18 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
+
+
+def as_rows(X, dim: int) -> np.ndarray:
+    """Coerce to a finite (m, dim) float array."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"points must be rows of a 2-D array, got shape {X.shape}")
+    if X.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite coordinates")
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,12 +277,126 @@ def inf_linear(p, S: Polytope) -> float:
     return float(np.min(S.vertices @ p))
 
 
+def affine_frame(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The affine hull of the rows of V: their centroid, the right singular
+    vectors of V minus it, and the rank k.  The first k of those vectors
+    span the hull's direction space, the rest its orthogonal complement."""
+    center = V.mean(axis=0)
+    _, sv, vt = np.linalg.svd(V - center)
+    k = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+    return center, vt, k
+
+
+def independent_subsets(Vr: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The affinely independent ``size``-subsets of the rows of Vr, given
+    in the coordinates of their affine hull, with their matrices
+    [Vr[S], 1]; a subset is kept when the smallest singular value of its
+    matrix exceeds 1e-10 of the largest.  For size k + 1 (k the rank of
+    Vr) the kept simplices cover the hull of the rows."""
+    subsets = np.array(list(combinations(range(len(Vr)), size)))
+    M = np.concatenate([Vr[subsets], np.ones(subsets.shape + (1,))], axis=2)
+    sing = np.linalg.svd(M, compute_uv=False)
+    regular = sing[:, -1] > 1e-10 * sing[:, 0]
+    return subsets[regular], M[regular]
+
+
+_SCREEN_MARGIN = 1e-12  # per unit of coordinate scale, far above rounding
+_SCREEN_CHUNK = 1 << 16  # entries of each batched face projection
+
+
+@dataclass(frozen=True, eq=False)
+class HullScreen:
+    """Vectorized two-sided bounds on the distance to [A,B], built once per
+    hull, that decide most rows of a batch without a projection.
+
+    For every row x, each affinely independent subset S of at most k + 1
+    distinct vertices (k the hull's affine dimension) gives a point of the
+    hull: the clipped, renormalized affine weights of x in S.  The nearest
+    of these points, y, bounds d(x, [A,B]) from above by ||x - y||, and
+    the support function in the direction u = (x - y) / ||x - y|| bounds
+    it from below by <u, x> - max_v <u, v>.  The subset whose relative
+    interior holds the nearest point of the hull reproduces that point, so
+    both bounds meet the distance up to rounding; a margin of 1e-12 per
+    unit of coordinate scale, far above rounding, separates the rows they
+    settle from the band left to the exact projection.
+    """
+
+    A: Polytope
+    B: Polytope
+
+    def __post_init__(self):
+        V = hull_vertex_matrix(self.A, self.B)
+        V = V[np.sort(np.unique(V, axis=0, return_index=True)[1])]
+        center, vt, k = affine_frame(V)
+        Vr = (V - center) @ vt[:k].T
+        faces = []
+        for size in range(2, k + 2):
+            S = independent_subsets(Vr, size)[0]
+            edges = V[S[:, 1:]] - V[S[:, :1]]
+            faces.append((V[S[:, 0]], np.linalg.pinv(edges), V[S]))
+        object.__setattr__(self, "_V", V)
+        object.__setattr__(self, "_faces", faces)
+        object.__setattr__(self, "_width", len(V) + sum(len(f[0]) for f in faces))
+        object.__setattr__(self, "_scale", 1.0 + float(np.abs(V).max()))
+
+    def _nearest(self, X: np.ndarray) -> np.ndarray:
+        """The nearest, for each row, of the hull points its affine weights
+        give in the vertices and in every independent subset."""
+        cands = [np.broadcast_to(self._V, (len(X),) + self._V.shape)]
+        for origin, pinv, verts in self._faces:
+            T = np.einsum("rpn,pnk->rpk", X[:, None, :] - origin, pinv)
+            W = np.concatenate([1.0 - T.sum(axis=2, keepdims=True), T], axis=2)
+            W = np.maximum(W, 0.0)
+            W /= W.sum(axis=2, keepdims=True)
+            cands.append(np.einsum("rpj,pjn->rpn", W, verts))
+        Y = np.concatenate(cands, axis=1)
+        D = X[:, None, :] - Y
+        best = np.einsum("rpn,rpn->rp", D, D).argmin(axis=1)
+        return Y[np.arange(len(X)), best]
+
+    def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on d(x, [A,B]) for the rows x of X."""
+        rows = max(1, _SCREEN_CHUNK // (self._width * (X.shape[1] + 1)))
+        Y = np.empty_like(X)
+        for i in range(0, len(X), rows):
+            Y[i : i + rows] = self._nearest(X[i : i + rows])
+        diff = X - Y
+        upper = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        u = diff / np.where(upper > 0.0, upper, 1.0)[:, None]
+        lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self._V.T, axis=1)
+        return np.maximum(lower, 0.0), upper
+
+    def split(self, X: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Rows surely within ``radius`` of [A,B], and rows the bounds
+        leave undecided; the rest are surely farther than ``radius``."""
+        lower, upper = self._bounds(X)
+        margin = _SCREEN_MARGIN * (self._scale + np.abs(X).max(axis=1))
+        inside = upper <= radius - margin
+        band = ~inside & (lower <= radius + margin)
+        return inside, band
+
+    def within(self, X, radius: float) -> np.ndarray:
+        """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]``; the
+        projection runs only on the rows the bounds leave undecided."""
+        X = as_rows(X, self._V.shape[1])
+        inside, band = self.split(X, radius)
+        for i in np.nonzero(band)[0]:
+            inside[i] = dist_to_hull(X[i], self.A, self.B).d <= radius
+        return inside
+
+
+def within(X, A: Polytope, B: Polytope, radius: float) -> np.ndarray:
+    """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]`` for the
+    rows x of X, from one ``HullScreen`` of [A,B]."""
+    return HullScreen(A, B).within(X, radius)
+
+
 def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.ndarray:
     """Deterministic axis-aligned grid covering the delta-inflated hull.
 
     Grid points farther than delta plus one grid step from [A,B] are
-    dropped; all vertices of A and B are appended.  Identical inputs give
-    identical output arrays.
+    dropped, decided exactly by ``within``; all vertices of A and B are
+    appended.  Identical inputs give identical output arrays.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -289,22 +416,7 @@ def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.nd
             step = max(step, (b - a) / (resolution - 1))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-
-    thresh = delta + step + 1e-12
-    upper = np.min(
-        np.linalg.norm(pts[:, None, :] - V[None, :, :], axis=2), axis=1
-    )
-    dirs = _direction_net(V.shape[1])
-    support = np.max(V @ dirs.T, axis=0)
-    lower = np.max(pts @ dirs.T - support[None, :], axis=1)
-    lower = np.maximum(lower, 0.0)
-
-    keep = np.zeros(len(pts), dtype=bool)
-    keep[upper <= thresh] = True
-    undecided = np.nonzero(~keep & (lower <= thresh))[0]
-    for i in undecided:
-        keep[i] = dist_to_hull(pts[i], A, B).d <= thresh
-    pts = pts[keep]
+    pts = pts[within(pts, A, B, delta + step + 1e-12)]
 
     extra = V[~(pts[None] == V[:, None]).all(axis=2).any(axis=1)]
     if len(extra):

@@ -31,9 +31,19 @@ from .ekeland import (
     fuzzy_pair,
     g_table,
 )
-from .functions import Domain, TestFunction, f_eval, f_subgrad, make_function
+from .functions import (
+    Domain,
+    RowOracle,
+    TestFunction,
+    f_eval,
+    f_subgrad,
+    f_values,
+    make_function,
+)
 from .geometry import (
+    EXTERIOR,
     INTERIOR,
+    HullScreen,
     Polytope,
     as_point,
     classify_point,
@@ -179,14 +189,14 @@ class Certificate:
             }
             pp = data["params"]
             return cls(
-                xi=np.asarray(data["xi"], dtype=float),
-                p=np.asarray(data["p"], dtype=float),
+                xi=as_point(data["xi"]),
+                p=as_point(data["p"]),
                 checks=checks,
-                params=PipelineParams(pp["r"], pp["s1"], pp["delta1"], pp["K"]),
+                params=PipelineParams(*(float(pp[k]) for k in ("r", "s1", "delta1", "K"))),
                 diagnostics=data.get("diagnostics", {}),
                 tolerances=data.get("tolerances", {}),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError(f"malformed certificate: {exc}") from exc
 
     @classmethod
@@ -227,7 +237,7 @@ def _estimate_inf(
         single = len(V) == 1 and delta == 0.0
         pts = V if single else sample_set(A, B, delta, resolution)
     if vals is None:
-        vals = np.array([f_eval(f, z) for z in pts])
+        vals = f_values(f, pts)
     finite = np.isfinite(vals)
     if not finite.any():
         raise SpecInvariantError("f is +inf on the whole sampled region")
@@ -299,13 +309,22 @@ def _choose_params(ps: ProblemSpec, inf_a: float, inf_bd: float) -> PipelinePara
 
 def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestFunction:
     """f made +inf outside C (boundary kept inside); subgradients delegate
-    to f at interior points only, so boundary use fails loudly."""
-    region = HullInflation(A, B, delta)
+    to f at interior points only, so boundary use fails loudly.
 
-    def value(x):
-        if classify_point(x, A, B, delta, tol=_DEF_TOL) == "exterior":
-            return np.inf
-        return f.value(x)
+    A point is outside C when ``classify_point`` calls it exterior at
+    tolerance 1e-9.  The hull screen settles the rows its distance bounds
+    place clearly inside or outside; the rows between them get that exact
+    comparison."""
+    region = HullInflation(A, B, delta)
+    screen = HullScreen(A, B)
+
+    def rows(X):
+        inside, band = screen.split(X, delta + _DEF_TOL)
+        for i in np.nonzero(band)[0]:
+            inside[i] = classify_point(X[i], A, B, delta, tol=_DEF_TOL) != EXTERIOR
+        vals = np.full(len(X), np.inf)
+        vals[inside] = f.rows(X[inside])
+        return vals
 
     def subgrad(x):
         if classify_point(x, A, B, delta, tol=_DEF_TOL) == INTERIOR:
@@ -316,7 +335,7 @@ def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestF
         fid=f"{f.fid}|restricted_to_inflated_hull",
         params={"base": {"id": f.fid, "params": f.params}, "delta": delta},
         dim=f.dim,
-        value=value,
+        value=RowOracle(rows),
         subgrad=subgrad,
         domain=Domain(kind="hull_inflation", region=region),
     )
@@ -369,7 +388,7 @@ def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals=None) -> float:
     """Largest subgradient norm at the points where f (``fvals``, when
     the caller already has them) is finite; at least 1."""
     if fvals is None:
-        fvals = [f_eval(f, z) for z in pts]
+        fvals = f_values(f, pts)
     best = 1.0
     for z, fz in zip(pts, fvals):
         if not np.isfinite(fz):
@@ -425,7 +444,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     inf_a = _estimate_inf(ps.f, A, A, 0.0, ps.resolution)
     inf_c = _estimate_inf(ps.f, A, B, delta, ps.resolution, c_grid)
     inf_bd = _estimate_inf(ps.f, B, B, delta, ps.resolution)
-    hull_f = np.array([f_eval(ps.f, z) for z in hull_grid])
+    hull_f = f_values(ps.f, hull_grid)
     inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution, hull_grid, hull_f)
     if not np.isfinite(inf_a.value):
         raise SpecInvariantError("A does not meet the domain of f")
@@ -466,7 +485,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
             f"grid infimum of g is {grid_inf_g:.3e} > 0; r is misestimated"
         )
     # boundary samples lie in C, where f1 is f
-    boundary_g = float(np.min([f_eval(ps.f, z) for z in bpts] - b_phi))
+    boundary_g = float(np.min(f_values(ps.f, bpts) - b_phi))
 
     ek_points = descend_g(c_table, f1, sc, delta, schedule, seed=ps.seed, phi_tol=tol)
 
@@ -615,14 +634,19 @@ def verify_certificate(
     Recomputes membership of xi, subgradient membership of p, and the
     three inequalities; the value localization uses the brute-force grid
     infimum over [A,B] and validates the claimed r against the brute-force
-    infimum over A.
+    infimum over A.  The grid infima read f on whole grids at once.
+    Raises SpecFormatError when xi or p is not a finite point of the
+    spec's dimension.
     """
     from .oracles import grid_inf as oracle_grid_inf
 
     res = ps.resolution if resolution is None else resolution
     report: dict = {}
-    xi = as_point(cert.xi, ps.A.dim)
-    p = as_point(cert.p, ps.A.dim)
+    try:
+        xi = as_point(cert.xi, ps.A.dim)
+        p = as_point(cert.p, ps.A.dim)
+    except ValueError as exc:
+        raise SpecFormatError(f"certificate does not fit the spec: {exc}") from exc
     r, s = cert.params.r, ps.s
 
     d = dist_to_hull(xi, ps.A, ps.B).d

@@ -1,9 +1,13 @@
-"""Naive brute-force reference implementations for testing.
+"""Naive brute-force reference implementations, for testing and for the
+independent verifier.
 
 Deliberately independent of the analytic modules: hull membership is
-decided by support functions over a direction net, tent and smoothing
-values come from dense parameter grids.  Agreement with the fast modules
-is then evidence rather than tautology.  Never used inside the pipeline.
+decided by support functions over this module's own direction net (no
+projection kernel), tent and smoothing values come from dense parameter
+grids.  Agreement with the fast modules is then evidence rather than
+tautology.  Grids are handled array-at-a-time: the support gap in row
+chunks, f on all kept rows at once (``functions.f_values``).  Never used
+inside the pipeline.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import TestFunction, f_eval
+from .functions import TestFunction, f_values
 from .geometry import Polytope, as_point
 from .supconv import SupConvSpec
 from .tent import TentSpec
@@ -53,18 +57,36 @@ def _box_grid(lo: np.ndarray, hi: np.ndarray, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+_GAP_ROWS = 4096  # rows per chunk of the support gap
+
+
 def _hull_support_gap(pts: np.ndarray, A: Polytope, B: Polytope, dirs: np.ndarray) -> np.ndarray:
-    """Lower estimate of d(., [A,B]) via max directional margin."""
+    """Lower estimate of d(., [A,B]) via max directional margin.
+
+    Computed in chunks of rows, reusing one (rows, directions) buffer, so
+    memory stays small on dense grids; each row gets the same bits as in
+    the one-shot expression max(pts @ dirs.T - support, axis=1)."""
     hA = np.max(A.vertices @ dirs.T, axis=0)
     hB = np.max(B.vertices @ dirs.T, axis=0)
     support = np.maximum(hA, hB)
-    return np.maximum(np.max(pts @ dirs.T - support[None, :], axis=1), 0.0)
+    gaps = np.empty(len(pts))
+    buf = np.empty((min(len(pts), _GAP_ROWS), len(dirs)))
+    for i in range(0, len(pts), _GAP_ROWS):
+        chunk = pts[i : i + _GAP_ROWS]
+        margins = np.matmul(chunk, dirs.T, out=buf[: len(chunk)])
+        margins -= support
+        margins.max(axis=1, out=gaps[i : i + len(chunk)])
+    return np.maximum(gaps, 0.0, out=gaps)
 
 
 def grid_inf(
     f: TestFunction, A: Polytope, B: Polytope, delta: float, resolution: int
 ) -> GridInf:
-    """Exhaustive minimum of f over the delta-inflated hull of A and B."""
+    """Exhaustive minimum of f over the delta-inflated hull of A and B.
+
+    Box-grid points whose support gap exceeds delta plus one grid step are
+    dropped; the vertices are appended; the first row attaining the
+    minimum of f over the rest is the argmin."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     V = np.vstack([A.vertices, B.vertices])
@@ -78,14 +100,11 @@ def grid_inf(
     gaps = _hull_support_gap(pts, A, B, dirs)
     pts = np.vstack([pts[gaps <= delta + step + 1e-12], V])
 
-    best_val, best_arg = np.inf, None
-    for z in pts:
-        v = f_eval(f, z)
-        if v < best_val:
-            best_val, best_arg = v, z
-    if best_arg is None or not np.isfinite(best_val):
+    vals = f_values(f, pts)
+    best = int(np.argmin(vals))
+    if not np.isfinite(vals[best]):
         raise ValueError("f is +inf on every grid point")
-    return GridInf(float(best_val), np.asarray(best_arg, dtype=float), step)
+    return GridInf(float(vals[best]), pts[best].copy(), step)
 
 
 def psi_brute(x, t: TentSpec, resolution: int) -> float:

@@ -148,11 +148,15 @@ def _clip_to_ball(p: np.ndarray, K: float) -> np.ndarray:
     return p if nrm <= K else p * (K / nrm)
 
 
-def _score(y: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
-    v = psi_eval(y, sc.tent).value
-    if not np.isfinite(v):
+def _cone_score(psi: float, y: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
+    """psi(y) - K ||x - y|| for the tent value ``psi`` at y."""
+    if not np.isfinite(psi):
         return -np.inf
-    return v - sc.K * float(np.linalg.norm(x - y))
+    return psi - sc.K * float(np.linalg.norm(x - y))
+
+
+def _score(y: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
+    return _cone_score(psi_eval(y, sc.tent).value, y, x, sc)
 
 
 def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = None,
@@ -166,8 +170,10 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
     Elsewhere (exterior points, slopes steeper than K) Frank-Wolfe over
     hull weights does the bulk of the maximization; exact tent values at
     the attaining point, at x and at the vertices refine it from below,
-    while conic dual candidates bound it from above.  Raises PhiEvalError when the
-    certified gap stays above the acceptance threshold.
+    while conic dual candidates bound it from above.  The vertices' tent
+    values come from the tent itself, read once per tent.  Raises
+    PhiEvalError when the certified gap stays above the acceptance
+    threshold.
     """
     x = as_point(x, sc.dim)
     key = (x.tobytes(), float(tol))
@@ -195,15 +201,19 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = No
     )
     upper = fw.upper_bound
 
-    cands = [fw.coords.weights() @ V]
-    cands.extend(V)
+    # candidates: the Frank-Wolfe point, the vertices (whose tent values
+    # the tent holds) and x itself
+    y_fw = fw.coords.weights() @ V
+    cands = [(y_fw, _score(y_fw, x, sc))]
+    cands.extend(
+        (v, _cone_score(pv, v, x, sc)) for v, pv in zip(V, t.vertex_values())
+    )
     if np.isfinite(px.value):
-        cands.append(x)
+        cands.append((x, _cone_score(px.value, x, x, sc)))
 
     best_y = None
     best_v = -np.inf
-    for y in cands:
-        v = _score(y, x, sc)
+    for y, v in cands:
         if v > best_v:
             best_v, best_y = v, y
 

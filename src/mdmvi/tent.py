@@ -13,12 +13,18 @@ tent is minus infinity outside [A,B].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import HullCoords, Polytope, as_point, inf_linear
+from .geometry import (
+    HullCoords,
+    Polytope,
+    affine_frame,
+    as_point,
+    independent_subsets,
+    inf_linear,
+)
 
 DEFAULT_CHECK_TOL = 1e-7
 _FEAS_TOL = 1e-9  # hull membership: distance off the affine hull and simplex
@@ -46,24 +52,19 @@ class _Facets(NamedTuple):
 def _facets(V: np.ndarray, levels: np.ndarray) -> _Facets:
     """Upper-hull facets of the lifted vertices (v_i, level_i).
 
-    Reduces V to its affine hull (centroid, SVD, rank k), fits the plane
-    through every affinely independent (k+1)-subset S in one batched solve,
+    Reduces V to its affine hull (``geometry.affine_frame``), fits the plane
+    through every affinely independent (k+1)-subset S
+    (``geometry.independent_subsets``) in one batched solve,
     and keeps S when its plane lies on or above every lifted vertex: those
     are exactly the dual-feasible bases of the tent LP.  Every kept plane
     majorizes the tent on [A,B] and meets it on conv(S), and the kept
     simplices cover [A,B].
     """
-    m, n = V.shape
-    center = V.mean(axis=0)
-    _, sv, vt = np.linalg.svd(V - center)
-    k = int(np.sum(sv > 1e-12 * max(1.0, float(sv[0]))))
+    n = V.shape[1]
+    center, vt, k = affine_frame(V)
     basis = vt[:k].T
     Vr = (V - center) @ basis
-    subsets = np.array(list(combinations(range(m), k + 1)))
-    M = np.concatenate([Vr[subsets], np.ones(subsets.shape + (1,))], axis=2)
-    sing = np.linalg.svd(M, compute_uv=False)
-    regular = sing[:, -1] > 1e-10 * sing[:, 0]
-    subsets, M = subsets[regular], M[regular]
+    subsets, M = independent_subsets(Vr, k + 1)
     coef = np.linalg.solve(M, levels[subsets][..., None])[..., 0]
     p, c = coef[:, :k], coef[:, k]
     scale = 1.0 + np.abs(levels).max() + (
@@ -111,6 +112,7 @@ class TentSpec:
         object.__setattr__(self, "_V", V)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_facets", _facets(V, levels))
+        object.__setattr__(self, "_vertex_psi", psi_on_grid(self, V))
 
     @property
     def dim(self) -> int:
@@ -121,6 +123,11 @@ class TentSpec:
 
     def vertex_levels(self) -> np.ndarray:
         return self._levels
+
+    def vertex_values(self) -> np.ndarray:
+        """The tent at each vertex row, read once per tent; at least the
+        vertex's own level, and more where the tent rises above it."""
+        return self._vertex_psi
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,6 +92,19 @@ class TestVerifyCommand:
         assert "mean_value_increment" in captured.out
         assert "INVALID" in captured.err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("xi", [0.1, 0.2]), ("p", [1.0, 0.0, 0.0]), ("xi", [float("nan")]),
+         ("p", [float("inf")]), ("xi", ["a"]), ("xi", [[0.1]])],
+    )
+    def test_malformed_certificate_exits_2(self, workdir, capsys, field, value):
+        run_command(["certificate", "canonical_1d.json", "--out", "cert.json"])
+        data = json.loads((workdir / "cert.json").read_text())
+        data[field] = value
+        (workdir / "cert.json").write_text(json.dumps(data))
+        assert run_command(["verify", "cert.json", "canonical_1d.json"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestEvalCommands:
     def test_eval_psi_anchors(self, workdir):

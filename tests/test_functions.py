@@ -3,6 +3,7 @@ import pytest
 
 from mdmvi import (
     Polytope,
+    dist_to_hull,
     eps_subdiff_check,
     f_eval,
     f_subgrad,
@@ -14,6 +15,8 @@ from mdmvi import (
     restricted,
     sin_quadratic,
 )
+
+from mdmvi.functions import f_values
 
 from conftest import grid_1d
 
@@ -166,3 +169,138 @@ class TestMakeFunction:
     def test_nonconvex_quadratic_rejected(self):
         with pytest.raises(ValueError):
             quadratic([[-1.0]], [0.0])
+
+
+# The scalar expressions each catalog member evaluated one point at a time
+# before values were defined on rows, and a bound on the magnitude of the
+# terms each sums, from which the tolerance of a reordered sum follows.
+def _scalar_reference(fid, params):
+    if fid == "linear":
+        a, b = np.asarray(params["a"]), params["b"]
+        return (lambda x: float(a @ x) + b), (lambda x: abs(a) @ abs(x) + abs(b))
+    if fid == "quadratic":
+        Q, a = np.asarray(params["Q"]), np.asarray(params["a"])
+        return (
+            lambda x: 0.5 * float(x @ Q @ x) + float(a @ x),
+            lambda x: 0.5 * abs(x) @ abs(Q) @ abs(x) + abs(a) @ abs(x),
+        )
+    if fid == "l2_norm":
+        x0 = np.asarray(params["x0"])
+        return (lambda x: float(np.linalg.norm(x - x0))), (lambda x: np.linalg.norm(x - x0))
+    if fid == "max_affine":
+        S, b = np.asarray(params["slopes"]), np.asarray(params["offsets"])
+        return (
+            lambda x: float(np.max(S @ x + b)),
+            lambda x: np.max(abs(S) @ abs(x) + abs(b)),
+        )
+    if fid == "sin_quadratic":
+        c, w = params["c"], np.asarray(params["w"])
+        Q, a = np.asarray(params["Q"]), np.asarray(params["a"])
+        return (
+            lambda x: c * float(np.sin(w @ x)) + 0.5 * float(x @ Q @ x) + float(a @ x),
+            lambda x: abs(c) * (1 + abs(w) @ abs(x)) + 0.5 * abs(x) @ abs(Q) @ abs(x)
+            + abs(a) @ abs(x),
+        )
+    raise ValueError(fid)
+
+
+def _random_member(fid, rng, dim, axis_aligned=False):
+    if axis_aligned:
+        unit = np.zeros(dim)
+        unit[rng.integers(dim)] = 1.0
+        if fid == "linear":
+            return linear(rng.normal() * unit, rng.normal())
+        return max_affine(rng.normal(size=(3, 1)) * unit, rng.normal(size=3))
+    M = rng.normal(size=(dim, dim))
+    if fid == "linear":
+        return linear(rng.normal(size=dim), rng.normal())
+    if fid == "quadratic":
+        return quadratic(M @ M.T, rng.normal(size=dim))
+    if fid == "l2_norm":
+        return l2_norm(rng.normal(size=dim))
+    if fid == "max_affine":
+        return max_affine(rng.normal(size=(4, dim)), rng.normal(size=4))
+    return sin_quadratic(rng.normal(), rng.normal(size=dim), M @ M.T, rng.normal(size=dim))
+
+
+def _check_rows(f, X, ref, exact, magnitude=None):
+    got = f_values(f, X)
+    want = np.array([ref(x) for x in X])
+    # one row alone gets the same bits as in the batch
+    assert np.array_equal(got, [f_eval(f, x) for x in X])
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        mags = np.array([magnitude(x) for x in X])
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1.0 + mags))
+
+
+@pytest.mark.parametrize("fid", sorted(CATALOG))
+@pytest.mark.parametrize("seed", range(5))
+def test_rows_equal_the_scalar_expressions_in_1d(fid, seed):
+    rng = np.random.default_rng(seed)
+    f = _random_member(fid, rng, 1)
+    ref, _ = _scalar_reference(f.fid, f.params)
+    X = np.vstack([rng.uniform(-3.0, 3.0, size=(200, 1)), [[0.0]], [[-0.0]]])
+    _check_rows(f, X, ref, exact=True)
+
+
+@pytest.mark.parametrize("fid", ["linear", "max_affine"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rows_equal_the_scalar_expressions_for_axis_slopes(fid, dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        f = _random_member(fid, rng, dim, axis_aligned=True)
+        ref, _ = _scalar_reference(f.fid, f.params)
+        _check_rows(f, rng.uniform(-3.0, 3.0, size=(200, dim)), ref, exact=True)
+
+
+@pytest.mark.parametrize("fid", sorted(CATALOG))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rows_match_the_scalar_expressions_to_rounding(fid, dim):
+    """In 2-D and 3-D the sums run in a fixed order where the scalar
+    expressions let BLAS choose one: within 8 ulp of 1 + the terms' size."""
+    rng = np.random.default_rng(10 + dim)
+    for _ in range(5):
+        f = _random_member(fid, rng, dim)
+        ref, magnitude = _scalar_reference(f.fid, f.params)
+        X = rng.uniform(-3.0, 3.0, size=(200, dim))
+        _check_rows(f, X, ref, exact=False, magnitude=magnitude)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_restricted_rows_mask_by_the_projection(dim):
+    """A restricted member is +inf exactly where the scalar projection puts
+    a point more than 1e-9 from its domain, and the base value elsewhere."""
+    rng = np.random.default_rng(dim)
+    P = Polytope(rng.normal(size=(dim + 2, dim)))
+    base = quadratic(np.eye(dim), rng.normal(size=dim))
+    f = restricted(base, P)
+    ref, magnitude = _scalar_reference(base.fid, base.params)
+    X = np.vstack([rng.uniform(-2.5, 2.5, size=(300, dim)), P.vertices])
+    inside = np.array([dist_to_hull(x, P, P).d <= 1e-9 for x in X])
+    got = f_values(f, X)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(np.isfinite(got), inside)
+    _check_rows(base, X[inside], ref, exact=dim == 1, magnitude=magnitude)
+    assert np.array_equal(got[inside], f_values(base, X[inside]))
+
+
+def test_f_values_validates_rows():
+    f = linear([1.0, 2.0])
+    with pytest.raises(ValueError):
+        f_values(f, [[0.0, np.nan]])
+    with pytest.raises(ValueError):
+        f_values(f, [[0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError):
+        f_values(f, [0.0, 1.0])
+
+
+def test_scalar_only_functions_get_a_row_loop():
+    from mdmvi import TestFunction
+
+    f = TestFunction(
+        fid="synthetic", params={}, dim=1, value=lambda x: 2.0 * x[0], subgrad=lambda x: []
+    )
+    assert f_values(f, [[1.0], [3.0]]).tolist() == [2.0, 6.0]
+    assert f_eval(f, [0.5]) == 1.0

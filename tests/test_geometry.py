@@ -14,7 +14,14 @@ from mdmvi import (
     inf_linear,
     sample_set,
 )
-from mdmvi.geometry import HullInflation, as_point, hull_diameter
+from mdmvi.geometry import (
+    HullInflation,
+    _direction_net,
+    as_point,
+    hull_diameter,
+    hull_vertex_matrix,
+    within,
+)
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -229,3 +236,108 @@ def test_as_point_validation():
     with pytest.raises(ValueError):
         as_point([np.nan])
     assert as_point(2.5).tolist() == [2.5]
+
+
+def _flat_pair(rng, dim, m_a, m_b, flat, shared):
+    """Two vertex sets, on a random affine subspace when ``flat``, sharing
+    a vertex when ``shared``; returns them with the subspace's origin and
+    spanning rows."""
+    k = int(rng.integers(1, dim)) if flat and dim > 1 else dim
+    span = rng.normal(size=(k, dim))
+    origin = rng.normal(size=dim)
+    A = Polytope(origin + rng.normal(size=(m_a, k)) @ span)
+    B_rows = origin + rng.normal(size=(m_b, k)) @ span
+    if shared:
+        B_rows[0] = A.vertices[-1]
+    return A, Polytope(B_rows), origin, span
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    m_a=st.integers(1, 5),
+    m_b=st.integers(1, 5),
+    flat=st.booleans(),
+    shared=st.booleans(),
+    radius=st.sampled_from([0.0, 1e-9, 0.05, 0.5]),
+)
+def test_within_equals_the_projection_comparison(seed, dim, m_a, m_b, flat, shared, radius):
+    """The batched screen decides every row exactly as the scalar
+    projection does, including rows at the radius and 1e-12 either side of
+    it, rows inside, at vertices, outside, and outside on a flat hull's
+    span."""
+    rng = np.random.default_rng(seed)
+    A, B, origin, span = _flat_pair(rng, dim, m_a, m_b, flat, shared)
+    V = hull_vertex_matrix(A, B)
+    rows = [rng.dirichlet(np.ones(len(V))) @ V for _ in range(4)]
+    rows += list(V)
+    rows += list(origin + 2.0 * rng.normal(size=(6, dim)))
+    rows += list(origin + 2.0 * rng.normal(size=(3, len(span))) @ span)
+    for x0 in list(rows[-9:]):
+        d, y, _ = dist_to_hull(x0, A, B)
+        if d > 1e-6:
+            for target in (radius - 1e-12, radius, radius + 1e-12):
+                if target >= 0.0:
+                    rows.append(y + (x0 - y) * (target / d))
+    X = np.array(rows)
+    want = [dist_to_hull(x, A, B).d <= radius for x in X]
+    assert within(X, A, B, radius).tolist() == want
+
+
+def _sample_set_by_points(A, B, delta, resolution):
+    """``sample_set`` as it was before the batched screen: vertex distances
+    and the support-function bound over the direction net, with one
+    projection per point they leave undecided."""
+    V = hull_vertex_matrix(A, B)
+    lo = V.min(axis=0) - delta
+    hi = V.max(axis=0) + delta
+    axes = []
+    step = 0.0
+    for a, b in zip(lo, hi):
+        if b - a <= 1e-12:
+            axes.append(np.array([0.5 * (a + b)]))
+        else:
+            axes.append(np.linspace(a, b, resolution))
+            step = max(step, (b - a) / (resolution - 1))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    thresh = delta + step + 1e-12
+    upper = np.min(np.linalg.norm(pts[:, None, :] - V[None, :, :], axis=2), axis=1)
+    dirs = _direction_net(V.shape[1])
+    support = np.max(V @ dirs.T, axis=0)
+    lower = np.maximum(np.max(pts @ dirs.T - support[None, :], axis=1), 0.0)
+    keep = upper <= thresh
+    for i in np.nonzero(~keep & (lower <= thresh))[0]:
+        keep[i] = dist_to_hull(pts[i], A, B).d <= thresh
+    pts = pts[keep]
+    extra = V[~(pts[None] == V[:, None]).all(axis=2).any(axis=1)]
+    return np.vstack([pts, extra]) if len(extra) else pts
+
+
+ROT = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+SAMPLE_HULLS = {
+    "segment_1d": ([[0.0]], [[1.0]]),
+    "plane_2d": ([[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]]),
+    "plane_2d_rotated": (
+        (np.array([[0.0, 0.0], [0.0, 1.0]]) @ ROT.T).tolist(),
+        (np.array([[2.0, 0.0], [2.0, 1.0]]) @ ROT.T).tolist(),
+    ),
+    "multivertex_2d": (
+        [[0.0, 0.0], [0.6, 0.0], [0.6, 0.6], [0.0, 0.6]],
+        [[2.0866, 0.0887], [1.8042, 0.3], [1.516, 0.0967], [1.6202, -0.2402],
+         [1.9729, -0.2452]],
+    ),
+    "segment_3d": ([[-0.8, 0.01, -0.2]], [[1.2, 0.01, -0.2]]),
+    "simplex_3d": ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.3, 0.2, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_HULLS))
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_sample_set_matches_the_pointwise_grid(name, delta):
+    a, b = SAMPLE_HULLS[name]
+    A, B = Polytope(a), Polytope(b)
+    resolution = 41 if A.dim < 3 else 13
+    got = sample_set(A, B, delta, resolution)
+    assert np.array_equal(got, _sample_set_by_points(A, B, delta, resolution))

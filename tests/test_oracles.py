@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from mdmvi import Polytope, SupConvSpec, TentSpec, linear, l2_norm, quadratic
-from mdmvi.oracles import grid_inf, phi_brute, psi_brute
+from mdmvi.oracles import (
+    _box_grid,
+    _hull_support_gap,
+    _sphere_net,
+    grid_inf,
+    phi_brute,
+    psi_brute,
+)
 
 
 class TestGridInf:
@@ -85,3 +92,21 @@ class TestPhiBrute:
     def test_vertex_keeps_level(self, unit_tent):
         sc = SupConvSpec(unit_tent, 3.0)
         assert phi_brute([1.0], sc, 1000) >= unit_tent.s - 1e-3
+
+
+@pytest.mark.parametrize(
+    "a, b, resolution, count",
+    [
+        ([[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]], 301, 512),
+        ([[0.0, 0.0, 0.0]], [[1.0, 0.5, 0.0], [0.2, 0.3, 1.0]], 21, 2048),
+    ],
+)
+def test_chunked_support_gap_equals_the_one_shot_expression(a, b, resolution, count):
+    A, B = Polytope(a), Polytope(b)
+    V = np.vstack([A.vertices, B.vertices])
+    pts = _box_grid(V.min(axis=0) - 0.5, V.max(axis=0) + 0.5, resolution)
+    dirs = _sphere_net(A.dim, count)
+    support = np.maximum(np.max(A.vertices @ dirs.T, axis=0), np.max(B.vertices @ dirs.T, axis=0))
+    one_shot = np.maximum(np.max(pts @ dirs.T - support[None, :], axis=1), 0.0)
+    assert len(pts) > 4096
+    assert np.array_equal(_hull_support_gap(pts, A, B, dirs), one_shot)

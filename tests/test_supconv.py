@@ -164,6 +164,26 @@ class TestCertificateFirst:
         assert len(fw_calls) == 1
         assert v.gap <= 1e-7
 
+    def test_vertices_are_scored_from_the_tent(self, plane_sc, monkeypatch):
+        """The tent holds its values at the vertices, so a Frank-Wolfe
+        evaluation reads the tent at no vertex."""
+        import mdmvi.supconv as sp
+
+        V = plane_sc.tent.vertex_matrix()
+        assert np.array_equal(
+            plane_sc.tent.vertex_values(), [psi_value(v, plane_sc.tent) for v in V]
+        )
+        points = []
+        real = sp.psi_eval
+
+        def spy(x, t):
+            points.append(np.asarray(x, dtype=float))
+            return real(x, t)
+
+        monkeypatch.setattr(sp, "psi_eval", spy)
+        phi_eval([-0.3, 0.5], plane_sc)
+        assert points and not any((V == y).all(axis=1).any() for y in points)
+
 
 class TestPhiSupergradient:
     def test_cone_formula_right(self, unit_tent):
