@@ -3,8 +3,10 @@
 Subcommands: ``certificate`` (run the pipeline, verify, write JSON),
 ``verify`` (independent recheck only), ``eval-psi`` / ``eval-phi`` (CSV
 sample dumps), and ``selftest`` (invariant battery over bundled
-problems).  Exit codes: 0 success/valid, 1 invalid certificate or failed
-selftest, 2 malformed spec or arguments.
+problems).  Exit codes: 0 success/valid; 1 invalid certificate, failed
+selftest, or a run that ends in a typed error (no certificate found,
+uncertified smoothing value, failed descent); 2 malformed spec or
+arguments.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .mdmvt import (
     run,
     verify_certificate,
 )
-from .supconv import SupConvSpec, phi_on_grid, sample_table
+from .ekeland import DescentError
+from .supconv import PhiEvalError, SupConvSpec, phi_on_grid, sample_table
 from .tent import TentSpec, psi_on_grid
 from .geometry import sample_set
 
@@ -274,6 +277,9 @@ def run_command(argv=None) -> int:
         return 2
     except (SpecInvariantError, CertificateSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (PhiEvalError, DescentError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 2
 

@@ -67,11 +67,8 @@ def default_schedule() -> list[float]:
 
 
 class GTable(NamedTuple):
-    """f1, phi_K and g = f1 - phi_K on the points of a grid.
-
-    phi is NaN and g is +inf where f1 is +inf (outside its domain); the
-    smoothing is not evaluated there.
-    """
+    """f1, phi_K and g = f1 - phi_K on the points of a grid; g is +inf
+    where f1 is +inf (outside its domain)."""
 
     pts: np.ndarray
     f1: np.ndarray
@@ -80,15 +77,11 @@ class GTable(NamedTuple):
 
 
 def g_table(f1: TestFunction, sc: SupConvSpec, pts, tol: float = 1e-8) -> GTable:
-    """Evaluate f1 on all points at once and the smoothing once per finite
-    value, warm-starting each smoothing solve from its neighbor."""
+    """Evaluate f1 and the smoothing on all points at once."""
     pts = np.asarray(pts, dtype=float)
     fvals = f_values(f1, pts)
-    finite = np.isfinite(fvals)
-    phis = np.full(len(pts), np.nan)
-    phis[finite] = phi_on_grid(sc, pts[finite], tol=tol)
-    gvals = np.full(len(pts), np.inf)
-    gvals[finite] = fvals[finite] - phis[finite]
+    phis = phi_on_grid(sc, pts, tol=tol)
+    gvals = np.where(np.isfinite(fvals), fvals - phis, np.inf)
     return GTable(pts, fvals, phis, gvals)
 
 
@@ -147,14 +140,21 @@ def descend_g(
         if nrm > 1e-12:
             dirs.append(d / nrm)
     span = float(np.linalg.norm(grid.max(axis=0) - grid.min(axis=0))) + delta
+    memo: dict[bytes, float] = {}  # the line searches revisit points
+
+    def g(z: np.ndarray) -> float:
+        key = z.tobytes()
+        if key not in memo:
+            memo[key] = _g_eval(z, f1, sc, tol=phi_tol)
+        return memo[key]
 
     def descend(x0: np.ndarray, g0: float) -> tuple[np.ndarray, float]:
         x, fx = x0.copy(), g0
         for _ in range(30):
-            improved = False
+            start = fx
             for d in dirs:
                 t, neg = golden_max(
-                    lambda s: -min(_g_eval(x + s * d, f1, sc, tol=phi_tol), 1e30),
+                    lambda s: -min(g(x + s * d), 1e30),
                     -span,
                     span,
                     xtol=1e-10 * max(span, 1.0),
@@ -162,8 +162,9 @@ def descend_g(
                 if -neg < fx - 1e-13:
                     x = x + t * d
                     fx = -neg
-                    improved = True
-            if not improved:
+            # along a valley the sweeps can creep by 1e-10 each, far below
+            # every tolerance downstream; stop there
+            if fx > start - 1e-9 * (1.0 + abs(start)):
                 break
         return x, fx
 

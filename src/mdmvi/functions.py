@@ -60,9 +60,6 @@ class Domain:
         margin = float(np.min(np.max(P.vertices @ dirs.T, axis=0) - dirs @ x))
         return INTERIOR if margin > max(tol, 1e-9) else BOUNDARY
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.classify(x, tol) != EXTERIOR
-
 
 class RowOracle:
     """A value oracle defined on rows: ``rows`` maps an (m, n) array to the

@@ -91,8 +91,7 @@ class HullCoords:
     """Weights (gamma over A's vertices, eta over B's) for a point of [A,B].
 
     The represented point is sum(gamma_i a_i) + sum(eta_j b_j); all weights
-    are nonnegative and jointly sum to one.  Construction is unchecked for
-    speed inside optimizers; call ``validate`` at API boundaries.
+    are nonnegative and jointly sum to one (not checked on construction).
     """
 
     gamma: np.ndarray
@@ -108,14 +107,6 @@ class HullCoords:
 
     def point(self, A: Polytope, B: Polytope) -> np.ndarray:
         return self.gamma @ A.vertices + self.eta @ B.vertices
-
-    def validate(self, atol: float = 1e-12) -> "HullCoords":
-        w = self.weights()
-        if np.any(w < -atol):
-            raise ValueError("hull coordinates must be nonnegative")
-        if abs(float(np.sum(w)) - 1.0) > atol:
-            raise ValueError("hull coordinates must sum to one")
-        return self
 
 
 @dataclass(frozen=True, eq=False)

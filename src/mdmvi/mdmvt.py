@@ -380,7 +380,9 @@ def boundary_samples(
             if len(out) >= cap:
                 break
     if not out:
-        raise RuntimeError("no boundary samples found")
+        raise CertificateSearchError(
+            f"boundary samples: no candidate lies at distance {delta} from the hull"
+        )
     return np.array(out)
 
 
@@ -489,12 +491,6 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
 
     ek_points = descend_g(c_table, f1, sc, delta, schedule, seed=ps.seed, phi_tol=tol)
 
-    # the supergradient checks read the smoothing on the C table, evaluated
-    # once more only at the points outside C
-    c_phi = c_table.phi.copy()
-    outside = np.isnan(c_phi)
-    c_phi[outside] = phi_on_grid(sc, c_pts[outside], tol=tol)
-
     eps_bar = 0.5 * min(
         inf_c.value - ps.mu, inf_bd.value - s1, (delta - delta1) / (1.0 + 1.0 / K)
     )
@@ -516,7 +512,8 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
         trace.append(entry)
         try:
             pair = fuzzy_pair(
-                ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol, grid_phi=c_phi
+                ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol,
+                grid_phi=c_table.phi,
             )
         except FuzzyPairError as exc:
             attempts.append(f"n={n}: {exc}")

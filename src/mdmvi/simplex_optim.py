@@ -1,9 +1,9 @@
 """Frank-Wolfe with away steps over the joint vertex simplex, golden-section
 line maxima, and a dense two-phase simplex LP solver.
 
-All are fully deterministic.  The pipeline runs no LP: ``solve_lp`` is the
-reference LP that the closed-form tent is tested against.  Bland's rule
-guarantees simplex termination.
+All are fully deterministic.  The pipeline uses only ``golden_max``: the
+tent and the smoothing are closed forms, tested against ``solve_lp`` and
+``maximize_concave``.  Bland's rule guarantees simplex termination.
 """
 
 from __future__ import annotations

@@ -1,37 +1,42 @@
 """Sup-convolution of the tent with a norm cone: the K-Lipschitz concave
-smoothing phi_K(x) = sup over y of psi(y) - K ||x - y||.
+smoothing phi_K(x) = max over y in [A,B] of psi(y) - K ||x - y||, the
+Pasch-Hausdorff envelope of the tent (Rockafellar & Wets 1998, ch. 9).
 
-Where the slope of the tent's facet plane at x has norm at most K, the
-smoothing is the tent; elsewhere evaluation maximizes over hull
-decompositions with Frank-Wolfe plus exact candidate refinement.  Both
-are certified through the conic dual bound
+The tent is affine on each simplex it stores, so the maximizer lies in the
+relative interior of a face F of one, in closed form: with x0 the
+projection of x onto aff(F), h = ||x - x0|| and g the gradient of the
+levels' interpolant l in F, when ||g|| < K it is
 
-    phi_K(x) <= <p, x> + max_i (level_i - <p, v_i>)   for any ||p|| <= K,
+    y* = x0 + g h / sqrt(K^2 - ||g||^2),  value l(x0) - h sqrt(K^2 - ||g||^2).
 
-which is tight at an optimal dual p.  Supergradients come from the
-attaining point (cone formula) with a finite-difference fallback on the
-attaining set, both verified a posteriori on a grid.
+Every y* with nonnegative weights in F is a candidate and a lower bound;
+the largest is phi_K(x), certified by the conic dual bound
+<p, x> + max_i (level_i - <p, v_i>) >= phi_K(x), valid for ||p|| <= K and
+tight at the cone gradient at y*, or at the facet slope where y* = x.
+Supergradients come from the attaining point (cone formula) with a
+finite-difference fallback, both verified a posteriori on a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import HullCoords, as_point, dist_to_hull, hull_diameter, sample_set
-from .simplex_optim import ConcaveObjective, golden_max, maximize_concave
-from .tent import TentSpec, psi_eval, psi_on_grid
+from .geometry import HullCoords, as_point
+from .tent import _CHUNK, TentSpec, psi_on_grid
 
 DEFAULT_SEP_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_SUPER_TOL = 1e-4
 _GAP_RAISE = 1e-4
+_GAP_EXACT = 1e-12  # certified gaps above this try one more dual
 
 
 class PhiEvalError(RuntimeError):
-    """The optimizer could not certify the value to the requested gap."""
+    """The value could not be certified to the requested gap."""
 
 
 class SupergradientError(RuntimeError):
@@ -40,6 +45,79 @@ class SupergradientError(RuntimeError):
 
 class NoAttainingPointError(RuntimeError):
     """No grid point nearly attains the sup-convolution value."""
+
+
+class _Faces(NamedTuple):
+    """Every face of the tent's kept simplices, once each, for one K.
+
+    Face j has the vertices ``verts[j]`` (padded with -1), the first its
+    origin.  The rows of perp[j] are an orthonormal basis of the
+    complement of its direction space (zero rows pad it; a ``full`` face
+    has none), and grad[j] is the gradient of the levels' interpolant,
+    level[j] at the origin.  For d = x - origin[j], ``d @ lin[j]`` holds
+    x's coordinates in that basis, the change of the barycentric weights
+    from the origin to x's projection, and the interpolant's rise to it.
+    ``tilt`` is the change of the weights along grad; a weight below
+    ``floor`` is more than 1e-9 outside the face.  ``root`` is sqrt(K^2 -
+    ||grad||^2), NaN where ||grad|| >= K, and ``slope`` the plane gradient
+    of the first kept simplex holding the face, scaled into the K-ball.
+    """
+
+    verts: np.ndarray  # (F, k+1)
+    origin: np.ndarray  # (F, n)
+    perp: np.ndarray  # (F, n, n)
+    grad: np.ndarray  # (F, n)
+    level: np.ndarray  # (F,)
+    lin: np.ndarray  # (F, n, n + k+1 + 1)
+    tilt: np.ndarray  # (F, k+1)
+    floor: np.ndarray  # (F, k+1)
+    root: np.ndarray  # (F,)
+    full: np.ndarray  # (F,)
+    slope: np.ndarray  # (F, n)
+
+
+def _faces(t: TentSpec, K: float) -> _Faces:
+    """The faces of the kept simplices (``tent._Facets.verts``), smallest
+    first, each with its frame, interpolant and barycentric map."""
+    V, levels, kept = t.vertex_matrix(), t.vertex_levels(), t._facets
+    n, k1 = V.shape[1], kept.verts.shape[1]
+    owner: dict[tuple, int] = {}  # face -> first kept simplex holding it
+    for j, row in enumerate(kept.verts):
+        for size in range(1, k1 + 1):
+            for face in combinations(sorted(row.tolist()), size):
+                owner.setdefault(face, j)
+    faces = sorted(owner, key=lambda f: (len(f), f))
+    verts = np.full((len(faces), k1), -1)
+    perp = np.zeros((len(faces), n, n))
+    grad = np.zeros((len(faces), n))
+    bary = np.zeros((len(faces), n, k1))
+    for m in range(1, k1 + 1):
+        sel = np.array([len(f) == m for f in faces])
+        idx = np.array([f for f in faces if len(f) == m])
+        verts[sel, :m] = idx
+        E = V[idx[:, 1:]] - V[idx[:, :1]]  # (F, m-1, n) edge vectors
+        if m > 1:
+            M = np.linalg.solve(E @ E.transpose(0, 2, 1), E)  # pinv(E^T)
+            perp[sel, m - 1 :] = np.linalg.svd(E)[2][:, m - 1 :]
+        else:
+            M, perp[sel] = E, np.eye(n)
+        grad[sel] = np.einsum("fi,fin->fn", levels[idx[:, 1:]] - levels[idx[:, :1]], M)
+        bary[sel, :, 0] = -M.sum(axis=1)
+        bary[sel, :, 1:m] = M.transpose(0, 2, 1)
+    gnorm = np.linalg.norm(grad, axis=1)
+    return _Faces(
+        verts=verts,
+        origin=V[verts[:, 0]],
+        perp=perp,
+        grad=grad,
+        level=levels[verts[:, 0]],
+        lin=np.concatenate([perp.transpose(0, 2, 1), bary, grad[:, :, None]], axis=2),
+        tilt=np.einsum("fi,fic->fc", grad, bary),
+        floor=-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k1)[0],
+        root=np.sqrt(np.where(gnorm < K, K * K - gnorm * gnorm, np.nan)),
+        full=(verts >= 0).sum(axis=1) > n,
+        slope=_clip(kept.slope[[owner[f] for f in faces]], K),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +130,7 @@ class SupConvSpec:
     def __post_init__(self):
         if not (np.isfinite(self.K) and self.K > 0):
             raise ValueError("K must be positive and finite")
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_faces", _faces(self.tent, float(self.K)))
 
     @property
     def dim(self) -> int:
@@ -75,201 +153,143 @@ class Supergradient(NamedTuple):
     mode: str  # "cone-formula" or "fallback"
 
 
-def _objective(x: np.ndarray, sc: SupConvSpec) -> ConcaveObjective:
+class _Rows(NamedTuple):
+    """The smoothing on rows: value, attaining face and point, the face's
+    barycentric weights of that point, and the certified gap."""
+
+    value: np.ndarray
+    face: np.ndarray
+    argmax: np.ndarray
+    weights: np.ndarray
+    gap: np.ndarray
+
+
+def _dot(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row-wise <P_i, X_i>, term by term."""
+    out = P[..., 0] * X[..., 0]
+    for j in range(1, X.shape[-1]):
+        out += P[..., j] * X[..., j]
+    return out
+
+
+def _dual_value(P: np.ndarray, X: np.ndarray, sc: SupConvSpec) -> np.ndarray:
+    """Upper bounds on phi_K at the rows of X, one per row of P; each is
+    valid when that row has norm at most K."""
     V = sc.tent.vertex_matrix()
-    levels = sc.tent.vertex_levels()
-    K = sc.K
-
-    def value(c: HullCoords) -> float:
-        w = c.weights()
-        return float(levels @ w - K * np.linalg.norm(x - w @ V))
-
-    def supergrad(c: HullCoords) -> np.ndarray:
-        w = c.weights()
-        diff = x - w @ V
-        nrm = np.linalg.norm(diff)
-        if nrm < 1e-14:
-            return levels.copy()
-        return levels + K * (V @ diff) / nrm
-
-    def line_max(w: np.ndarray, d: np.ndarray, t_max: float) -> float:
-        # h(t) = levels @ w + t levels @ d - K ||e - t q||, solved exactly
-        e = x - w @ V
-        q = d @ V
-        beta = float(levels @ d)
-        a = float(q @ q)
-        b = -2.0 * float(e @ q)
-        cc = float(e @ e)
-
-        def h(t: float) -> float:
-            return beta * t - K * np.sqrt(max(a * t * t + b * t + cc, 0.0))
-
-        # stationary points solve a squared quadratic; near-degenerate
-        # discriminants (double roots) are common because vertex levels
-        # repeat, so candidates are collected generously and judged by
-        # exact evaluation below
-        cands = [0.0, t_max]
-
-        def add(tt: float) -> None:
-            if -1e-12 <= tt <= t_max + 1e-12:
-                cands.append(float(np.clip(tt, 0.0, t_max)))
-
-        if a > 1e-18:
-            add(-b / (2.0 * a))  # kink where the norm term can vanish
-            lead = 4.0 * a * (beta * beta - K * K * a)
-            if abs(lead) > 1e-18:
-                mid = 4.0 * b * (beta * beta - K * K * a)
-                last = 4.0 * beta * beta * cc - K * K * b * b
-                add(-mid / (2.0 * lead))  # covers double roots exactly
-                disc = mid * mid - 4.0 * lead * last
-                if disc > 0.0:
-                    root = np.sqrt(disc)
-                    add((-mid + root) / (2 * lead))
-                    add((-mid - root) / (2 * lead))
-        best_t, best_v = 0.0, h(0.0)
-        for tt in cands[1:]:
-            v = h(tt)
-            if v > best_v:
-                best_t, best_v = tt, v
-        return best_t
-
-    return ConcaveObjective(value=value, supergrad=supergrad, line_max=line_max)
+    lift = sc.tent.vertex_levels() - P[:, :1] * V[:, 0]
+    for j in range(1, V.shape[1]):
+        lift -= P[:, j : j + 1] * V[:, j]
+    return _dot(P, X) + lift.max(axis=1)
 
 
-def _dual_value(p: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
-    """Upper bound on phi_K(x) valid for any p with ||p|| <= K."""
-    V = sc.tent.vertex_matrix()
-    levels = sc.tent.vertex_levels()
-    return float(p @ x + np.max(levels - V @ p))
+def _clip(P: np.ndarray, K: float) -> np.ndarray:
+    """The rows of P scaled into the ball of radius K."""
+    return P * (K / np.maximum(np.sqrt(_dot(P, P)), K))[:, None]
 
 
-def _clip_to_ball(p: np.ndarray, K: float) -> np.ndarray:
-    nrm = np.linalg.norm(p)
-    return p if nrm <= K else p * (K / nrm)
+def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
+    """Every face's candidate for every row of X, and the best of them,
+    certified.  Sums run term by term, so a row gets the same bits alone
+    or in a batch."""
+    fc, K = sc._faces, sc.K
+    g, n = X.shape
+    D = X[:, None, :] - fc.origin  # (g, F, n)
+    P = D[:, :, :1] * fc.lin[:, 0]
+    for i in range(1, n):
+        P += D[:, :, i : i + 1] * fc.lin[:, i]
+    e = P[:, :, :n]  # coordinates off the face
+    h = np.sqrt(_dot(e, e))
+    tau = h / fc.root  # y* = x0 + tau grad
+    W = P[:, :, n:-1] + tau[:, :, None] * fc.tilt  # weights of y*, less e0
+    ok = (W >= fc.floor).all(axis=2)  # false where root is NaN
+    val = np.where(ok, fc.level + P[:, :, -1] - h * fc.root, -np.inf)
+
+    rows = np.arange(g)
+    face = val.argmax(axis=1)
+    value, e, h, tau = val[rows, face], e[rows, face], h[rows, face], tau[rows, face]
+    U, grad = fc.perp[face], fc.grad[face]
+    r = e[:, :1] * U[:, 0]  # x - x0, in the complement to rounding
+    for j in range(1, n):
+        r += e[:, j : j + 1] * U[:, j]
+    y = fc.origin[face] + (D[rows, face] - r) + tau[:, None] * grad
+    W = W[rows, face]
+    W[:, 0] += 1.0
+
+    # duals: the cone gradient at y*, -K (x - y*) / ||x - y*||, which is
+    # grad - root (x - x0) / h, read from the residual without the
+    # cancellation in x - y*; and the facet slope, exact where y* = x
+    away = h > 0.0
+    cone = grad - (fc.root[face] / np.where(away, h, 1.0))[:, None] * r
+    upper = np.minimum(
+        np.where(away, _dual_value(_clip(cone, K), X, sc), np.inf),
+        _dual_value(fc.slope[face], X, sc),
+    )
+    # on the boundary of the hull, where y* = x and the facet slope is
+    # steeper than K, the exact dual is a supergradient with a normal part
+    for i in np.nonzero(upper - value > _GAP_EXACT)[0]:
+        p = _least_supergradient(sc, X[i], value[i])
+        upper[i : i + 1] = np.minimum(upper[i : i + 1], _dual_value(p, X[i : i + 1], sc))
+    Y = np.where(fc.full[face][:, None], X, y)  # x itself where y* = x exactly
+    return _Rows(value, face, Y, W, np.maximum(upper - value, 0.0))
 
 
-def _cone_score(psi: float, y: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
-    """psi(y) - K ||x - y|| for the tent value ``psi`` at y."""
-    if not np.isfinite(psi):
-        return -np.inf
-    return psi - sc.K * float(np.linalg.norm(x - y))
+def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.ndarray:
+    """The least-norm p with value + <p, v_i - x> >= level_i at every
+    vertex (to a relative 1e-9), as one row clipped to norm K.  Where
+    value = psi(x) that is the least-norm supergradient of the tent at x,
+    an exact dual whenever phi_K(x) = psi(x).  It is the least-norm
+    solution of at most n active constraints, so every such set is tried."""
+    A, b = sc.tent.vertex_matrix() - x, sc.tent.vertex_levels() - value
+    slack = 1e-9 * (1.0 + np.abs(b).max() + np.linalg.norm(A, axis=1).max())
+    P = [np.zeros((1, len(x)))]
+    for size in range(1, min(len(x), len(A)) + 1):
+        J = list(combinations(range(len(A)), size))
+        P.append((np.linalg.pinv(A[J]) @ b[J][..., None])[..., 0])
+    P = np.vstack(P)  # the first row, 0, is the fallback when none is feasible
+    norms = np.where((P @ A.T >= b - slack).all(axis=1), np.linalg.norm(P, axis=1), np.inf)
+    return _clip(P[[np.argmin(norms)]], sc.K)
 
 
-def _score(y: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
-    return _cone_score(psi_eval(y, sc.tent).value, y, x, sc)
+def _evaluate(sc: SupConvSpec, X: np.ndarray, tol: float) -> _Rows:
+    """The kernel on the rows of X in chunks of at most ``_CHUNK`` row-face
+    entries; raises PhiEvalError at the first row whose certified gap
+    exceeds the acceptance threshold."""
+    rows = max(1, _CHUNK // len(sc._faces.level))
+    parts = [_kernel(sc, X[i : i + rows]) for i in range(0, max(len(X), 1), rows)]
+    out = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
+    bad = out.gap > max(100.0 * tol, _GAP_RAISE)
+    if bad.any():
+        i = int(bad.argmax())
+        raise PhiEvalError(
+            f"could not certify value at {X[i].tolist()}: gap {out.gap[i]:.3e}"
+        )
+    return out
 
 
-def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8, warm: np.ndarray | None = None,
-             refine: bool = True) -> PhiValue:
+def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8) -> PhiValue:
     """Evaluate the smoothing at x with a certified optimality gap.
 
-    The tent at x comes first: when x lies in [A,B] and the slope p of the
-    facet plane through (x, psi(x)) has norm at most K, the conic dual
-    bound at p equals psi(x), because that plane majorizes every lifted
-    vertex and meets the tent at x; so phi_K(x) = psi(x), attained at x.
-    Elsewhere (exterior points, slopes steeper than K) Frank-Wolfe over
-    hull weights does the bulk of the maximization; exact tent values at
-    the attaining point, at x and at the vertices refine it from below,
-    while conic dual candidates bound it from above.  The vertices' tent
-    values come from the tent itself, read once per tent.  Raises
-    PhiEvalError when the certified gap stays above the acceptance
-    threshold.
+    One row of the face-enumeration kernel (see the module docstring):
+    the best candidate over every face of the tent's simplices gives the
+    value, the attaining point and its hull coordinates, and the conic
+    dual bound at the cone gradient there, or at the facet plane's slope
+    where the point is x itself, certifies the gap.  Raises PhiEvalError
+    when the certified gap is above max(100 tol, 1e-4).
     """
-    x = as_point(x, sc.dim)
-    key = (x.tobytes(), float(tol))
-    cached = sc._cache.get(key)
-    if cached is not None:
-        return cached
+    return _phi_value(sc, _evaluate(sc, as_point(x, sc.dim)[None, :], tol), 0)
 
-    # the cone dual certificate is second-order loose in the attaining
-    # point, so gaps slightly above tol are normal at converged solves;
-    # 1e-7 stays well under every downstream tolerance (1e-6 and up)
-    accept = max(10.0 * tol, 1e-7)
-    t = sc.tent
-    px = psi_eval(x, t)
-    if px.slope is not None and np.linalg.norm(px.slope) <= sc.K:
-        gap = _dual_value(px.slope, x, sc) - px.value
-        if gap <= accept:
-            out = PhiValue(px.value, x.copy(), px.coords, max(gap, 0.0))
-            sc._cache[key] = out
-            return out
 
-    V = t.vertex_matrix()
-    mA = t.A.num_vertices
-    fw = maximize_concave(
-        _objective(x, sc), (mA, V.shape[0] - mA), tol=tol, max_iters=400, init=warm
-    )
-    upper = fw.upper_bound
-
-    # candidates: the Frank-Wolfe point, the vertices (whose tent values
-    # the tent holds) and x itself
-    y_fw = fw.coords.weights() @ V
-    cands = [(y_fw, _score(y_fw, x, sc))]
-    cands.extend(
-        (v, _cone_score(pv, v, x, sc)) for v, pv in zip(V, t.vertex_values())
-    )
-    if np.isfinite(px.value):
-        cands.append((x, _cone_score(px.value, x, x, sc)))
-
-    best_y = None
-    best_v = -np.inf
-    for y, v in cands:
-        if v > best_v:
-            best_v, best_y = v, y
-
-    duals = [np.zeros(sc.dim)]
-    sep = float(np.linalg.norm(x - best_y))
-    if sep > 1e-9:
-        duals.append(-sc.K * (x - best_y) / sep)
-    if px.slope is not None:
-        duals.append(_clip_to_ball(px.slope, sc.K))
-    for p in duals:
-        upper = min(upper, _dual_value(p, x, sc))
-
-    if refine and upper - best_v > accept:
-        # kink-adjacent exterior points attain at the hull projection
-        proj = dist_to_hull(x, t.A, t.B)
-        if proj.d > 1e-12:
-            v_proj = _score(proj.point, x, sc)
-            if v_proj > best_v:
-                best_v, best_y = v_proj, proj.point
-            upper = min(
-                upper, _dual_value(-sc.K * (x - proj.point) / proj.d, x, sc)
-            )
-    if refine and upper - best_v > accept:
-        # segment sweeps toward every vertex, with exact tent values
-        for _ in range(2):
-            improved = False
-            for target in V:
-                d = target - best_y
-                if np.linalg.norm(d) < 1e-14:
-                    continue
-                tt, vv = golden_max(
-                    lambda s: _score(best_y + s * d, x, sc), 0.0, 1.0, xtol=1e-11
-                )
-                if vv > best_v + 1e-15:
-                    best_v, best_y = vv, best_y + tt * d
-                    improved = True
-            sep = float(np.linalg.norm(x - best_y))
-            if sep > 1e-9:
-                upper = min(upper, _dual_value(-sc.K * (x - best_y) / sep, x, sc))
-            if not improved or upper - best_v <= accept:
-                break
-
-    gap = max(upper - best_v, 0.0)
-    if gap > max(100.0 * tol, _GAP_RAISE):
-        raise PhiEvalError(
-            f"could not certify value at {x.tolist()}: gap {gap:.3e} "
-            f"after {fw.iterations} iterations"
-        )
-    out = PhiValue(
-        value=float(best_v),
-        argmax=np.asarray(best_y, dtype=float),
-        coords=psi_eval(best_y, t).coords,
-        gap=float(gap),
-    )
-    sc._cache[key] = out
-    return out
+def _phi_value(sc: SupConvSpec, out: _Rows, i: int) -> PhiValue:
+    """Row i of the kernel's output, with the attaining point's hull
+    coordinates."""
+    verts = sc._faces.verts[out.face[i]]
+    keep = verts >= 0
+    w = np.maximum(out.weights[i][keep], 0.0)
+    full = np.zeros(len(sc.tent.vertex_levels()))
+    full[verts[keep]] = w / w.sum()
+    mA = sc.tent.A.num_vertices
+    coords = HullCoords(full[:mA], full[mA:])
+    return PhiValue(float(out.value[i]), out.argmax[i], coords, float(out.gap[i]))
 
 
 def phi_value(x, sc: SupConvSpec) -> float:
@@ -277,28 +297,18 @@ def phi_value(x, sc: SupConvSpec) -> float:
 
 
 def phi_on_grid(sc: SupConvSpec, pts: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Evaluate on many points, warm-starting each solve from its neighbor."""
-    pts = np.asarray(pts, dtype=float)
-    vals = np.empty(len(pts))
-    warm = None
-    for i, z in enumerate(pts):
-        pv = phi_eval(z, sc, tol=tol, warm=warm)
-        vals[i] = pv.value
-        warm = pv.coords.weights() if pv.coords is not None else None
-    return vals
-
-
-def default_check_grid(sc: SupConvSpec) -> np.ndarray:
-    """Fallback verification grid: the hull inflated by a quarter diameter."""
-    margin = 0.25 * hull_diameter(sc.tent.A, sc.tent.B) + 0.1
-    res = {1: 81, 2: 15, 3: 7}.get(sc.dim, 7)
-    return sample_set(sc.tent.A, sc.tent.B, margin, res)
+    """The smoothing on the rows of ``pts``, batched; each value equals
+    ``phi_eval``'s, bit for bit."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, sc.dim)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("grid points must be finite")
+    return _evaluate(sc, pts, tol).value
 
 
 def phi_supergradient(
     x,
     sc: SupConvSpec,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray,
     tol_sep: float = DEFAULT_SEP_TOL,
     fd_step: float = DEFAULT_FD_STEP,
     tol_super: float = DEFAULT_SUPER_TOL,
@@ -314,25 +324,22 @@ def phi_supergradient(
     superdifferential inequality holds on the verification grid, whose
     smoothing values ``grid_phi`` are computed when the caller does not
     already have them.  ``tol`` is the duality-gap tolerance of every
-    smoothing evaluation.
+    smoothing evaluation; x and its difference stencil are evaluated in one
+    batch, each with the bits it gets alone.
     """
     x = as_point(x, sc.dim)
-    v = phi_eval(x, sc, tol=tol)
+    steps = fd_step * np.eye(sc.dim)
+    out = _evaluate(sc, np.vstack([x, x + steps, x - steps]), tol)
+    v = _phi_value(sc, out, 0)
     sep = float(np.linalg.norm(x - v.argmax))
     if sep > tol_sep:
         p = -sc.K * (x - v.argmax) / sep
         mode = "cone-formula"
     else:
-        p = np.empty(sc.dim)
-        for i in range(sc.dim):
-            e = np.zeros(sc.dim)
-            e[i] = fd_step
-            p[i] = (
-                phi_eval(x + e, sc, tol=tol).value - phi_eval(x - e, sc, tol=tol).value
-            ) / (2 * fd_step)
+        p = (out.value[1 : sc.dim + 1] - out.value[sc.dim + 1 :]) / (2 * fd_step)
         mode = "fallback"
 
-    pts = default_check_grid(sc) if grid is None else np.asarray(grid, dtype=float)
+    pts = np.asarray(grid, dtype=float)
     vals = phi_on_grid(sc, pts, tol=tol) if grid_phi is None else grid_phi
     worst = float(np.max(vals - v.value - (pts - x) @ p))
     if worst > tol_super:

@@ -139,3 +139,30 @@ def test_selftest_canonical(workdir, capsys):
 
 def test_bad_subcommand_exits_2(capsys):
     assert run_command(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        "mdmvi.supconv.PhiEvalError",
+        "mdmvi.ekeland.DescentError",
+        "mdmvi.mdmvt.CertificateSearchError",
+    ],
+)
+def test_typed_run_errors_exit_1(workdir, capsys, monkeypatch, error):
+    """A run that ends in a typed error prints one error line, no traceback."""
+    import importlib
+
+    import mdmvi.cli as cli
+
+    module, name = error.rsplit(".", 1)
+    exc_type = getattr(importlib.import_module(module), name)
+
+    def failing_run(*args, **kwargs):
+        raise exc_type("stage: could not go on at [0.5]")
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    assert run_command(["certificate", "canonical_1d.json"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "could not go on" in err[0]

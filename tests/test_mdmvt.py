@@ -296,6 +296,22 @@ class TestEstimatesAndBoundary:
         for x in pts:
             assert dist_to_hull(x, seg_a, seg_b).d == pytest.approx(0.5, abs=1e-9)
 
+    def test_no_boundary_sample_is_a_typed_error(self, seg_a, seg_b, monkeypatch):
+        """When no candidate lands at distance delta the search stage says
+        so with a CertificateSearchError, not a bare RuntimeError."""
+        import mdmvi.mdmvt as mv
+        from mdmvi.mdmvt import CertificateSearchError
+
+        real = mv.dist_to_hull
+
+        def too_far(x, A, B):
+            res = real(x, A, B)
+            return res._replace(d=res.d + 1.0)
+
+        monkeypatch.setattr(mv, "dist_to_hull", too_far)
+        with pytest.raises(CertificateSearchError, match="boundary samples"):
+            boundary_samples(seg_a, seg_b, 0.5, 41)
+
     def test_boundary_decay_strict_for_pipeline_K(self):
         ps = make_spec(resolution=201)
         params = choose_params(ps)

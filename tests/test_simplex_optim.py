@@ -195,7 +195,8 @@ class TestMaximizeConcave:
 def test_objective_concavity_and_supergradient_inequality(seg_a, seg_b):
     # midpoint concavity and the supergradient inequality
     # value(c') <= value(c) + <g, c' - c> on sampled weight pairs
-    from mdmvi.supconv import SupConvSpec, _objective
+    from fw_reference import _objective
+    from mdmvi.supconv import SupConvSpec
     from mdmvi.tent import TentSpec
 
     sc = SupConvSpec(TentSpec(seg_a, seg_b, 0.0, 1.0), 2.0)

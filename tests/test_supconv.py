@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdmvi import (
     Polytope,
+    ProblemSpec,
     SupConvSpec,
     SupergradientError,
     TentSpec,
     phi_eval,
     phi_supergradient,
+    run,
     superdiff_transfer_check,
     uv_disjoint,
+    verify_certificate,
 )
 from mdmvi.oracles import phi_brute
 from mdmvi.supconv import (
@@ -19,7 +24,7 @@ from mdmvi.supconv import (
     phi_value,
     sample_table,
 )
-from mdmvi.tent import psi_eval, psi_value
+from mdmvi.tent import _CHUNK, psi_eval, psi_value
 
 from conftest import grid_1d
 
@@ -113,7 +118,7 @@ class TestPhiEval:
         monkeypatch.setattr(sp, "_dual_value", lambda p, x, sc: np.inf)
         sc = SupConvSpec(unit_tent, 2.0)
         with pytest.raises(PhiEvalError) as err:
-            phi_eval(np.array([0.5]), sc, refine=False)
+            phi_eval(np.array([0.5]), sc)
         assert "gap" in str(err.value)
 
     def test_rejects_bad_K(self, unit_tent):
@@ -122,8 +127,8 @@ class TestPhiEval:
 
 
 class TestCertificateFirst:
-    """Inside the hull, where the tent's LP-dual slope has norm at most K,
-    the tent's own dual certifies phi_K(x) = psi(x) without Frank-Wolfe."""
+    """The smoothing is read from the tent's faces in closed form, so
+    neither an evaluation nor a whole run calls Frank-Wolfe."""
 
     @pytest.fixture
     def plane_sc(self):
@@ -134,16 +139,23 @@ class TestCertificateFirst:
 
     @pytest.fixture
     def fw_calls(self, monkeypatch):
-        import mdmvi.supconv as sp
+        """Calls of maximize_concave through any mdmvi module that binds it."""
+        import sys
+
+        import mdmvi.simplex_optim as so
 
         calls = []
-        real = sp.maximize_concave
+        real = so.maximize_concave
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sp, "maximize_concave", spy)
+        for name, mod in list(sys.modules.items()):
+            if name == "mdmvi" or name.startswith("mdmvi."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, spy)
         return calls
 
     def test_interior_point_needs_no_frank_wolfe(self, plane_sc, fw_calls):
@@ -159,30 +171,34 @@ class TestCertificateFirst:
             phi_brute(x, plane_sc, 400), abs=(plane_sc.K + 1.325) / 300 * 3
         )
 
-    def test_exterior_point_still_runs_frank_wolfe(self, plane_sc, fw_calls):
+    def test_exterior_point_needs_no_frank_wolfe(self, plane_sc, fw_calls):
         v = phi_eval([-0.3, 0.5], plane_sc)
-        assert len(fw_calls) == 1
-        assert v.gap <= 1e-7
+        assert fw_calls == []
+        assert v.gap <= 1e-12
+        # attained on the edge A, 0.3 away
+        assert np.array_equal(v.argmax, [0.0, 0.5])
+        assert v.value == pytest.approx(-0.3 * plane_sc.K, abs=1e-12)
 
-    def test_vertices_are_scored_from_the_tent(self, plane_sc, monkeypatch):
-        """The tent holds its values at the vertices, so a Frank-Wolfe
-        evaluation reads the tent at no vertex."""
-        import mdmvi.supconv as sp
+    def test_run_makes_no_frank_wolfe_call(self, problems_dir, fw_calls):
+        ps = ProblemSpec.from_json_file(problems_dir / "plane_2d.json")
+        cert = run(ps)
+        assert verify_certificate(cert, ps)[0]
+        assert fw_calls == []
 
+    def test_vertices_are_scored_from_the_tent(self, plane_sc):
+        """The kernel scores a vertex by its level, which is the tent there:
+        far from the hull the smoothing is the best vertex's cone."""
         V = plane_sc.tent.vertex_matrix()
         assert np.array_equal(
             plane_sc.tent.vertex_values(), [psi_value(v, plane_sc.tent) for v in V]
         )
-        points = []
-        real = sp.psi_eval
-
-        def spy(x, t):
-            points.append(np.asarray(x, dtype=float))
-            return real(x, t)
-
-        monkeypatch.setattr(sp, "psi_eval", spy)
-        phi_eval([-0.3, 0.5], plane_sc)
-        assert points and not any((V == y).all(axis=1).any() for y in points)
+        for x in ([-3.0, -2.0], [5.0, 4.0], [1.0, -30.0]):
+            v = phi_eval(x, plane_sc)
+            cones = plane_sc.tent.vertex_values() - plane_sc.K * np.linalg.norm(
+                V - np.asarray(x), axis=1
+            )
+            assert v.value <= cones.max() + v.gap + 1e-12
+            assert v.value >= cones.max() - 1e-12
 
 
 class TestPhiSupergradient:
@@ -293,3 +309,103 @@ def test_phi_on_grid_consistent(unit_tent):
     vals = phi_on_grid(sc, pts)
     for z, v in zip(pts, vals):
         assert phi_value(z, sc) == pytest.approx(v, abs=1e-10)
+
+
+def test_phi_on_grid_equals_pointwise_bit_for_bit():
+    """The batched kernel gives every row the bits it gets alone, across
+    chunk boundaries too; an empty grid gives no values."""
+    A = Polytope([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    B = Polytope([[2.0, 0.0, 0.0], [2.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    sc = SupConvSpec(TentSpec(A, B, 0.0, 1.3), 1.7)
+    pts = np.random.default_rng(5).uniform(-1.0, 3.0, size=(5000, 3))
+    vals = phi_on_grid(sc, pts)
+    assert len(pts) * len(sc._faces.level) > _CHUNK
+    assert np.array_equal(vals, [phi_value(z, sc) for z in pts])
+    assert phi_on_grid(sc, np.empty((0, 3))).shape == (0,)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    m_a=st.integers(1, 5),
+    m_b=st.integers(1, 5),
+    flat=st.booleans(),
+    shared=st.booleans(),
+    where=st.sampled_from(["inside", "vertex", "on", "outside", "far"]),
+    log_k=st.floats(np.log(0.2), np.log(10.0)),
+)
+def test_faces_match_frank_wolfe(seed, dim, m_a, m_b, flat, shared, where, log_k):
+    """Against the Frank-Wolfe evaluation it replaced: the same value where
+    that one is certified, and never outside its bounds; a certified gap of
+    at most 1e-7; hull coordinates that reproduce the attaining point; and
+    the batched grid read equal to the pointwise one."""
+    from fw_reference import fw_phi_eval
+    from mdmvi import dist_to_hull
+
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, dim)) if flat and dim > 1 else dim
+    span = rng.normal(size=(k, dim))
+    origin = rng.normal(size=dim)
+    A = Polytope(origin + rng.normal(size=(m_a, k)) @ span)
+    B_rows = origin + rng.normal(size=(m_b, k)) @ span
+    if shared:
+        B_rows[0] = A.vertices[-1]  # a vertex in both sets, at both levels
+    B = Polytope(B_rows)
+    r, s = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+    if abs(r - s) < 0.1:
+        s = r + 0.5
+    sc = SupConvSpec(TentSpec(A, B, r, s), float(np.exp(log_k)))
+    V = sc.tent.vertex_matrix()
+    if where == "inside":
+        x = rng.dirichlet(np.ones(len(V))) @ V
+    elif where == "vertex":
+        x = V[int(rng.integers(len(V)))].copy()
+    elif where == "on":
+        x = dist_to_hull(origin + 2.0 * rng.normal(size=dim), A, B).point
+    elif where == "outside":
+        x = origin + rng.normal(size=dim)
+    else:
+        x = origin + 20.0 * rng.normal(size=dim)
+
+    v = phi_eval(x, sc)
+    ref = fw_phi_eval(x, sc)
+    assert v.gap <= 1e-7
+    if ref.upper - ref.value <= 1e-10:
+        assert v.value == pytest.approx(ref.value, abs=1e-9)
+    assert ref.value - 1e-9 <= v.value <= ref.upper + 1e-9
+    w = v.coords.weights()
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+    assert np.allclose(w @ V, v.argmax, rtol=0.0, atol=1e-7)
+    pts = np.vstack([x, V, origin + 2.0 * rng.normal(size=(3, dim))])
+    assert np.array_equal(phi_on_grid(sc, pts), [phi_value(z, sc) for z in pts])
+
+
+def test_skew_segments_in_3d_end_typed():
+    """Two skew segments in 3-D: Frank-Wolfe left a smoothing value with
+    gap 1.1e-3 and raised PhiEvalError; the face kernel certifies it, and
+    the run ends in a certificate or a typed error."""
+    from mdmvi import CertificateSearchError, SpecInvariantError, choose_params
+
+    spec = {
+        "function": {"id": "linear", "params": {"a": [1.0, 0.0, 0.0], "b": 0.0}},
+        "A": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        "B": [[2.0, 0.0, 0.0], [2.0, 0.0, 1.0]],
+        "delta": 0.5,
+        "mu": -0.7,
+        "s": 1.3,
+        "epsilon": 0.1,
+        "resolution": 11,
+        "seed": 3,
+    }
+    ps = ProblemSpec.from_json_dict(spec)
+    params = choose_params(ps)
+    sc = SupConvSpec(TentSpec(ps.A, ps.B, params.r, params.s1), params.K)
+    v = phi_eval([0.19999997419602183, 0.5, 0.10000000000000009], sc)
+    assert v.gap <= 1e-12
+    assert v.value == pytest.approx(0.1325, abs=1e-4)
+    try:
+        cert = run(ps)
+    except (CertificateSearchError, SpecInvariantError):
+        return
+    assert verify_certificate(cert, ps)[0]
