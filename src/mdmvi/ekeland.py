@@ -2,7 +2,7 @@
 certificate, plus extraction of nearly-cancelling subgradient pairs.
 
 The existential minimization step is realized constructively: multistart
-local descent seeded from a grid, followed by an a-posteriori grid check
+compass search seeded from a grid, followed by an a-posteriori grid check
 of the domination inequality g(z) + eps ||z - u|| >= g(u).  Both read g
 from one ``GTable`` of the grid, built once per pipeline run.
 """
@@ -17,7 +17,6 @@ import numpy as np
 
 from .functions import TestFunction, f_eval, f_subgrad, f_values
 from .geometry import HullInflation, as_point, sample_set
-from .simplex_optim import golden_max
 from .supconv import (
     SupConvSpec,
     SupergradientError,
@@ -113,10 +112,16 @@ def descend_g(
 ) -> list[EkelandPoint]:
     """Near-minimizers of g = f1 - phi_K on C, one per schedule entry.
 
-    Multistart coordinate-and-random-direction descent with exact line
-    searches, seeded from the best points of ``table``, a grid of C
-    inflated by ``delta``.  Deterministic given the seed; ties break by
-    lexicographic point order.
+    Multistart compass search (Torczon 1997; Kolda, Lewis & Torczon 2003)
+    from the best points of ``table``, a grid of C inflated by ``delta``.
+    The directions are the coordinates and two seeded random unit vectors,
+    with the repeats of 1-D dropped.  Each step evaluates g on the whole
+    stencil x +- h d in one batch (``f_values``, then ``phi_on_grid`` where
+    f1 is finite) and moves to the stencil's best point, first on ties,
+    doubling h, when that lowers g; otherwise it halves h.  h starts at
+    span / 8 and the search stops below 1e-10 max(span, 1).  Points of the
+    table are never evaluated again.  Deterministic given the seed; ties
+    between start points break by lexicographic point order.
     """
     schedule = [float(e) for e in schedule]
     if not schedule or any(e <= 0 for e in schedule):
@@ -137,44 +142,41 @@ def descend_g(
     for _ in range(2):
         d = rng.standard_normal(dim)
         nrm = np.linalg.norm(d)
-        if nrm > 1e-12:
+        if nrm > 1e-12 and all(abs(d @ e) < nrm * (1 - 1e-12) for e in dirs):
             dirs.append(d / nrm)
+    stencil = np.vstack([dirs, -np.array(dirs)])
     span = float(np.linalg.norm(grid.max(axis=0) - grid.min(axis=0))) + delta
-    memo: dict[bytes, float] = {}  # the line searches revisit points
+    h_min = 1e-10 * max(span, 1.0)
+    memo = {z.tobytes(): float(v) for z, v in zip(grid, gvals)}
 
-    def g(z: np.ndarray) -> float:
-        key = z.tobytes()
-        if key not in memo:
-            memo[key] = _g_eval(z, f1, sc, tol=phi_tol)
-        return memo[key]
+    def g_rows(Z: np.ndarray) -> np.ndarray:
+        keys = [z.tobytes() for z in Z]
+        fresh = [i for i, k in enumerate(keys) if k not in memo]
+        if fresh:
+            F = Z[fresh]
+            vals = f_values(f1, F)
+            ok = np.isfinite(vals)
+            vals[~ok] = np.inf
+            if ok.any():
+                vals[ok] -= phi_on_grid(sc, F[ok], tol=phi_tol)
+            memo.update(zip((keys[i] for i in fresh), vals.tolist()))
+        return np.array([memo[k] for k in keys])
 
-    def descend(x0: np.ndarray, g0: float) -> tuple[np.ndarray, float]:
-        x, fx = x0.copy(), g0
-        for _ in range(30):
-            start = fx
-            for d in dirs:
-                t, neg = golden_max(
-                    lambda s: -min(g(x + s * d), 1e30),
-                    -span,
-                    span,
-                    xtol=1e-10 * max(span, 1.0),
-                )
-                if -neg < fx - 1e-13:
-                    x = x + t * d
-                    fx = -neg
-            # along a valley the sweeps can creep by 1e-10 each, far below
-            # every tolerance downstream; stop there
-            if fx > start - 1e-9 * (1.0 + abs(start)):
-                break
+    def descend(x: np.ndarray, fx: float) -> tuple[np.ndarray, float]:
+        h = span / 8
+        while h >= h_min:
+            Z = x + h * stencil
+            vals = g_rows(Z)
+            k = int(np.argmin(vals))
+            if vals[k] < fx:
+                x, fx = Z[k], float(vals[k])
+                h *= 2
+            else:
+                h /= 2
         return x, fx
 
-    best_x, best_f = None, np.inf
-    for i in seeds:
-        x, fx = descend(grid[i], float(gvals[i]))
-        key = (fx, tuple(x))
-        if best_x is None or key < (best_f, tuple(best_x)):
-            best_x, best_f = x, fx
-
+    ends = [descend(grid[i], float(gvals[i])) for i in seeds]
+    best_x, best_f = min(ends, key=lambda end: (end[1], tuple(end[0])))
     return [EkelandPoint(u=best_x.copy(), eps=e, value=float(best_f)) for e in schedule]
 
 
@@ -239,6 +241,7 @@ def fuzzy_pair(
     k_residual: float = DEFAULT_RESIDUAL_FACTOR,
     tol: float = 1e-8,
     grid_phi: np.ndarray | None = None,
+    memo: dict | None = None,
 ) -> FuzzyPair:
     """Nearly-cancelling pair: p from f's representatives at x, q from the
     negated smoothing supergradient at y, with x, y within search_radius
@@ -249,25 +252,42 @@ def fuzzy_pair(
     schedule entry of u (a kink coincidence the caller must refine past).
     ``tol`` is the duality-gap tolerance of every smoothing evaluation;
     ``grid_phi``, the smoothing on ``grid``, serves every supergradient
-    check when the caller already has it.
+    check when the caller already has it.  ``memo`` keeps the smoothing
+    supergradients and the subgradients of f by point, so that calls that
+    share it, with the same f, smoothing, grid and tol, evaluate no point
+    twice.
     """
     if search_radius <= 0:
         raise ValueError("search_radius must be positive")
     base = as_point(u.u, f.dim)
+    memo = {} if memo is None else memo
+
+    def supergradient(y):  # None where the check fails
+        try:
+            return phi_supergradient(y, sc, grid=grid, tol=tol, grid_phi=grid_phi)
+        except SupergradientError:
+            return None
+
+    def subgrads(x):  # none outside the domain of f
+        return f_subgrad(f, x) if np.isfinite(f_eval(f, x)) else []
+
+    def once(at, z):
+        key = (at.__name__, z.tobytes())
+        if key not in memo:
+            memo[key] = at(z)
+        return memo[key]
+
     best: FuzzyPair | None = None
     best_score = np.inf
     for off in _perturbation_offsets(f.dim, search_radius):
         y = base + off
-        try:
-            sg = phi_supergradient(y, sc, grid=grid, tol=tol, grid_phi=grid_phi)
-        except SupergradientError:
+        sg = once(supergradient, y)
+        if sg is None:
             continue
         q = -sg.p
         x_cands = [y] if not off.any() else [y, base]
         for x in x_cands:
-            if not np.isfinite(f_eval(f, x)):
-                continue
-            for p in f_subgrad(f, x):
+            for p in once(subgrads, x):
                 residual = float(np.linalg.norm(p + q))
                 separation = float(np.linalg.norm(x - y))
                 score = residual + separation

@@ -23,11 +23,13 @@ class DimensionMismatch(ValueError):
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-D float array, optionally checking its length."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce to a finite 1-D float array, optionally checking its length;
+    a 1-D float64 array comes back as itself."""
+    same = type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+    p = x if same else np.atleast_1d(np.asarray(x, dtype=float))
     if p.ndim != 1:
         raise ValueError(f"a point must be one-dimensional, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")

@@ -155,6 +155,11 @@ class InequalityCheck(NamedTuple):
         return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
 
 
+def _check(lhs: float, rhs: float) -> InequalityCheck:
+    """lhs < rhs, with its slack rhs - lhs."""
+    return InequalityCheck(lhs, rhs, float(rhs - lhs))
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     xi: np.ndarray
@@ -500,6 +505,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     attempts = []
     trace = []
     hull_psi = None  # the tent on the hull grid, read at the first pair found
+    pair_memo: dict = {}  # every entry searches around the same u
     for n, ek in enumerate(ek_points):
         radius = min(ek.eps, eps_bar, delta / 4.0)
         entry = {
@@ -513,7 +519,7 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
         try:
             pair = fuzzy_pair(
                 ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol,
-                grid_phi=c_table.phi,
+                grid_phi=c_table.phi, memo=pair_memo,
             )
         except FuzzyPairError as exc:
             attempts.append(f"n={n}: {exc}")
@@ -540,25 +546,13 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
             failures.append("level sets could not be separated at y")
 
         checks = {
-            "value_localization": InequalityCheck(
-                lhs=f_eval(ps.f, xi),
-                rhs=inf_hull.value + abs(r - ps.s) + ps.epsilon,
-                slack=float(
-                    inf_hull.value + abs(r - ps.s) + ps.epsilon - f_eval(ps.f, xi)
-                ),
+            "value_localization": _check(
+                f_eval(ps.f, xi), inf_hull.value + abs(r - ps.s) + ps.epsilon
             ),
-            "subgradient_norm": InequalityCheck(
-                lhs=float(np.linalg.norm(p)),
-                rhs=(max(r, ps.s) - ps.mu) / delta + ps.epsilon,
-                slack=float(
-                    (max(r, ps.s) - ps.mu) / delta + ps.epsilon - np.linalg.norm(p)
-                ),
+            "subgradient_norm": _check(
+                float(np.linalg.norm(p)), (max(r, ps.s) - ps.mu) / delta + ps.epsilon
             ),
-            "mean_value_increment": InequalityCheck(
-                lhs=ps.s - r,
-                rhs=inf_linear(p, B) - inf_linear(p, A),
-                slack=float(inf_linear(p, B) - inf_linear(p, A) - (ps.s - r)),
-            ),
+            "mean_value_increment": _check(ps.s - r, inf_linear(p, B) - inf_linear(p, A)),
         }
         floors = {
             "value_localization": slack_floor_value,
@@ -665,30 +659,13 @@ def verify_certificate(
     }
 
     ginf_hull = oracle_grid_inf(ps.f, ps.A, ps.B, 0.0, res)
-    rhs_value = ginf_hull.value + abs(r - s) + ps.epsilon
-    report["value_localization"] = {
-        "lhs": fx,
-        "rhs": rhs_value,
-        "slack": rhs_value - fx,
-        "ok": fx < rhs_value,
-    }
-
-    rhs_norm = (max(r, s) - ps.mu) / ps.delta + ps.epsilon
-    nrm = float(np.linalg.norm(p))
-    report["subgradient_norm"] = {
-        "lhs": nrm,
-        "rhs": rhs_norm,
-        "slack": rhs_norm - nrm,
-        "ok": nrm < rhs_norm,
-    }
-
-    incr = inf_linear(p, ps.B) - inf_linear(p, ps.A)
-    report["mean_value_increment"] = {
-        "lhs": s - r,
-        "rhs": incr,
-        "slack": incr - (s - r),
-        "ok": incr > s - r,
-    }
+    for name, lhs, rhs in (
+        ("value_localization", fx, ginf_hull.value + abs(r - s) + ps.epsilon),
+        ("subgradient_norm", float(np.linalg.norm(p)),
+         (max(r, s) - ps.mu) / ps.delta + ps.epsilon),
+        ("mean_value_increment", s - r, inf_linear(p, ps.B) - inf_linear(p, ps.A)),
+    ):
+        report[name] = dict(_check(lhs, rhs).to_json(), ok=lhs < rhs)
 
     valid = all(section["ok"] for section in report.values())
     report["valid"] = valid

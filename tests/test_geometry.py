@@ -238,6 +238,35 @@ def test_as_point_validation():
     assert as_point(2.5).tolist() == [2.5]
 
 
+def test_as_point_returns_a_float64_point_itself():
+    x = np.array([0.5, -1.0])
+    assert as_point(x, 2) is x
+    # other dtypes and array-likes are converted, not aliased
+    assert as_point(np.array([1, 2]), 2).dtype == np.float64
+    assert as_point(np.array([1.0, 2.0], dtype=np.float32), 2).dtype == np.float64
+    assert as_point([1.0, 2.0]).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("x", [np.array([[0.0, 1.0]]), [[0.0], [1.0]], np.zeros((2, 2))])
+def test_as_point_rejects_more_than_one_axis(x):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        as_point(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_as_point_rejects_non_finite_coordinates(bad, as_array):
+    x = np.array([0.0, bad]) if as_array else [0.0, bad]
+    with pytest.raises(ValueError, match="non-finite"):
+        as_point(x)
+
+
+@pytest.mark.parametrize("x", [np.array([0.0, 1.0, 2.0]), [0.0, 1.0, 2.0], 1.0])
+def test_as_point_rejects_a_wrong_dimension(x):
+    with pytest.raises(DimensionMismatch):
+        as_point(x, 2)
+
+
 def _flat_pair(rng, dim, m_a, m_b, flat, shared):
     """Two vertex sets, on a random affine subspace when ``flat``, sharing
     a vertex when ``shared``; returns them with the subspace's origin and

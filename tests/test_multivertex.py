@@ -6,6 +6,10 @@ the run in a bare ValueError.  Every run must end in a certificate that
 the verifier accepts or in one of the pipeline's documented errors.
 """
 
+import pytest
+
+import mdmvi.ekeland as ekeland
+import mdmvi.mdmvt as mdmvt
 from mdmvi import CertificateSearchError, ProblemSpec, SpecInvariantError, run, verify_certificate
 
 MULTIVERTEX_2D = {
@@ -29,3 +33,34 @@ def test_multivertex_2d_ends_in_a_certificate_or_a_documented_error():
         return
     valid, report = verify_certificate(cert, ps)
     assert valid, report
+
+
+def test_pair_search_evaluates_no_point_twice_in_a_run(monkeypatch):
+    # every schedule entry searches around the same u; the run keeps the
+    # supergradients and subgradients it has already computed
+    ps = ProblemSpec.from_json_dict(MULTIVERTEX_2D)
+    seen = {"phi": [], "f": []}
+    real_sg, real_sub = ekeland.phi_supergradient, ekeland.f_subgrad
+
+    def sg_spy(y, *args, **kwargs):
+        seen["phi"].append(y.tobytes())
+        return real_sg(y, *args, **kwargs)
+
+    def sub_spy(f, x):
+        seen["f"].append(x.tobytes())
+        return real_sub(f, x)
+
+    monkeypatch.setattr(ekeland, "phi_supergradient", sg_spy)
+    monkeypatch.setattr(ekeland, "f_subgrad", sub_spy)
+    with pytest.raises(CertificateSearchError) as shared:
+        run(ps)
+    assert seen["phi"] and len(seen["phi"]) == len(set(seen["phi"]))
+    assert seen["f"] and len(seen["f"]) == len(set(seen["f"]))
+
+    real_pair = mdmvt.fuzzy_pair
+    monkeypatch.setattr(
+        mdmvt, "fuzzy_pair", lambda *a, memo=None, **k: real_pair(*a, **k)
+    )
+    with pytest.raises(CertificateSearchError) as alone:
+        run(ps)
+    assert str(shared.value) == str(alone.value)
