@@ -59,6 +59,8 @@ def _parse_schedule(text: str | None) -> list[float] | None:
         raise SpecFormatError(f"bad schedule: {exc}") from exc
     if not values:
         raise SpecFormatError("empty schedule")
+    if not all(0 < v < np.inf for v in values) or values != sorted(set(values), reverse=True):
+        raise SpecFormatError("schedule must be positive, finite, strictly decreasing")
     return values
 
 
@@ -125,6 +127,8 @@ def _build_supconv(ps: ProblemSpec) -> SupConvSpec:
 
 
 def _cmd_eval(args, inflate: bool) -> int:
+    if args.grid < 2:
+        raise SpecFormatError("grid must be at least 2")
     ps = _load_spec(args.spec, args)
     sc = _build_supconv(ps)
     delta = ps.delta if inflate else 0.0

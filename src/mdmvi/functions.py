@@ -4,8 +4,8 @@ subgradient-representative oracles.
 Each catalog member defines its value once, on rows: an (m, n) array of
 points maps to their m values, with every sum written term by term, so a
 point gets the same bits alone (``f_eval``) or in a batch (``f_values``).
-A restricted member masks its base with the exact batched hull screen of
-its domain (``geometry.HullScreen``).
+A restricted member reads both its values and its interior points from
+one exact batched hull screen of its domain (``geometry.HullScreen``).
 
 Subdifferentials are exposed as finite representative sets: extreme points
 for the convex members (active-piece gradients of a max-affine, the unit
@@ -20,45 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    BOUNDARY,
-    EXTERIOR,
-    INTERIOR,
-    HullScreen,
-    Polytope,
-    _direction_net,
-    as_point,
-    as_rows,
-)
+from .geometry import HullScreen, Polytope, as_point, as_rows
 
 DEFAULT_CHECK_TOL = 1e-7
 _ACTIVE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class Domain:
-    """Effective-domain descriptor: everything, a polytope, or an inflated
-    hull."""
-
-    kind: str = "all"  # "all" | "polytope" | "hull_inflation"
-    polytope: Polytope | None = None
-    region: object | None = None  # HullInflation for restricted pipelines
-
-    def __post_init__(self):
-        if self.kind == "polytope":
-            object.__setattr__(self, "screen", HullScreen(self.polytope, self.polytope))
-
-    def classify(self, x, tol: float = 1e-9) -> str:
-        if self.kind == "all":
-            return INTERIOR
-        if self.kind == "hull_inflation":
-            return self.region.classify(x, tol=max(tol, 1e-9))
-        P = self.polytope
-        if not self.screen.within(np.asarray(x, dtype=float)[None, :], tol)[0]:
-            return EXTERIOR
-        dirs = _direction_net(P.dim)
-        margin = float(np.min(np.max(P.vertices @ dirs.T, axis=0) - dirs @ x))
-        return INTERIOR if margin > max(tol, 1e-9) else BOUNDARY
 
 
 class RowOracle:
@@ -90,7 +55,6 @@ class TestFunction:
     dim: int
     value: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray], list[np.ndarray]]
-    domain: Domain = field(default_factory=Domain)
     rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -259,21 +223,24 @@ def sin_quadratic(c: float, w, Q, a) -> TestFunction:
 
 
 def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
-    """base plus the indicator of a polytope; boundary points keep the value
-    but expose no subgradients (conservative under locality).  A point is
-    in the domain when its distance to the polytope is at most 1e-9."""
+    """base plus the indicator of a polytope (distance at most 1e-9);
+    boundary points keep the value but expose no subgradients.  One hull
+    screen decides both: x is interior when its probes x +- 1.25e-9 e_i
+    all lie within 2.5e-10 of the polytope, i.e. 1e-9 from an end in 1-D,
+    while on a facet of any slope some probe is 1.25e-9/sqrt(dim) out."""
     if domain.dim != base.dim:
         raise ValueError("domain dimension must match the base function")
-    dom = Domain(kind="polytope", polytope=domain)
+    screen = HullScreen(domain, domain)
+    steps = 1.25e-9 * np.vstack([np.eye(base.dim), -np.eye(base.dim)])
 
     def rows(X):
-        inside = dom.screen.within(X, 1e-9)
+        inside = screen.within(X, 1e-9)
         vals = np.full(len(X), np.inf)
         vals[inside] = base.rows(X[inside])
         return vals
 
     def subgrad(x):
-        return base.subgrad(x) if dom.classify(x) == INTERIOR else []
+        return base.subgrad(x) if screen.within(x + steps, 2.5e-10).all() else []
 
     return TestFunction(
         fid="restricted",
@@ -284,7 +251,6 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
         dim=base.dim,
         value=RowOracle(rows),
         subgrad=subgrad,
-        domain=dom,
     )
 
 

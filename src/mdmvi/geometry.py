@@ -359,20 +359,14 @@ class HullScreen:
         lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self._V.T, axis=1)
         return np.maximum(lower, 0.0), upper
 
-    def split(self, X: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Rows surely within ``radius`` of [A,B], and rows the bounds
-        leave undecided; the rest are surely farther than ``radius``."""
-        lower, upper = self._bounds(X)
-        margin = _SCREEN_MARGIN * (self._scale + np.abs(X).max(axis=1))
-        inside = upper <= radius - margin
-        band = ~inside & (lower <= radius + margin)
-        return inside, band
-
     def within(self, X, radius: float) -> np.ndarray:
         """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]``; the
         projection runs only on the rows the bounds leave undecided."""
         X = as_rows(X, self._V.shape[1])
-        inside, band = self.split(X, radius)
+        lower, upper = self._bounds(X)
+        margin = _SCREEN_MARGIN * (self._scale + np.abs(X).max(axis=1))
+        inside = upper <= radius - margin
+        band = ~inside & (lower <= radius + margin)
         for i in np.nonzero(band)[0]:
             inside[i] = dist_to_hull(X[i], self.A, self.B).d <= radius
         return inside

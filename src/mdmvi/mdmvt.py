@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__ as _version
 from .ekeland import (
     FuzzyPairError,
-    HullInflation,
     default_schedule,
     descend_g,
     evp_check,
@@ -32,7 +31,6 @@ from .ekeland import (
     g_table,
 )
 from .functions import (
-    Domain,
     RowOracle,
     TestFunction,
     f_eval,
@@ -41,12 +39,9 @@ from .functions import (
     make_function,
 )
 from .geometry import (
-    EXTERIOR,
-    INTERIOR,
     HullScreen,
     Polytope,
     as_point,
-    classify_point,
     dist_to_hull,
     inf_linear,
     sample_set,
@@ -88,6 +83,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.A.dim != self.B.dim or self.A.dim != self.f.dim:
             raise SpecFormatError("dimensions of f, A and B must agree")
+        if not np.isfinite([self.delta, self.mu, self.s, self.epsilon]).all():
+            raise SpecFormatError("delta, mu, s and epsilon must be finite")
         if not self.delta > 0:
             raise SpecInvariantError("delta must be positive")
         if not self.epsilon > 0:
@@ -312,29 +309,37 @@ def _choose_params(ps: ProblemSpec, inf_a: float, inf_bd: float) -> PipelinePara
     raise SpecInvariantError("no admissible inflation split for the Lipschitz bound")
 
 
+def _c_radii(delta: float) -> tuple[float, float]:
+    """The largest floats d with fl(d - delta) <= 1e-9 (in C) and with
+    fl(d - delta) < -1e-9 (interior to C): rounding is monotone, so
+    ``within`` at them is exactly ``classify_point``'s rule at 1e-9."""
+    radii = []
+    for r, ok in ((delta + _DEF_TOL, lambda d: d - delta <= _DEF_TOL),
+                  (delta - _DEF_TOL, lambda d: d - delta < -_DEF_TOL)):
+        while not ok(r):
+            r = np.nextafter(r, -np.inf)
+        while ok(np.nextafter(r, np.inf)):
+            r = np.nextafter(r, np.inf)
+        radii.append(float(r))
+    return radii[0], radii[1]
+
+
 def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestFunction:
     """f made +inf outside C (boundary kept inside); subgradients delegate
     to f at interior points only, so boundary use fails loudly.
 
-    A point is outside C when ``classify_point`` calls it exterior at
-    tolerance 1e-9.  The hull screen settles the rows its distance bounds
-    place clearly inside or outside; the rows between them get that exact
-    comparison."""
-    region = HullInflation(A, B, delta)
+    One hull screen of [A,B] decides both, at the radii of ``_c_radii``."""
     screen = HullScreen(A, B)
+    outer, inner = _c_radii(delta)
 
     def rows(X):
-        inside, band = screen.split(X, delta + _DEF_TOL)
-        for i in np.nonzero(band)[0]:
-            inside[i] = classify_point(X[i], A, B, delta, tol=_DEF_TOL) != EXTERIOR
+        inside = screen.within(X, outer)
         vals = np.full(len(X), np.inf)
         vals[inside] = f.rows(X[inside])
         return vals
 
     def subgrad(x):
-        if classify_point(x, A, B, delta, tol=_DEF_TOL) == INTERIOR:
-            return f.subgrad(x)
-        return []
+        return f.subgrad(x) if screen.within(x[None, :], inner)[0] else []
 
     return TestFunction(
         fid=f"{f.fid}|restricted_to_inflated_hull",
@@ -342,7 +347,6 @@ def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestF
         dim=f.dim,
         value=RowOracle(rows),
         subgrad=subgrad,
-        domain=Domain(kind="hull_inflation", region=region),
     )
 
 
@@ -351,15 +355,15 @@ def boundary_samples(
     hull_pts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deterministic points on the boundary of C, built by pushing hull
-    samples outward by delta and keeping those at distance exactly delta.
+    samples outward by delta and keeping those at distance delta +- 1e-9.
 
     The seeds are a stride of ``hull_pts``, the hull grid at resolution
     min(resolution, 41) (computed when the caller does not already have
     it), plus every vertex of A and B: a vertex pushed by delta along its
     normal cone is at distance exactly delta, while no grid point need lie
-    on a slanted edge.  Candidates are screened by a vectorized
-    support-function lower bound and exact distances are only computed in
-    descending-bound order, so genuine boundary points surface first.
+    on a slanted edge.  Candidates are ranked by a support-function lower
+    bound on their distance, highest first, and cut off below delta by a
+    margin; one hull screen decides the rest at once, first ``cap`` kept.
     """
     if hull_pts is None:
         hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
@@ -374,21 +378,16 @@ def boundary_samples(
 
     support = np.max(V @ dirs.T, axis=0)
     lower = np.max(cands @ dirs.T - support[None, :], axis=1)
-    order = sorted(range(len(cands)), key=lambda i: (-lower[i], i))
-
-    out = []
-    for i in order:
-        if lower[i] < delta - max(0.05 * delta, 1e-6):
-            break  # sorted: everything below is interior by a margin
-        if abs(dist_to_hull(cands[i], A, B).d - delta) <= 1e-9:
-            out.append(cands[i])
-            if len(out) >= cap:
-                break
-    if not out:
+    order = np.argsort(-lower, kind="stable")
+    kept = cands[order[lower[order] >= delta - max(0.05 * delta, 1e-6)]]
+    screen = HullScreen(A, B)
+    outer, inner = _c_radii(delta)
+    on = screen.within(kept, outer) & ~screen.within(kept, inner)
+    if not on.any():
         raise CertificateSearchError(
             f"boundary samples: no candidate lies at distance {delta} from the hull"
         )
-    return np.array(out)
+    return kept[on][:cap]
 
 
 def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals=None) -> float:
@@ -533,10 +532,9 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
         gap_xy = f_eval(f1, pair.x) - phi_eval(pair.y, sc, tol=tol).value
         if gap_xy >= eps_bar:
             failures.append(f"value gap {gap_xy:.3e} >= {eps_bar:.3e}")
-        d_xi = dist_to_hull(xi, A, B).d
-        if classify_point(xi, A, B, delta, tol=_DEF_TOL) != INTERIOR:
+        interior_margin = delta - dist_to_hull(xi, A, B).d
+        if not interior_margin > _DEF_TOL:
             failures.append("xi is not interior to C")
-        interior_margin = delta - d_xi
 
         if hull_psi is None:
             hull_psi = psi_on_grid(tent, hull_grid)

@@ -1,0 +1,43 @@
+"""The per-candidate search for boundary points of C that the one-screen
+decision in ``mdmvi.mdmvt.boundary_samples`` replaced, kept as the
+reference that decision is tested against.
+
+Candidates are the same seeds pushed by delta along the same direction
+net, taken in descending order of their support-function lower bound;
+each one gets an exact projection (``dist_to_hull``) until ``cap`` points
+at distance delta within 1e-9 are found or the bound drops below the
+cutoff.
+"""
+
+import numpy as np
+
+from mdmvi.geometry import Polytope, _direction_net, dist_to_hull, sample_set
+
+
+def reference_boundary_samples(
+    A: Polytope, B: Polytope, delta: float, resolution: int, cap: int = 400,
+) -> np.ndarray:
+    """The boundary points, or an empty (0, dim) array when none is found."""
+    hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
+    stride = max(1, len(hull_pts) // 50)
+    seeds = hull_pts[::stride]
+    V = np.vstack([A.vertices, B.vertices])
+    corners = V[np.sort(np.unique(V, axis=0, return_index=True)[1])]
+    fresh = ~(seeds[None] == corners[:, None]).all(axis=2).any(axis=1)
+    seeds = np.vstack([seeds, corners[fresh]])
+    dirs = _direction_net(A.dim)
+    cands = (seeds[:, None, :] + delta * dirs[None, :, :]).reshape(-1, A.dim)
+
+    support = np.max(V @ dirs.T, axis=0)
+    lower = np.max(cands @ dirs.T - support[None, :], axis=1)
+    order = sorted(range(len(cands)), key=lambda i: (-lower[i], i))
+
+    out = []
+    for i in order:
+        if lower[i] < delta - max(0.05 * delta, 1e-6):
+            break  # sorted: everything below is interior by a margin
+        if abs(dist_to_hull(cands[i], A, B).d - delta) <= 1e-9:
+            out.append(cands[i])
+            if len(out) >= cap:
+                break
+    return np.array(out).reshape(-1, A.dim)

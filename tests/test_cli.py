@@ -166,3 +166,37 @@ def test_typed_run_errors_exit_1(workdir, capsys, monkeypatch, error):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "could not go on" in err[0]
+
+
+@pytest.mark.parametrize("field", ["delta", "mu", "s", "epsilon"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_spec_numbers_exit_2(workdir, capsys, field, value):
+    data = json.loads((workdir / "canonical_1d.json").read_text())
+    data[field] = value
+    (workdir / "bad.json").write_text(json.dumps(data))
+    assert run_command(["certificate", "bad.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "canonical_1d.json", "--schedule", "0.1,0.2"],
+        ["certificate", "canonical_1d.json", "--schedule", "-1"],
+        ["certificate", "canonical_1d.json", "--schedule", "0.1,nan"],
+        ["eval-psi", "canonical_1d.json", "--grid", "1", "--out", "psi.csv"],
+        ["eval-phi", "canonical_1d.json", "--grid", "0", "--out", "phi.csv"],
+    ],
+)
+def test_bad_arguments_exit_2_before_the_pipeline(workdir, capsys, monkeypatch, argv):
+    import mdmvi.cli as cli
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run", no_pipeline)
+    monkeypatch.setattr(cli, "choose_params", no_pipeline)
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -134,12 +134,9 @@ class TestEpsSubdiffCheck:
 
 class TestDomain:
     def test_polytope_interior_vs_boundary(self):
-        from mdmvi.functions import Domain
-        from mdmvi.geometry import BOUNDARY, INTERIOR, Polytope
-
-        dom = Domain(kind="polytope", polytope=Polytope([[0.0], [1.0]]))
-        assert dom.classify(np.array([0.5])) == INTERIOR
-        assert dom.classify(np.array([1.0])) == BOUNDARY
+        f = restricted(linear([2.0]), Polytope([[0.0], [1.0]]))
+        assert [g.tolist() for g in f_subgrad(f, [0.5])] == [[2.0]]
+        assert f_subgrad(f, [1.0]) == []
 
 
 class TestMakeFunction:

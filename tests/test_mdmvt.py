@@ -299,16 +299,15 @@ class TestEstimatesAndBoundary:
     def test_no_boundary_sample_is_a_typed_error(self, seg_a, seg_b, monkeypatch):
         """When no candidate lands at distance delta the search stage says
         so with a CertificateSearchError, not a bare RuntimeError."""
-        import mdmvi.mdmvt as mv
+        from mdmvi.geometry import HullScreen
         from mdmvi.mdmvt import CertificateSearchError
 
-        real = mv.dist_to_hull
+        real = HullScreen.within
 
-        def too_far(x, A, B):
-            res = real(x, A, B)
-            return res._replace(d=res.d + 1.0)
+        def too_far(self, X, radius):  # every distance one unit larger
+            return real(self, X, radius - 1.0)
 
-        monkeypatch.setattr(mv, "dist_to_hull", too_far)
+        monkeypatch.setattr(HullScreen, "within", too_far)
         with pytest.raises(CertificateSearchError, match="boundary samples"):
             boundary_samples(seg_a, seg_b, 0.5, 41)
 
