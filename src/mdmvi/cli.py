@@ -50,48 +50,19 @@ def _load_spec(path: str, args) -> ProblemSpec:
     return ps
 
 
-def _parse_schedule(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise SpecFormatError(f"bad schedule: {exc}") from exc
-    if not values:
-        raise SpecFormatError("empty schedule")
-    if not all(0 < v < np.inf for v in values) or values != sorted(set(values), reverse=True):
-        raise SpecFormatError("schedule must be positive, finite, strictly decreasing")
-    return values
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_trace(path: Path, cert) -> None:
-    trace = cert.diagnostics.get("schedule_trace", [])
-    dim = len(cert.xi)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "eps"] + [f"u{i}" for i in range(dim)] + ["g_value", "residual"])
-        for row in trace:
-            writer.writerow(
-                [row["n"], repr(row["eps"])]
-                + [repr(v) for v in row["u"]]
-                + [repr(row["g_value"]), "" if row["residual"] is None else repr(row["residual"])]
-            )
-
-
 def _cmd_certificate(args) -> int:
-    ps = _load_spec(args.spec, args)
-    schedule = _parse_schedule(args.schedule)
     tol = 1e-8 if args.tol is None else args.tol
-    cert = run(ps, schedule=schedule, tol=tol)
+    if not (np.isfinite(tol) and tol > 0):
+        raise SpecFormatError("tol must be a positive finite number")
+    ps = _load_spec(args.spec, args)
+    cert = run(ps, tol=tol)
     valid, report = verify_certificate(cert, ps)
     out = Path(args.out) if args.out else Path(args.spec).with_suffix(".certificate.json")
     _write_json(out, cert.to_json_dict())
-    if args.trace:
-        _write_trace(Path(args.trace), cert)
     print(f"certificate written to {out}")
     for name in ("value_localization", "subgradient_norm", "mean_value_increment"):
         chk = cert.checks[name]
@@ -236,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="duality-gap tolerance for smoothing evaluations (default 1e-8)",
     )
-    p_cert.add_argument("--schedule")
-    p_cert.add_argument("--trace", help="write the schedule iteration trace as CSV")
 
     p_ver = sub.add_parser("verify", help="independent certificate recheck")
     p_ver.add_argument("certificate")

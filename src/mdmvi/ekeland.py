@@ -1,10 +1,12 @@
 """Approximate minimization of g = f1 - phi_K with a verified domination
-certificate, plus extraction of nearly-cancelling subgradient pairs.
+certificate, plus extraction of a nearly-cancelling subgradient pair.
 
-The existential minimization step is realized constructively: multistart
-compass search seeded from a grid, followed by an a-posteriori grid check
-of the domination inequality g(z) + eps ||z - u|| >= g(u).  Both read g
-from one ``GTable`` of the grid, built once per pipeline run.
+The existential minimization step of Ekeland's principle is realized
+constructively, at the one ``EKELAND_EPS``: multistart compass search
+seeded from a grid gives the point u, and an a-posteriori grid check of
+the domination inequality g(z) + eps ||z - u|| >= g(u) confirms it.  Both
+read g from one ``GTable`` of the grid, built once per pipeline run.  One
+pair search around u then yields the fuzzy pair.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .supconv import (
 
 DEFAULT_EVP_TOL = 1e-6
 DEFAULT_RESIDUAL_FACTOR = 10.0
+EKELAND_EPS = 0.1  # the eps of Ekeland's principle for the point u
 
 
 class DescentError(RuntimeError):
@@ -61,10 +64,6 @@ def _g_eval(z: np.ndarray, f1: TestFunction, sc: SupConvSpec, tol: float = 1e-8)
     return fv - phi_eval(z, sc, tol=tol).value
 
 
-def default_schedule() -> list[float]:
-    return [10.0 ** (-1.0 - n / 2.0) for n in range(9)]
-
-
 class GTable(NamedTuple):
     """f1, phi_K and g = f1 - phi_K on the points of a grid; g is +inf
     where f1 is +inf (outside its domain)."""
@@ -88,17 +87,14 @@ def minimize_g(
     f1: TestFunction,
     sc: SupConvSpec,
     region: HullInflation,
-    schedule,
     resolution: int,
     seed: int = 0,
     phi_tol: float = 1e-8,
-) -> list[EkelandPoint]:
-    """Near-minimizers of g = f1 - phi_K on C, one per schedule entry,
-    seeded from a grid of C at ``resolution`` (see ``descend_g``)."""
+) -> EkelandPoint:
+    """Near-minimizer of g = f1 - phi_K on C, seeded from a grid of C at
+    ``resolution`` (see ``descend_g``)."""
     grid = sample_set(region.A, region.B, region.delta, resolution)
-    return descend_g(
-        g_table(f1, sc, grid, tol=phi_tol), f1, sc, region.delta, schedule, seed, phi_tol
-    )
+    return descend_g(g_table(f1, sc, grid, tol=phi_tol), f1, sc, region.delta, seed, phi_tol)
 
 
 def descend_g(
@@ -106,11 +102,10 @@ def descend_g(
     f1: TestFunction,
     sc: SupConvSpec,
     delta: float,
-    schedule,
     seed: int = 0,
     phi_tol: float = 1e-8,
-) -> list[EkelandPoint]:
-    """Near-minimizers of g = f1 - phi_K on C, one per schedule entry.
+) -> EkelandPoint:
+    """Near-minimizer of g = f1 - phi_K on C, at eps ``EKELAND_EPS``.
 
     Multistart compass search (Torczon 1997; Kolda, Lewis & Torczon 2003)
     from the best points of ``table``, a grid of C inflated by ``delta``.
@@ -123,12 +118,6 @@ def descend_g(
     table are never evaluated again.  Deterministic given the seed; ties
     between start points break by lexicographic point order.
     """
-    schedule = [float(e) for e in schedule]
-    if not schedule or any(e <= 0 for e in schedule):
-        raise ValueError("schedule entries must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
-
     grid, gvals = table.pts, table.g
     finite = np.isfinite(gvals)
     if not finite.any():
@@ -177,7 +166,7 @@ def descend_g(
 
     ends = [descend(grid[i], float(gvals[i])) for i in seeds]
     best_x, best_f = min(ends, key=lambda end: (end[1], tuple(end[0])))
-    return [EkelandPoint(u=best_x.copy(), eps=e, value=float(best_f)) for e in schedule]
+    return EkelandPoint(u=best_x.copy(), eps=EKELAND_EPS, value=float(best_f))
 
 
 class EvpReport(NamedTuple):
@@ -241,7 +230,6 @@ def fuzzy_pair(
     k_residual: float = DEFAULT_RESIDUAL_FACTOR,
     tol: float = 1e-8,
     grid_phi: np.ndarray | None = None,
-    memo: dict | None = None,
 ) -> FuzzyPair:
     """Nearly-cancelling pair: p from f's representatives at x, q from the
     negated smoothing supergradient at y, with x, y within search_radius
@@ -249,18 +237,15 @@ def fuzzy_pair(
 
     Minimizes residual plus separation over a deterministic perturbation
     pattern; fails loudly when the residual exceeds k_residual times the
-    schedule entry of u (a kink coincidence the caller must refine past).
+    eps of u (a kink coincidence no point of the pattern gets past).
     ``tol`` is the duality-gap tolerance of every smoothing evaluation;
     ``grid_phi``, the smoothing on ``grid``, serves every supergradient
-    check when the caller already has it.  ``memo`` keeps the smoothing
-    supergradients and the subgradients of f by point, so that calls that
-    share it, with the same f, smoothing, grid and tol, evaluate no point
-    twice.
+    check when the caller already has it.  The subgradients of f at u are
+    computed once per call.
     """
     if search_radius <= 0:
         raise ValueError("search_radius must be positive")
     base = as_point(u.u, f.dim)
-    memo = {} if memo is None else memo
 
     def supergradient(y):  # None where the check fails
         try:
@@ -271,23 +256,19 @@ def fuzzy_pair(
     def subgrads(x):  # none outside the domain of f
         return f_subgrad(f, x) if np.isfinite(f_eval(f, x)) else []
 
-    def once(at, z):
-        key = (at.__name__, z.tobytes())
-        if key not in memo:
-            memo[key] = at(z)
-        return memo[key]
-
+    # u is a candidate x for every y, and is y itself at the zero offset
+    base_key, base_subgrads = base.tobytes(), subgrads(base)
     best: FuzzyPair | None = None
     best_score = np.inf
     for off in _perturbation_offsets(f.dim, search_radius):
         y = base + off
-        sg = once(supergradient, y)
+        sg = supergradient(y)
         if sg is None:
             continue
         q = -sg.p
         x_cands = [y] if not off.any() else [y, base]
         for x in x_cands:
-            for p in once(subgrads, x):
+            for p in base_subgrads if x.tobytes() == base_key else subgrads(x):
                 residual = float(np.linalg.norm(p + q))
                 separation = float(np.linalg.norm(x - y))
                 score = residual + separation
@@ -307,6 +288,6 @@ def fuzzy_pair(
         got = "none" if best is None else f"{best.residual:.3e}"
         raise FuzzyPairError(
             f"no pair with residual <= {k_residual * u.eps:.3e} near "
-            f"{base.tolist()} (best {got}); refine the schedule"
+            f"{base.tolist()} (best {got})"
         )
     return best

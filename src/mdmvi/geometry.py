@@ -359,17 +359,22 @@ class HullScreen:
         lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self._V.T, axis=1)
         return np.maximum(lower, 0.0), upper
 
-    def within(self, X, radius: float) -> np.ndarray:
-        """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]``; the
-        projection runs only on the rows the bounds leave undecided."""
+    def within(self, X, radius) -> np.ndarray:
+        """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]``, or
+        one such row per entry when ``radius`` is an array of radii.  The
+        bounds are computed once; the projection runs only on the rows
+        that some radius leaves undecided."""
         X = as_rows(X, self._V.shape[1])
+        radius = np.asarray(radius, dtype=float)
+        R = radius.reshape(-1, 1)
         lower, upper = self._bounds(X)
         margin = _SCREEN_MARGIN * (self._scale + np.abs(X).max(axis=1))
-        inside = upper <= radius - margin
-        band = ~inside & (lower <= radius + margin)
-        for i in np.nonzero(band)[0]:
-            inside[i] = dist_to_hull(X[i], self.A, self.B).d <= radius
-        return inside
+        inside = upper <= R - margin
+        band = ~inside & (lower <= R + margin)
+        for i in np.nonzero(band.any(axis=0))[0]:
+            d = dist_to_hull(X[i], self.A, self.B).d
+            inside[:, i] |= band[:, i] & (d <= R[:, 0])
+        return inside.reshape(radius.shape + (len(X),))
 
 
 def within(X, A: Polytope, B: Polytope, radius: float) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__ as _version
 from .ekeland import (
+    DEFAULT_EVP_TOL,
     FuzzyPairError,
-    default_schedule,
     descend_g,
     evp_check,
     fuzzy_pair,
@@ -63,7 +63,7 @@ class SpecInvariantError(ValueError):
 
 
 class CertificateSearchError(RuntimeError):
-    """The schedule was exhausted without a valid certificate."""
+    """The pipeline's candidate failed a check, or no candidate was found."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,9 +380,8 @@ def boundary_samples(
     lower = np.max(cands @ dirs.T - support[None, :], axis=1)
     order = np.argsort(-lower, kind="stable")
     kept = cands[order[lower[order] >= delta - max(0.05 * delta, 1e-6)]]
-    screen = HullScreen(A, B)
-    outer, inner = _c_radii(delta)
-    on = screen.within(kept, outer) & ~screen.within(kept, inner)
+    outer, inner = HullScreen(A, B).within(kept, np.array(_c_radii(delta)))
+    on = outer & ~inner
     if not on.any():
         raise CertificateSearchError(
             f"boundary samples: no candidate lies at distance {delta} from the hull"
@@ -429,19 +428,20 @@ def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
     return found
 
 
-def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
-    """Execute the full pipeline and return the first valid certificate.
+def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
+    """Execute the full pipeline and return its certificate.
 
     ``tol`` is the duality-gap tolerance for every smoothing evaluation.
     The C grid and the hull grid are each evaluated once, into tables that
-    every later stage reads.  Raises CertificateSearchError with a
-    per-step report when the schedule is exhausted, and SpecInvariantError
-    when the problem data breaks a hypothesis (including a positive grid
-    infimum of g, which signals a misestimated r).
+    every later stage reads.  One descent gives the Ekeland point u, and
+    one pair search around it gives the candidate (xi, p).  Raises
+    CertificateSearchError naming every check the candidate fails, or
+    wrapping the pair search's failure, and SpecInvariantError when the
+    problem data breaks a hypothesis (including a positive grid infimum
+    of g, which signals a misestimated r).
     """
     if not tol > 0:
         raise SpecFormatError("tol must be positive")
-    schedule = default_schedule() if schedule is None else [float(e) for e in schedule]
     A, B, delta = ps.A, ps.B, ps.delta
 
     hull_grid = sample_set(A, B, 0.0, ps.resolution)
@@ -493,125 +493,100 @@ def run(ps: ProblemSpec, schedule=None, tol: float = 1e-8) -> Certificate:
     # boundary samples lie in C, where f1 is f
     boundary_g = float(np.min(f_values(ps.f, bpts) - b_phi))
 
-    ek_points = descend_g(c_table, f1, sc, delta, schedule, seed=ps.seed, phi_tol=tol)
+    ek = descend_g(c_table, f1, sc, delta, seed=ps.seed, phi_tol=tol)
 
     eps_bar = 0.5 * min(
         inf_c.value - ps.mu, inf_bd.value - s1, (delta - delta1) / (1.0 + 1.0 / K)
     )
-    slack_floor_value = inf_hull.step * lip
-    slack_floor_incr = 0.0 if A.num_vertices == 1 else inf_a.step * lip
+    radius = min(ek.eps, eps_bar, delta / 4.0)
+    try:
+        pair = fuzzy_pair(
+            ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol, grid_phi=c_table.phi
+        )
+    except FuzzyPairError as exc:
+        raise CertificateSearchError(f"pair search failed: {exc}") from exc
 
-    attempts = []
-    trace = []
-    hull_psi = None  # the tent on the hull grid, read at the first pair found
-    pair_memo: dict = {}  # every entry searches around the same u
-    for n, ek in enumerate(ek_points):
-        radius = min(ek.eps, eps_bar, delta / 4.0)
-        entry = {
-            "n": n,
-            "eps": ek.eps,
-            "u": [float(v) for v in ek.u],
-            "g_value": ek.value,
-            "residual": None,
-        }
-        trace.append(entry)
-        try:
-            pair = fuzzy_pair(
-                ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol,
-                grid_phi=c_table.phi, memo=pair_memo,
-            )
-        except FuzzyPairError as exc:
-            attempts.append(f"n={n}: {exc}")
-            continue
-        entry["residual"] = pair.residual
+    xi, p = pair.x, pair.p
+    failures = []
+    evp = evp_check(c_table, ek.u, ek.value, ek.eps, DEFAULT_EVP_TOL)
+    if not evp.ok:
+        failures.append(
+            f"domination check: worst margin {evp.worst:.3e} < -{DEFAULT_EVP_TOL:.0e}"
+        )
+    if pair.separation >= eps_bar:
+        failures.append(f"pair separation {pair.separation:.3e} >= {eps_bar:.3e}")
+    gap_xy = f_eval(f1, pair.x) - phi_eval(pair.y, sc, tol=tol).value
+    if gap_xy >= eps_bar:
+        failures.append(f"value gap {gap_xy:.3e} >= {eps_bar:.3e}")
+    interior_margin = delta - dist_to_hull(xi, A, B).d
+    if not interior_margin > _DEF_TOL:
+        failures.append("xi is not interior to C")
 
-        xi, p = pair.x, pair.p
-        failures = []
-        if pair.separation >= eps_bar:
-            failures.append(f"pair separation {pair.separation:.3e} >= {eps_bar:.3e}")
-        gap_xy = f_eval(f1, pair.x) - phi_eval(pair.y, sc, tol=tol).value
-        if gap_xy >= eps_bar:
-            failures.append(f"value gap {gap_xy:.3e} >= {eps_bar:.3e}")
-        interior_margin = delta - dist_to_hull(xi, A, B).d
-        if not interior_margin > _DEF_TOL:
-            failures.append("xi is not interior to C")
+    levels = level_sets(pair.y, sc, s1, hull_grid, psi_on_grid(tent, hull_grid), tol=tol)
+    c_n = _bisect_disjoint(levels, abs(r - s1))
+    if c_n is None:
+        failures.append("level sets could not be separated at y")
 
-        if hull_psi is None:
-            hull_psi = psi_on_grid(tent, hull_grid)
-        levels = level_sets(pair.y, sc, s1, hull_grid, hull_psi, tol=tol)
-        c_n = _bisect_disjoint(levels, abs(r - s1))
-        if c_n is None:
-            failures.append("level sets could not be separated at y")
-
-        checks = {
-            "value_localization": _check(
-                f_eval(ps.f, xi), inf_hull.value + abs(r - ps.s) + ps.epsilon
-            ),
-            "subgradient_norm": _check(
-                float(np.linalg.norm(p)), (max(r, ps.s) - ps.mu) / delta + ps.epsilon
-            ),
-            "mean_value_increment": _check(ps.s - r, inf_linear(p, B) - inf_linear(p, A)),
-        }
-        floors = {
-            "value_localization": slack_floor_value,
-            "subgradient_norm": 0.0,
-            "mean_value_increment": slack_floor_incr,
-        }
-        for name, chk in checks.items():
-            if not chk.slack > floors[name]:
-                failures.append(
-                    f"{name}: slack {chk.slack:.3e} <= floor {floors[name]:.3e}"
-                )
-
-        if failures:
-            attempts.append(f"n={n}: " + "; ".join(failures))
-            continue
-
-        evp = evp_check(c_table, ek.u, ek.value, ek.eps)
-        diagnostics = {
-            "accepted_n": n,
-            "eps_n": ek.eps,
-            "residual": pair.residual,
-            "separation": pair.separation,
-            "u": [float(v) for v in ek.u],
-            "y": [float(v) for v in pair.y],
-            "q": [float(v) for v in pair.q],
-            "interior_margin": float(interior_margin),
-            "level_separation_c": float(c_n),
-            "boundary_margin": boundary_margin,
-            "boundary_g_inf": boundary_g,
-            "grid_inf_g": grid_inf_g,
-            "evp_worst": evp.worst,
-            "eps_bar": float(eps_bar),
-            "inf_estimates": {
-                "inf_A": inf_a.value,
-                "inf_C": inf_c.value,
-                "inf_B_inflated": inf_bd.value,
-                "inf_hull": inf_hull.value,
-            },
-            "slack_floors": floors,
-            "lipschitz_estimate": lip,
-            "rejected_attempts": attempts,
-            "schedule_trace": trace,
-        }
-        tolerances = {
-            "interior_tol": _DEF_TOL,
-            "evp_tol": 1e-6,
-            "residual_factor": 10.0,
-            "grid_resolution": ps.resolution,
-            "smoothing_gap_tol": tol,
-        }
-        return Certificate(
-            xi=xi.copy(),
-            p=p.copy(),
-            checks=checks,
-            params=params,
-            diagnostics=diagnostics,
-            tolerances=tolerances,
+    checks = {
+        "value_localization": _check(
+            f_eval(ps.f, xi), inf_hull.value + abs(r - ps.s) + ps.epsilon
+        ),
+        "subgradient_norm": _check(
+            float(np.linalg.norm(p)), (max(r, ps.s) - ps.mu) / delta + ps.epsilon
+        ),
+        "mean_value_increment": _check(ps.s - r, inf_linear(p, B) - inf_linear(p, A)),
+    }
+    floors = {
+        "value_localization": inf_hull.step * lip,
+        "subgradient_norm": 0.0,
+        "mean_value_increment": 0.0 if A.num_vertices == 1 else inf_a.step * lip,
+    }
+    for name, chk in checks.items():
+        if not chk.slack > floors[name]:
+            failures.append(f"{name}: slack {chk.slack:.3e} <= floor {floors[name]:.3e}")
+    if failures:
+        raise CertificateSearchError(
+            f"no valid certificate at u = {ek.u.tolist()}:\n  " + "\n  ".join(failures)
         )
 
-    raise CertificateSearchError(
-        "schedule exhausted without a valid certificate:\n  " + "\n  ".join(attempts)
+    diagnostics = {
+        "eps_n": ek.eps,
+        "g_value": ek.value,
+        "residual": pair.residual,
+        "separation": pair.separation,
+        "u": [float(v) for v in ek.u],
+        "y": [float(v) for v in pair.y],
+        "q": [float(v) for v in pair.q],
+        "interior_margin": float(interior_margin),
+        "level_separation_c": float(c_n),
+        "boundary_margin": boundary_margin,
+        "boundary_g_inf": boundary_g,
+        "grid_inf_g": grid_inf_g,
+        "evp_worst": evp.worst,
+        "eps_bar": float(eps_bar),
+        "inf_estimates": {
+            "inf_A": inf_a.value,
+            "inf_C": inf_c.value,
+            "inf_B_inflated": inf_bd.value,
+            "inf_hull": inf_hull.value,
+        },
+        "slack_floors": floors,
+        "lipschitz_estimate": lip,
+    }
+    tolerances = {
+        "interior_tol": _DEF_TOL,
+        "evp_tol": DEFAULT_EVP_TOL,
+        "residual_factor": 10.0,
+        "grid_resolution": ps.resolution,
+        "smoothing_gap_tol": tol,
+    }
+    return Certificate(
+        xi=xi.copy(),
+        p=p.copy(),
+        checks=checks,
+        params=params,
+        diagnostics=diagnostics,
+        tolerances=tolerances,
     )
 
 

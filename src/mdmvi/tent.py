@@ -112,7 +112,6 @@ class TentSpec:
         object.__setattr__(self, "_V", V)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_facets", _facets(V, levels))
-        object.__setattr__(self, "_vertex_psi", psi_on_grid(self, V))
 
     @property
     def dim(self) -> int:
@@ -123,11 +122,6 @@ class TentSpec:
 
     def vertex_levels(self) -> np.ndarray:
         return self._levels
-
-    def vertex_values(self) -> np.ndarray:
-        """The tent at each vertex row, read once per tent; at least the
-        vertex's own level, and more where the tent rises above it."""
-        return self._vertex_psi
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import numpy as np
 from mdmvi.geometry import HullCoords, as_point, dist_to_hull
 from mdmvi.simplex_optim import ConcaveObjective, golden_max, maximize_concave
 from mdmvi.supconv import SupConvSpec
-from mdmvi.tent import psi_eval
+from mdmvi.tent import psi_eval, psi_on_grid
 
 
 class FWPhi(NamedTuple):
@@ -132,12 +132,11 @@ def fw_phi_eval(x, sc: SupConvSpec, tol: float = 1e-8) -> FWPhi:
     )
     upper = fw.upper_bound
 
-    # candidates: the Frank-Wolfe point, the vertices (whose tent values
-    # the tent holds) and x itself
+    # candidates: the Frank-Wolfe point, the vertices and x itself
     y_fw = fw.coords.weights() @ V
     cands = [(y_fw, _score(y_fw, x, sc))]
     cands.extend(
-        (v, _cone_score(pv, v, x, sc)) for v, pv in zip(V, t.vertex_values())
+        (v, _cone_score(pv, v, x, sc)) for v, pv in zip(V, psi_on_grid(t, V))
     )
     if np.isfinite(px.value):
         cands.append((x, _cone_score(px.value, x, x, sc)))

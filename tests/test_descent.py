@@ -49,7 +49,7 @@ def descent_inputs(ps: ProblemSpec):
 
 
 def _reference(args, kwargs):
-    table, f1, sc, delta, _ = args
+    table, f1, sc, delta = args
     return reference_descent(table, f1, sc, delta, kwargs["seed"], kwargs["phi_tol"])
 
 
@@ -57,8 +57,8 @@ def _reference(args, kwargs):
 def test_reaches_the_reference_value_on_bundled_problems(name, problems_dir):
     args, kwargs = descent_inputs(ProblemSpec.from_json_file(problems_dir / f"{name}.json"))
     _, g_ref = _reference(args, kwargs)
-    points = ekeland.descend_g(*args, **kwargs)
-    assert points[0].value <= g_ref + 1e-9 * (1.0 + abs(g_ref))
+    point = ekeland.descend_g(*args, **kwargs)
+    assert point.value <= g_ref + 1e-9 * (1.0 + abs(g_ref))
 
 
 @pytest.mark.parametrize("seed", [1, VALLEY_SEED])
@@ -70,8 +70,8 @@ def test_reaches_the_reference_value_on_multivertex_2d(seed):
     ps = ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=seed))
     args, kwargs = descent_inputs(ps)
     _, g_ref = _reference(args, kwargs)
-    points = ekeland.descend_g(*args, **kwargs)
-    assert points[0].value <= g_ref + ekeland.DEFAULT_EVP_TOL
+    point = ekeland.descend_g(*args, **kwargs)
+    assert point.value <= g_ref + ekeland.DEFAULT_EVP_TOL
 
 
 def test_valley_takes_a_bounded_number_of_batches(monkeypatch):
@@ -86,14 +86,14 @@ def test_valley_takes_a_bounded_number_of_batches(monkeypatch):
 
     monkeypatch.setattr(ekeland, "phi_on_grid", spy)
     monkeypatch.setattr(ekeland, "phi_eval", None)  # no point-at-a-time path
-    points = ekeland.descend_g(*args, **kwargs)
+    point = ekeland.descend_g(*args, **kwargs)
     starts = 3
     # 789 batches of at most 8 points over the three start points; the
     # golden-section descent took about 7,500 single evaluations for one
     assert len(batches) <= starts * 300
     assert max(batches) <= 8
     # below the value where the old descent's 30 sweeps left it
-    assert points[0].value < -0.039983
+    assert point.value < -0.039983
 
 
 def test_table_points_are_not_evaluated_again(monkeypatch, problems_dir):

@@ -15,7 +15,7 @@ from mdmvi import (
     quadratic,
     restricted,
 )
-from mdmvi.ekeland import DescentError, default_schedule
+from mdmvi.ekeland import EKELAND_EPS, DescentError
 from mdmvi.geometry import HullInflation
 from mdmvi.mdmvt import restrict_f
 from mdmvi.supconv import phi_value
@@ -50,69 +50,53 @@ class TestMinimizeG:
         # the smoothing's slope first exceeds the slope of f
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
         region = HullInflation(seg_a, seg_b, 0.5)
-        pts = minimize_g(f1, canonical_smoothing, region, [0.1, 0.01], 201, seed=0)
+        pt = minimize_g(f1, canonical_smoothing, region, 201, seed=0)
         xs = np.linspace(-0.5, 1.5, 2001)
         gs = np.array(
             [x - phi_value([x], canonical_smoothing) for x in xs]
         )
         u_grid = xs[int(np.argmin(gs))]
-        assert abs(pts[0].u[0] - u_grid) <= 2e-3
-        assert pts[0].value == pytest.approx(float(gs.min()), abs=1e-6)
+        assert abs(pt.u[0] - u_grid) <= 2e-3
+        assert pt.value == pytest.approx(float(gs.min()), abs=1e-6)
 
     def test_constant_g_returns_zero_value(self, seg_a, seg_b, canonical_smoothing):
         f = wrap_phi(canonical_smoothing)
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
         region = HullInflation(seg_a, seg_b, 0.5)
-        pts = minimize_g(f1, canonical_smoothing, region, [0.1], 101, seed=0)
-        assert pts[0].value == pytest.approx(0.0, abs=1e-9)
+        pt = minimize_g(f1, canonical_smoothing, region, 101, seed=0)
+        assert pt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_centered_quadratic_recovers_center(self, seg_a, seg_b, canonical_smoothing):
         f = wrap_phi(canonical_smoothing, extra=lambda x: 0.5 * float((x[0] - 0.5) ** 2))
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
         region = HullInflation(seg_a, seg_b, 0.5)
-        pts = minimize_g(f1, canonical_smoothing, region, [0.1], 101, seed=0)
-        assert pts[0].u[0] == pytest.approx(0.5, abs=1e-6)
-        assert pts[0].value == pytest.approx(0.0, abs=1e-9)
-
-    def test_values_nonincreasing_along_schedule(self, seg_a, seg_b, canonical_smoothing):
-        f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        pts = minimize_g(
-            f1, canonical_smoothing, region, default_schedule(), 101, seed=0
-        )
-        vals = [p.value for p in pts]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+        pt = minimize_g(f1, canonical_smoothing, region, 101, seed=0)
+        assert pt.u[0] == pytest.approx(0.5, abs=1e-6)
+        assert pt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_domain_errors(self, seg_a, seg_b, canonical_smoothing):
         f = restricted(linear([1.0]), Polytope([[5.0], [6.0]]))
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
         region = HullInflation(seg_a, seg_b, 0.5)
         with pytest.raises(DescentError):
-            minimize_g(f1, canonical_smoothing, region, [0.1], 41, seed=0)
-
-    def test_schedule_must_decrease(self, seg_a, seg_b, canonical_smoothing):
-        f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        with pytest.raises(ValueError):
-            minimize_g(f1, canonical_smoothing, region, [0.1, 0.1], 41, seed=0)
+            minimize_g(f1, canonical_smoothing, region, 41, seed=0)
 
     def test_deterministic_given_seed(self, seg_a, seg_b, canonical_smoothing):
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
         region = HullInflation(seg_a, seg_b, 0.5)
-        a = minimize_g(f1, canonical_smoothing, region, [0.1], 101, seed=4)
-        b = minimize_g(f1, canonical_smoothing, region, [0.1], 101, seed=4)
-        assert np.array_equal(a[0].u, b[0].u)
+        a = minimize_g(f1, canonical_smoothing, region, 101, seed=4)
+        b = minimize_g(f1, canonical_smoothing, region, 101, seed=4)
+        assert np.array_equal(a.u, b.u)
 
     def test_final_entry_meets_exhaustive_scan(self, seg_a, seg_b, canonical_smoothing):
-        # the last schedule entry must land within eps_N (plus grid error)
-        # of an independent exhaustive scan of g
+        # the point must land within 1e-5 (plus grid error) of an
+        # independent exhaustive scan of g
         from mdmvi import TestFunction
         from mdmvi.oracles import grid_inf
 
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
         region = HullInflation(seg_a, seg_b, 0.5)
-        schedule = default_schedule()
-        pts = minimize_g(f1, canonical_smoothing, region, schedule, 201, seed=0)
+        pt = minimize_g(f1, canonical_smoothing, region, 201, seed=0)
         g_fn = TestFunction(
             fid="synthetic",
             params={},
@@ -122,7 +106,8 @@ class TestMinimizeG:
         )
         scan = grid_inf(g_fn, seg_a, seg_b, 0.5, 401)
         lip_budget = 1.0 + canonical_smoothing.K
-        assert pts[-1].value - scan.value <= schedule[-1] + scan.step * lip_budget
+        assert pt.eps == EKELAND_EPS
+        assert pt.value - scan.value <= 1e-5 + scan.step * lip_budget
 
 
 class TestEvpVerify:

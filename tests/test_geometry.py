@@ -16,6 +16,7 @@ from mdmvi import (
 )
 from mdmvi.geometry import (
     HullInflation,
+    HullScreen,
     _direction_net,
     as_point,
     hull_diameter,
@@ -312,6 +313,32 @@ def test_within_equals_the_projection_comparison(seed, dim, m_a, m_b, flat, shar
     X = np.array(rows)
     want = [dist_to_hull(x, A, B).d <= radius for x in X]
     assert within(X, A, B, radius).tolist() == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    m_a=st.integers(1, 5),
+    m_b=st.integers(1, 5),
+    flat=st.booleans(),
+)
+def test_within_decides_several_radii_at_once(seed, dim, m_a, m_b, flat):
+    """An array of radii gets one row of decisions per radius, each the
+    projection comparison at that radius, rows at each radius included."""
+    rng = np.random.default_rng(seed)
+    A, B, origin, _ = _flat_pair(rng, dim, m_a, m_b, flat, False)
+    radii = np.array([0.5, 0.5 - 1e-9, 0.05, 0.0])
+    rows = list(origin + 2.0 * rng.normal(size=(8, dim)))
+    for x0 in list(rows):
+        d, y, _ = dist_to_hull(x0, A, B)
+        if d > 1e-6:
+            rows.extend(y + (x0 - y) * (radii / d)[:, None])
+    X = np.array(rows)
+    dists = [dist_to_hull(x, A, B).d for x in X]
+    got = HullScreen(A, B).within(X, radii)
+    assert got.shape == (len(radii), len(X))
+    assert got.tolist() == [[d <= r for d in dists] for r in radii]
 
 
 def _sample_set_by_points(A, B, delta, resolution):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import mdmvi.mdmvt as mdmvt
 from mdmvi import (
+    CertificateSearchError,
+    FuzzyPairError,
     ProblemSpec,
     SpecInvariantError,
     SupConvSpec,
@@ -20,7 +23,10 @@ from mdmvi.mdmvt import (
     _estimate_inf,
     boundary_samples,
 )
+from mdmvi.ekeland import EvpReport
 from mdmvi.supconv import phi_on_grid
+
+from test_multivertex import MULTIVERTEX_2D
 
 
 def make_spec(**overrides):
@@ -166,21 +172,25 @@ class TestRunCanonical:
         assert again.params.K == cert.params.K
 
 
+def band_spec():
+    return ProblemSpec.from_json_dict(
+        {
+            "function": {"id": "linear", "params": {"a": [1.0, 0.0], "b": 0.0}},
+            "A": [[0.0, 0.0], [0.0, 1.0]],
+            "B": [[2.0, 0.0], [2.0, 1.0]],
+            "delta": 0.5,
+            "mu": -0.7,
+            "s": 1.3,
+            "epsilon": 0.1,
+            "resolution": 21,
+            "seed": 3,
+        }
+    )
+
+
 class TestRunTwoDimensional:
     def test_band_instance(self):
-        ps = ProblemSpec.from_json_dict(
-            {
-                "function": {"id": "linear", "params": {"a": [1.0, 0.0], "b": 0.0}},
-                "A": [[0.0, 0.0], [0.0, 1.0]],
-                "B": [[2.0, 0.0], [2.0, 1.0]],
-                "delta": 0.5,
-                "mu": -0.7,
-                "s": 1.3,
-                "epsilon": 0.1,
-                "resolution": 21,
-                "seed": 3,
-            }
-        )
+        ps = band_spec()
         cert = run(ps)
         assert np.allclose(cert.p, [1.0, 0.0], atol=1e-9)
         assert cert.checks["mean_value_increment"].rhs == pytest.approx(2.0, abs=1e-9)
@@ -189,28 +199,29 @@ class TestRunTwoDimensional:
         assert valid
 
 
-class TestScheduleExhaustion:
-    def test_reports_failures_per_step(self):
-        # the band instance needs residual headroom; an absurdly tight
-        # single-entry schedule rejects every candidate pair
-        ps = ProblemSpec.from_json_dict(
-            {
-                "function": {"id": "linear", "params": {"a": [1.0, 0.0], "b": 0.0}},
-                "A": [[0.0, 0.0], [0.0, 1.0]],
-                "B": [[2.0, 0.0], [2.0, 1.0]],
-                "delta": 0.5,
-                "mu": -0.7,
-                "s": 1.3,
-                "epsilon": 0.1,
-                "resolution": 21,
-                "seed": 3,
-            }
-        )
-        from mdmvi import CertificateSearchError
+class TestCertificateSearch:
+    def test_pair_search_failure_is_typed(self, monkeypatch):
+        def no_pair(*args, **kwargs):
+            raise FuzzyPairError("no pair here")
 
+        monkeypatch.setattr(mdmvt, "fuzzy_pair", no_pair)
+        with pytest.raises(CertificateSearchError, match="no pair here") as err:
+            run(band_spec())
+        assert isinstance(err.value.__cause__, FuzzyPairError)
+
+    def test_names_every_failed_floor(self):
+        # multivertex_2d finds a pair, whose slacks fall short of two floors
         with pytest.raises(CertificateSearchError) as err:
-            run(ps, schedule=[1e-9])
-        assert "n=0" in str(err.value)
+            run(ProblemSpec.from_json_dict(MULTIVERTEX_2D))
+        msg = str(err.value)
+        assert "value_localization: slack" in msg
+        assert "mean_value_increment: slack" in msg
+        assert "subgradient_norm" not in msg
+
+    def test_failed_domination_check_rejects_the_candidate(self, monkeypatch):
+        monkeypatch.setattr(mdmvt, "evp_check", lambda *a, **k: EvpReport(False, -1.0))
+        with pytest.raises(CertificateSearchError, match="domination check"):
+            run(band_spec())
 
 
 class TestRunThreeDimensional:

@@ -11,7 +11,15 @@ import pytest
 import mdmvi.mdmvt as mdmvt
 from mdmvi import Polytope, ProblemSpec, f_subgrad, linear, quadratic, restrict_f, restricted
 from mdmvi.functions import f_values
-from mdmvi.geometry import BOUNDARY, EXTERIOR, INTERIOR, classify_point, dist_to_hull
+from mdmvi.geometry import (
+    BOUNDARY,
+    EXTERIOR,
+    INTERIOR,
+    HullScreen,
+    classify_point,
+    dist_to_hull,
+    sample_set,
+)
 from mdmvi.mdmvt import boundary_samples
 
 from boundary_reference import reference_boundary_samples
@@ -48,6 +56,22 @@ def test_boundary_samples_match_the_per_candidate_search(name, monkeypatch):
     assert len(want) > 0
     assert np.array_equal(got, want)
     assert projections == []
+
+
+@pytest.mark.parametrize("name", ["plane_2d", "multivertex_2d", "pair_3d"])
+def test_boundary_samples_bound_their_candidates_once(name, monkeypatch):
+    ps = ProblemSpec.from_json_dict(SPECS[name])
+    hull_pts = sample_set(ps.A, ps.B, 0.0, min(ps.resolution, 41))
+    calls = []
+    real = HullScreen._bounds
+
+    def spy(self, X):
+        calls.append(len(X))
+        return real(self, X)
+
+    monkeypatch.setattr(HullScreen, "_bounds", spy)
+    boundary_samples(ps.A, ps.B, ps.delta, ps.resolution, hull_pts=hull_pts)
+    assert len(calls) == 1
 
 
 def _near_the_boundary(A: Polytope, B: Polytope, delta: float, rng) -> np.ndarray:

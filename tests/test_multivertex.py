@@ -36,8 +36,6 @@ def test_multivertex_2d_ends_in_a_certificate_or_a_documented_error():
 
 
 def test_pair_search_evaluates_no_point_twice_in_a_run(monkeypatch):
-    # every schedule entry searches around the same u; the run keeps the
-    # supergradients and subgradients it has already computed
     ps = ProblemSpec.from_json_dict(MULTIVERTEX_2D)
     seen = {"phi": [], "f": []}
     real_sg, real_sub = ekeland.phi_supergradient, ekeland.f_subgrad
@@ -52,15 +50,21 @@ def test_pair_search_evaluates_no_point_twice_in_a_run(monkeypatch):
 
     monkeypatch.setattr(ekeland, "phi_supergradient", sg_spy)
     monkeypatch.setattr(ekeland, "f_subgrad", sub_spy)
-    with pytest.raises(CertificateSearchError) as shared:
+    with pytest.raises(CertificateSearchError):
         run(ps)
     assert seen["phi"] and len(seen["phi"]) == len(set(seen["phi"]))
     assert seen["f"] and len(seen["f"]) == len(set(seen["f"]))
 
+
+def test_run_searches_for_one_pair(monkeypatch):
+    calls = []
     real_pair = mdmvt.fuzzy_pair
-    monkeypatch.setattr(
-        mdmvt, "fuzzy_pair", lambda *a, memo=None, **k: real_pair(*a, **k)
-    )
-    with pytest.raises(CertificateSearchError) as alone:
-        run(ps)
-    assert str(shared.value) == str(alone.value)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_pair(*args, **kwargs)
+
+    monkeypatch.setattr(mdmvt, "fuzzy_pair", spy)
+    with pytest.raises(CertificateSearchError):
+        run(ProblemSpec.from_json_dict(MULTIVERTEX_2D))
+    assert len(calls) == 1

@@ -24,7 +24,7 @@ from mdmvi.supconv import (
     phi_value,
     sample_table,
 )
-from mdmvi.tent import _CHUNK, psi_eval, psi_value
+from mdmvi.tent import _CHUNK, psi_eval, psi_on_grid, psi_value
 
 from conftest import grid_1d
 
@@ -189,12 +189,11 @@ class TestCertificateFirst:
         """The kernel scores a vertex by its level, which is the tent there:
         far from the hull the smoothing is the best vertex's cone."""
         V = plane_sc.tent.vertex_matrix()
-        assert np.array_equal(
-            plane_sc.tent.vertex_values(), [psi_value(v, plane_sc.tent) for v in V]
-        )
+        vertex_psi = psi_on_grid(plane_sc.tent, V)
+        assert np.array_equal(vertex_psi, [psi_value(v, plane_sc.tent) for v in V])
         for x in ([-3.0, -2.0], [5.0, 4.0], [1.0, -30.0]):
             v = phi_eval(x, plane_sc)
-            cones = plane_sc.tent.vertex_values() - plane_sc.K * np.linalg.norm(
+            cones = vertex_psi - plane_sc.K * np.linalg.norm(
                 V - np.asarray(x), axis=1
             )
             assert v.value <= cones.max() + v.gap + 1e-12
