@@ -49,7 +49,6 @@ from .supconv import (  # noqa: E402
 )
 from .functions import (  # noqa: E402
     TestFunction,
-    eps_subdiff_check,
     f_eval,
     f_subgrad,
     l2_norm,

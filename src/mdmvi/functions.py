@@ -22,7 +22,6 @@ import numpy as np
 
 from .geometry import HullScreen, Polytope, as_point, as_rows
 
-DEFAULT_CHECK_TOL = 1e-7
 _ACTIVE_TOL = 1e-9
 
 
@@ -96,27 +95,6 @@ def _quad_rows(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """x @ Q @ x for each row x of X, as (x @ Q) @ x, term by term."""
     XQ = np.stack([_row_dot(X, Q[:, j]) for j in range(Q.shape[1])], axis=1)
     return _row_dot(XQ, X)
-
-
-def eps_subdiff_check(
-    f: TestFunction, x, p, eps: float, grid, tol_check: float = DEFAULT_CHECK_TOL
-) -> bool:
-    """True iff <p, z - x> <= f(z) - f(x) + eps + tol_check on the grid
-    (points outside dom f impose no constraint)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    x = as_point(x, f.dim)
-    p = as_point(p, f.dim)
-    fx = f_eval(f, x)
-    if not np.isfinite(fx):
-        raise ValueError("f(x) must be finite")
-    for z in np.asarray(grid, dtype=float):
-        fz = f_eval(f, z)
-        if not np.isfinite(fz):
-            continue
-        if float(p @ (z - x)) > fz - fx + eps + tol_check:
-            return False
-    return True
 
 
 def linear(a, b: float = 0.0) -> TestFunction:

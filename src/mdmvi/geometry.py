@@ -142,12 +142,6 @@ def hull_vertex_matrix(A: Polytope, B: Polytope) -> np.ndarray:
     return np.vstack([A.vertices, B.vertices])
 
 
-def hull_diameter(A: Polytope, B: Polytope) -> float:
-    V = hull_vertex_matrix(A, B)
-    diff = V[:, None, :] - V[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
-
-
 def _direction_net(n: int) -> np.ndarray:
     """Deterministic unit-direction net used only for cheap bounds."""
     if n == 1:

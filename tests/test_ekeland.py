@@ -162,7 +162,7 @@ class TestEvpVerify:
 class TestFuzzyPair:
     def test_smooth_interior_point(self, seg_a, seg_b, canonical_smoothing):
         # at a smooth point the residual is |f' - phi'| exactly
-        from mdmvi import eps_subdiff_check
+        from helpers import eps_subdiff_check
         from mdmvi.supconv import phi_value as pv
 
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)

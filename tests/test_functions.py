@@ -4,7 +4,6 @@ import pytest
 from mdmvi import (
     Polytope,
     dist_to_hull,
-    eps_subdiff_check,
     f_eval,
     f_subgrad,
     l2_norm,
@@ -19,6 +18,7 @@ from mdmvi import (
 from mdmvi.functions import f_values
 
 from conftest import grid_1d
+from helpers import eps_subdiff_check
 
 
 def fd_gradient(f, x, h=1e-6):

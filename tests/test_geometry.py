@@ -19,10 +19,11 @@ from mdmvi.geometry import (
     HullScreen,
     _direction_net,
     as_point,
-    hull_diameter,
     hull_vertex_matrix,
     within,
 )
+
+from helpers import hull_diameter
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
