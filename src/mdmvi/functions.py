@@ -1,11 +1,13 @@
 """Catalog of lower semicontinuous test functions with exact value and
 subgradient-representative oracles.
 
-Each catalog member defines its value once, on rows: an (m, n) array of
-points maps to their m values, with every sum written term by term, so a
-point gets the same bits alone (``f_eval``) or in a batch (``f_values``).
-A restricted member reads both its values and its interior points from
-one exact batched hull screen of its domain (``geometry.HullScreen``).
+Each catalog member defines its value and its subgradients once, on
+rows: an (m, n) array of points maps to their m values, and to an
+(m, k, n) array of subgradient representatives, NaN rows standing for
+those a point lacks.  Every sum is written term by term, so a point gets
+the same bits alone (``f_eval``, ``f_subgrad``) or in a batch
+(``f_values``, ``subgrad_rows``).  A restricted member reads its values
+and interior points from one exact batched hull screen of its domain.
 
 Subdifferentials are exposed as finite representative sets: extreme points
 for the convex members (active-piece gradients of a max-affine, the unit
@@ -25,26 +27,34 @@ from .geometry import HullScreen, Polytope, as_point, as_rows
 _ACTIVE_TOL = 1e-9
 
 
+def _reps(G: np.ndarray) -> list[np.ndarray]:
+    """One row of a subgradient table as fresh arrays, NaN rows dropped."""
+    return [g.copy() for g in G if not np.isnan(g[0])]
+
+
 class RowOracle:
-    """A value oracle defined on rows: ``rows`` maps an (m, n) array to the
-    m values.  Called on one point, it reads that point's row."""
+    """An oracle defined on rows: ``rows`` maps an (m, n) array to one
+    entry per row.  Called on one point, it reads that point's row with
+    ``read``: a float for values, ``_reps`` for subgradients."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "read")
 
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], read=float):
         self.rows = rows
+        self.read = read
 
-    def __call__(self, x) -> float:
-        return float(self.rows(np.asarray(x, dtype=float)[None, :])[0])
+    def __call__(self, x):
+        return self.read(self.rows(np.asarray(x, dtype=float)[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """Lsc function with exact value and subgradient-representative oracles.
 
-    ``value`` is either a ``RowOracle`` or a scalar callable on one point;
-    ``rows``, the batched value on an (m, n) array, is the oracle's own or
-    a loop over the scalar callable.
+    ``value`` and ``subgrad`` are each a ``RowOracle`` or a scalar callable
+    on one point (a float, a list of representatives).  ``rows`` (m values)
+    and ``subgrad_rows`` (an (m, k, n) table, NaN rows padding) are the
+    oracles' own, or loops over the scalar callables.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -55,16 +65,25 @@ class TestFunction:
     value: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray], list[np.ndarray]]
     rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    subgrad_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = getattr(self.value, "rows", None)
         if rows is None:
-            scalar = self.value
-
             def rows(X):
-                return np.array([float(scalar(x)) for x in X], dtype=float)
+                return np.array([float(self.value(x)) for x in X], dtype=float)
+
+        subgrad_rows = getattr(self.subgrad, "rows", None)
+        if subgrad_rows is None:
+            def subgrad_rows(X):
+                reps = [self.subgrad(x) for x in X]
+                G = np.full((len(X), max(map(len, reps), default=0), self.dim), np.nan)
+                for row, gs in zip(G, reps):
+                    row[: len(gs)] = np.reshape(gs, (-1, self.dim))
+                return G
 
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "subgrad_rows", subgrad_rows)
 
 
 def f_eval(f: TestFunction, x) -> float:
@@ -79,7 +98,16 @@ def f_values(f: TestFunction, X) -> np.ndarray:
 
 
 def f_subgrad(f: TestFunction, x) -> list[np.ndarray]:
-    return f.subgrad(as_point(x, f.dim))
+    """f's subgradient representatives at x: one row of ``f.subgrad_rows``."""
+    return _reps(f.subgrad_rows(as_point(x, f.dim)[None, :])[0])
+
+
+def _on_rows(rows, X: np.ndarray, keep: np.ndarray, fill: float) -> np.ndarray:
+    """``rows`` on the rows of X where ``keep`` holds, ``fill`` elsewhere."""
+    got = rows(X[keep])
+    out = np.full((len(X),) + got.shape[1:], fill)
+    out[keep] = got
+    return out
 
 
 def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -91,10 +119,14 @@ def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mat_rows(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """x @ Q for each row x of X, term by term."""
+    return np.stack([_row_dot(X, Q[:, j]) for j in range(Q.shape[1])], axis=1)
+
+
 def _quad_rows(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """x @ Q @ x for each row x of X, as (x @ Q) @ x, term by term."""
-    XQ = np.stack([_row_dot(X, Q[:, j]) for j in range(Q.shape[1])], axis=1)
-    return _row_dot(XQ, X)
+    return _row_dot(_mat_rows(X, Q), X)
 
 
 def linear(a, b: float = 0.0) -> TestFunction:
@@ -106,7 +138,7 @@ def linear(a, b: float = 0.0) -> TestFunction:
         params={"a": a.tolist(), "b": b},
         dim=a.size,
         value=RowOracle(lambda X: _row_dot(X, a) + b),
-        subgrad=lambda x: [a.copy()],
+        subgrad=RowOracle(lambda X: np.broadcast_to(a, (len(X), 1, a.size)), _reps),
     )
 
 
@@ -124,7 +156,7 @@ def quadratic(Q, a) -> TestFunction:
         params={"Q": Q.tolist(), "a": a.tolist()},
         dim=a.size,
         value=RowOracle(lambda X: 0.5 * _quad_rows(X, Q) + _row_dot(X, a)),
-        subgrad=lambda x: [Q @ x + a],
+        subgrad=RowOracle(lambda X: (_mat_rows(X, Q) + a)[:, None, :], _reps),
     )
 
 
@@ -136,24 +168,21 @@ def l2_norm(x0) -> TestFunction:
         D = X - x0
         return np.sqrt(_row_dot(D, D))
 
-    def subgrad(x):
-        d = x - x0
-        nrm = np.linalg.norm(d)
-        if nrm > 1e-12:
-            return [d / nrm]
-        reps = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            reps.extend([e, -e])
-        return reps
+    unit = np.kron(np.eye(n), [[1.0], [-1.0]])  # at the center: e_0, -e_0, e_1, ...
+
+    def subgrad(X):
+        nrm = rows(X)
+        off = nrm > 1e-12
+        G = np.where(off[:, None, None], np.nan, unit)
+        G[off, 0] = (X[off] - x0) / nrm[off, None]
+        return G
 
     return TestFunction(
         fid="l2_norm",
         params={"x0": x0.tolist()},
         dim=n,
         value=RowOracle(rows),
-        subgrad=subgrad,
+        subgrad=RowOracle(subgrad, _reps),
     )
 
 
@@ -163,21 +192,21 @@ def max_affine(slopes, offsets) -> TestFunction:
     if S.shape[0] != b.size:
         raise ValueError("one offset per affine piece")
 
-    def rows(X):
-        return np.max(np.stack([_row_dot(X, piece) for piece in S], axis=1) + b, axis=1)
+    def pieces(X):
+        return np.stack([_row_dot(X, piece) for piece in S], axis=1) + b
 
-    def subgrad(x):
-        vals = S @ x + b
-        top = float(np.max(vals))
-        active = np.nonzero(vals >= top - _ACTIVE_TOL * (1.0 + abs(top)))[0]
-        return [S[i].copy() for i in active]
+    def subgrad(X):
+        vals = pieces(X)
+        top = np.max(vals, axis=1, keepdims=True)
+        active = vals >= top - _ACTIVE_TOL * (1.0 + np.abs(top))
+        return np.where(active[:, :, None], S, np.nan)
 
     return TestFunction(
         fid="max_affine",
         params={"slopes": S.tolist(), "offsets": b.tolist()},
         dim=S.shape[1],
-        value=RowOracle(rows),
-        subgrad=subgrad,
+        value=RowOracle(lambda X: np.max(pieces(X), axis=1)),
+        subgrad=RowOracle(subgrad, _reps),
     )
 
 
@@ -191,12 +220,15 @@ def sin_quadratic(c: float, w, Q, a) -> TestFunction:
     def rows(X):
         return c * np.sin(_row_dot(X, w)) + 0.5 * _quad_rows(X, Q) + _row_dot(X, a)
 
+    def subgrad(X):
+        return ((c * np.cos(_row_dot(X, w)))[:, None] * w + _mat_rows(X, Q) + a)[:, None]
+
     return TestFunction(
         fid="sin_quadratic",
         params={"c": float(c), "w": w.tolist(), "Q": Q.tolist(), "a": a.tolist()},
         dim=w.size,
         value=RowOracle(rows),
-        subgrad=lambda x: [c * np.cos(w @ x) * w + Q @ x + a],
+        subgrad=RowOracle(subgrad, _reps),
     )
 
 
@@ -211,14 +243,10 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
     screen = HullScreen(domain, domain)
     steps = 1.25e-9 * np.vstack([np.eye(base.dim), -np.eye(base.dim)])
 
-    def rows(X):
-        inside = screen.within(X, 1e-9)
-        vals = np.full(len(X), np.inf)
-        vals[inside] = base.rows(X[inside])
-        return vals
-
-    def subgrad(x):
-        return base.subgrad(x) if screen.within(x + steps, 2.5e-10).all() else []
+    def subgrad(X):
+        probes = (X[:, None, :] + steps).reshape(-1, base.dim)
+        inside = screen.within(probes, 2.5e-10).reshape(len(X), len(steps)).all(axis=1)
+        return _on_rows(base.subgrad_rows, X, inside, np.nan)
 
     return TestFunction(
         fid="restricted",
@@ -227,8 +255,8 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
             "domain": domain.to_json(),
         },
         dim=base.dim,
-        value=RowOracle(rows),
-        subgrad=subgrad,
+        value=RowOracle(lambda X: _on_rows(base.rows, X, screen.within(X, 1e-9), np.inf)),
+        subgrad=RowOracle(subgrad, _reps),
     )
 
 

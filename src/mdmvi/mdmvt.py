@@ -33,6 +33,8 @@ from .ekeland import (
 from .functions import (
     RowOracle,
     TestFunction,
+    _on_rows,
+    _reps,
     f_eval,
     f_subgrad,
     f_values,
@@ -216,6 +218,9 @@ class _InfEstimate(NamedTuple):
     argmin: np.ndarray
     step: float
 
+    def named(self, name: str) -> str:
+        return f"estimate {name} = {float(self.value)!r} at {self.argmin.tolist()}"
+
 
 def _project_region(x: np.ndarray, A: Polytope, B: Polytope, delta: float) -> np.ndarray:
     d, y, _ = dist_to_hull(x, A, B)
@@ -276,23 +281,24 @@ def choose_params(ps: ProblemSpec) -> PipelineParams:
     estimates of the infima of f over A and over the inflated B."""
     inf_a = _estimate_inf(ps.f, ps.A, ps.A, 0.0, ps.resolution)
     inf_bd = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, ps.resolution)
-    return _choose_params(ps, inf_a.value, inf_bd.value)
+    return _choose_params(ps, inf_a, inf_bd)
 
 
-def _choose_params(ps: ProblemSpec, inf_a: float, inf_bd: float) -> PipelineParams:
-    """Deterministic parameter rule, given the infimum ``inf_a`` of f over A
-    and ``inf_bd`` over the inflated B.
+def _choose_params(ps: ProblemSpec, inf_a: _InfEstimate, inf_bd: _InfEstimate) -> PipelineParams:
+    """Deterministic parameter rule, given the estimates ``inf_a`` of the
+    infimum of f over A and ``inf_bd`` over the inflated B.
 
     s1 sits halfway into the admissible open interval above s, nudged by a
     further quarter on collision with r.  delta1 walks the dyadic family
     delta * (1 - 2^-j) upward until the Lipschitz constant
     K = (max(r, s1) - mu) / delta1 clears its strict bound with margin.
     """
-    r = inf_a
-    room = min(ps.epsilon, ps.epsilon * ps.delta, inf_bd - ps.s)
+    r = inf_a.value
+    room = min(ps.epsilon, ps.epsilon * ps.delta, inf_bd.value - ps.s)
     if room <= 0:
         raise SpecInvariantError(
-            "s must lie strictly below the infimum of f over the inflated B"
+            "s must lie strictly below the infimum of f over the inflated B "
+            f"(s = {ps.s!r}; {inf_bd.named('inf_B_inflated')})"
         )
     s1 = ps.s + 0.5 * room
     if abs(s1 - r) <= 1e-12 * (1.0 + abs(r)):
@@ -332,21 +338,14 @@ def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestF
     screen = HullScreen(A, B)
     outer, inner = _c_radii(delta)
 
-    def rows(X):
-        inside = screen.within(X, outer)
-        vals = np.full(len(X), np.inf)
-        vals[inside] = f.rows(X[inside])
-        return vals
-
-    def subgrad(x):
-        return f.subgrad(x) if screen.within(x[None, :], inner)[0] else []
-
     return TestFunction(
         fid=f"{f.fid}|restricted_to_inflated_hull",
         params={"base": {"id": f.fid, "params": f.params}, "delta": delta},
         dim=f.dim,
-        value=RowOracle(rows),
-        subgrad=subgrad,
+        value=RowOracle(lambda X: _on_rows(f.rows, X, screen.within(X, outer), np.inf)),
+        subgrad=RowOracle(
+            lambda X: _on_rows(f.subgrad_rows, X, screen.within(X, inner), np.nan), _reps
+        ),
     )
 
 
@@ -390,17 +389,14 @@ def boundary_samples(
 
 
 def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals=None) -> float:
-    """Largest subgradient norm at the points where f (``fvals``, when
-    the caller already has them) is finite; at least 1."""
+    """Largest subgradient norm at the points where f (``fvals``, when the
+    caller already has them) is finite; at least 1.  One batched call gives
+    every representative; each norm is one BLAS dot, as in ``np.linalg.norm``."""
     if fvals is None:
         fvals = f_values(f, pts)
-    best = 1.0
-    for z, fz in zip(pts, fvals):
-        if not np.isfinite(fz):
-            continue
-        for g in f_subgrad(f, z):
-            best = max(best, float(np.linalg.norm(g)))
-    return best
+    G = f.subgrad_rows(pts[np.isfinite(fvals)])
+    norms = np.sqrt(G[..., None, :] @ G[..., :, None])
+    return float(np.fmax.reduce(norms, axis=None, initial=1.0))
 
 
 def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
@@ -453,13 +449,18 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
     hull_f = f_values(ps.f, hull_grid)
     inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution, hull_grid, hull_f)
     if not np.isfinite(inf_a.value):
-        raise SpecInvariantError("A does not meet the domain of f")
+        raise SpecInvariantError(f"A does not meet the domain of f ({inf_a.named('inf_A')})")
     if not ps.mu < inf_c.value:
-        raise SpecInvariantError("mu must lie strictly below inf of f over C")
+        raise SpecInvariantError(
+            f"mu must lie strictly below inf of f over C (mu = {ps.mu!r}; {inf_c.named('inf_C')})"
+        )
     if not ps.s < inf_bd.value:
-        raise SpecInvariantError("s must lie strictly below inf of f over inflated B")
+        raise SpecInvariantError(
+            "s must lie strictly below inf of f over inflated B "
+            f"(s = {ps.s!r}; {inf_bd.named('inf_B_inflated')})"
+        )
 
-    params = _choose_params(ps, inf_a.value, inf_bd.value)
+    params = _choose_params(ps, inf_a, inf_bd)
     r, s1, delta1, K = params.r, params.s1, params.delta1, params.K
     tent = TentSpec(A, B, r, s1)
     sc = SupConvSpec(tent, K)
@@ -597,10 +598,11 @@ def verify_certificate(
 
     Recomputes membership of xi, subgradient membership of p, and the
     three inequalities; the value localization uses the brute-force grid
-    infimum over [A,B] and validates the claimed r against the brute-force
-    infimum over A.  The grid infima read f on whole grids at once.
-    Raises SpecFormatError when xi or p is not a finite point of the
-    spec's dimension.
+    infimum over [A,B], and the claimed r must match the one over A within
+    a grid step times the largest subgradient norm on the hull grid.  Grid
+    infima read f, and that norm f's subgradients, in one batched call per
+    grid.  Raises SpecFormatError when xi or p is not a finite point of
+    the spec's dimension.
     """
     from .oracles import grid_inf as oracle_grid_inf
 

@@ -301,3 +301,107 @@ def test_scalar_only_functions_get_a_row_loop():
     )
     assert f_values(f, [[1.0], [3.0]]).tolist() == [2.0, 6.0]
     assert f_eval(f, [0.5]) == 1.0
+
+
+def _check_subgrad_rows(f, X):
+    """Each row of one ``subgrad_rows`` call, NaN rows dropped, is bit for
+    bit what ``f_subgrad`` returns at that point alone."""
+    G = f.subgrad_rows(X)
+    assert G.shape[0] == len(X) and G.shape[2] == f.dim
+    for x, row in zip(X, G):
+        got = f_subgrad(f, x)
+        want = [g for g in row if not np.isnan(g).any()]
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        assert all(np.isnan(g).all() for g in row if np.isnan(g).any())
+    return G
+
+
+@pytest.mark.parametrize("fid", sorted(CATALOG))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_subgrad_rows_match_f_subgrad_bit_for_bit(fid, dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(3):
+        f = _random_member(fid, rng, dim)
+        _check_subgrad_rows(f, rng.uniform(-3.0, 3.0, size=(100, dim)))
+        assert len(f.subgrad_rows(np.empty((0, dim)))) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_norm_has_every_signed_unit_vector_at_its_center(dim):
+    rng = np.random.default_rng(dim)
+    f = l2_norm(rng.normal(size=dim))
+    x0 = np.asarray(f.params["x0"])
+    X = np.vstack([rng.normal(size=(5, dim)), x0, x0 + 1e-13, x0 + 1e-11])
+    G = _check_subgrad_rows(f, X)
+    unit = np.eye(dim)
+    want = [v for i in range(dim) for v in (unit[i], -unit[i])]
+    assert np.array_equal(G[5], want) and np.array_equal(G[6], want)
+    assert len(f_subgrad(f, X[7])) == 1
+    for row in G[:5]:
+        assert np.isnan(row[1:]).all()
+
+
+def test_max_affine_ties_within_the_active_tolerance():
+    # the first two pieces meet at x = 1, the first and the last at x = -0.5
+    f = max_affine([[1.0], [2.0], [-1.0]], [0.0, -1.0, -1.0])
+    X = np.array([[1.0], [1.0 + 1e-10], [1.0 - 5e-10], [1.0 + 1e-8], [0.0], [-0.5]])
+    G = _check_subgrad_rows(f, X)
+    assert [len(f_subgrad(f, x)) for x in X] == [2, 2, 2, 1, 1, 2]
+    assert np.isnan(G[0, 2]).all() and G[0, :2, 0].tolist() == [1.0, 2.0]
+    assert np.isnan(G[5, 1]).all() and G[5, [0, 2], 0].tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_restricted_rows_on_and_near_the_boundary(dim):
+    base = quadratic(np.eye(dim), np.linspace(-0.3, 0.3, dim))
+    P = Polytope([[-1.0], [1.0]]) if dim == 1 else Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    f = restricted(base, P)
+    if dim == 1:
+        edge, normal = np.array([1.0]), np.array([1.0])
+    else:
+        edge, normal = np.array([0.5, 0.5]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+    offsets = [-3e-9, -1.5e-9, -1.25e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]
+    X = np.vstack([edge + t * normal for t in offsets] + [0.9 * edge, P.vertices])
+    G = _check_subgrad_rows(f, X)
+    inner = [len(f_subgrad(f, x)) == 1 for x in X]
+    assert inner[0] and inner[len(offsets)]  # well inside
+    assert not any(inner[offsets.index(0.0) : len(offsets)])  # on or past the edge
+    assert np.isnan(G[-1]).all()  # a vertex is on the boundary
+    assert len(f.subgrad_rows(np.empty((0, dim)))) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_restrict_f_rows_on_the_boundary_of_c(dim):
+    from mdmvi import restrict_f
+
+    if dim == 1:
+        A, B, f = Polytope([[0.0]]), Polytope([[1.0]]), quadratic([[1.0]], [0.2])
+        edge, normal = np.array([1.5]), np.array([1.0])
+    else:
+        A, B = Polytope([[0.0, 0.0], [0.0, 1.0]]), Polytope([[2.0, 0.0], [2.0, 1.0]])
+        f = max_affine([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        edge, normal = np.array([1.0, 1.5]), np.array([0.0, 1.0])
+    f1 = restrict_f(f, A, B, 0.5)
+    offsets = [-0.25, -2e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9]
+    X = np.vstack([edge + t * normal for t in offsets])
+    G = _check_subgrad_rows(f1, X)
+    assert len(f_subgrad(f1, X[0])) >= 1 and len(f_subgrad(f1, X[1])) >= 1
+    assert np.isnan(G[2:]).all()  # within 1e-9 of the boundary of C, or outside
+
+
+def test_scalar_only_subgradients_get_a_row_loop():
+    from mdmvi import TestFunction
+
+    def subgrad(x):
+        if x[0] < 0:
+            return []
+        return [np.array([-1.0]), np.array([1.0])] if x[0] == 0 else [np.array([2.0])]
+
+    f = TestFunction(fid="synthetic", params={}, dim=1, value=lambda x: abs(x[0]), subgrad=subgrad)
+    X = np.array([[-1.0], [0.0], [3.0]])
+    G = _check_subgrad_rows(f, X)
+    assert G.shape == (3, 2, 1)
+    assert [[g.tolist() for g in f_subgrad(f, x)] for x in X] == [[], [[-1.0], [1.0]], [[2.0]]]
+    none = TestFunction(fid="none", params={}, dim=2, value=lambda x: 0.0, subgrad=lambda x: [])
+    assert none.subgrad_rows(np.zeros((4, 2))).shape == (4, 0, 2)
+    assert f_subgrad(none, [0.0, 0.0]) == []

@@ -22,6 +22,7 @@ from mdmvi.mdmvt import (
     SpecFormatError,
     _estimate_inf,
     boundary_samples,
+    sample_set,
 )
 from mdmvi.ekeland import EvpReport
 from mdmvi.supconv import phi_on_grid
@@ -273,6 +274,25 @@ class TestSpecValidation:
     def test_s_above_infimum_rejected(self):
         with pytest.raises(SpecInvariantError):
             run(make_spec(s=0.7, resolution=41))
+
+    def test_failed_estimate_is_named_with_its_value_and_argmin(self):
+        ps = make_spec(mu=0.0, resolution=41)
+        est = _estimate_inf(
+            ps.f, ps.A, ps.B, ps.delta, 41, sample_set(ps.A, ps.B, ps.delta, 41)
+        )
+        assert est.value == pytest.approx(-0.5)
+        with pytest.raises(SpecInvariantError) as info:
+            run(ps)
+        named = f"estimate inf_C = {float(est.value)!r} at {est.argmin.tolist()}"
+        assert "mu = 0.0" in str(info.value) and named in str(info.value)
+
+        ps = make_spec(s=0.7, resolution=41)
+        est = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, 41)
+        for call in (run, choose_params):
+            with pytest.raises(SpecInvariantError) as info:
+                call(ps)
+            named = f"estimate inf_B_inflated = {float(est.value)!r} at {est.argmin.tolist()}"
+            assert "s = 0.7" in str(info.value) and named in str(info.value)
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(SpecFormatError):
