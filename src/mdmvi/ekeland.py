@@ -2,11 +2,12 @@
 certificate, plus extraction of a nearly-cancelling subgradient pair.
 
 The existential minimization step of Ekeland's principle is realized
-constructively, at the one ``EKELAND_EPS``: multistart compass search
-seeded from a grid gives the point u, and an a-posteriori grid check of
-the domination inequality g(z) + eps ||z - u|| >= g(u) confirms it.  Both
-read g from one ``GTable`` of the grid, built once per pipeline run.  One
-pair search around u then yields the fuzzy pair.
+constructively, at the one ``EKELAND_EPS``: compass search from the three
+best grid points, stepping in lockstep with one batch of g per round,
+gives the point u, and an a-posteriori grid check of the domination
+inequality g(z) + eps ||z - u|| >= g(u) confirms it.  Both read g from
+one ``GTable`` of the grid, built once per pipeline run.  One pair search
+around u then yields the fuzzy pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import TestFunction, f_eval, f_subgrad, f_values
-from .geometry import HullInflation, as_point, sample_set
+from .geometry import HullInflation, as_point, rank_points, row_norms, sample_set
 from .supconv import (
     SupConvSpec,
     SupergradientError,
@@ -97,6 +98,25 @@ def minimize_g(
     return descend_g(g_table(f1, sc, grid, tol=phi_tol), f1, sc, region.delta, seed, phi_tol)
 
 
+def _g_rows(
+    Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec, phi_tol: float
+) -> np.ndarray:
+    """g on the rows of Z.  Rows found in ``memo`` (point bytes -> g) are
+    read from it; the others, each distinct row once, are evaluated in one
+    batch and added to it."""
+    keys = [z.tobytes() for z in Z]
+    fresh = dict.fromkeys(k for k in keys if k not in memo)
+    if fresh:
+        F = np.frombuffer(b"".join(fresh), dtype=float).reshape(-1, Z.shape[1])
+        vals = f_values(f1, F)
+        ok = np.isfinite(vals)
+        vals[~ok] = np.inf
+        if ok.any():
+            vals[ok] -= phi_on_grid(sc, F[ok], tol=phi_tol)
+        memo.update(zip(fresh, vals.tolist()))
+    return np.array([memo[k] for k in keys])
+
+
 def descend_g(
     table: GTable,
     f1: TestFunction,
@@ -108,22 +128,27 @@ def descend_g(
     """Near-minimizer of g = f1 - phi_K on C, at eps ``EKELAND_EPS``.
 
     Multistart compass search (Torczon 1997; Kolda, Lewis & Torczon 2003)
-    from the best points of ``table``, a grid of C inflated by ``delta``.
-    The directions are the coordinates and two seeded random unit vectors,
-    with the repeats of 1-D dropped.  Each step evaluates g on the whole
-    stencil x +- h d in one batch (``f_values``, then ``phi_on_grid`` where
-    f1 is finite) and moves to the stencil's best point, first on ties,
-    doubling h, when that lowers g; otherwise it halves h.  h starts at
-    span / 8 and the search stops below 1e-10 max(span, 1).  Points of the
-    table are never evaluated again.  Deterministic given the seed; ties
-    between start points break by lexicographic point order.
+    from the three best points of ``table``, a grid of C inflated by
+    ``delta``.  The directions are the coordinates and two seeded random
+    unit vectors, with the repeats of 1-D dropped.  Each start moves to
+    the best point of its stencil x +- h d, first on ties, doubling h,
+    when that lowers g; otherwise it halves h.  h starts at span / 8 and a
+    start stops below 1e-10 max(span, 1).
+
+    The starts step in lockstep: each round evaluates the stencils of
+    every live start in one batch (``f_values``, then ``phi_on_grid`` where
+    f1 is finite), and no point, the table's included, is evaluated twice.
+    g on a row does not depend on the rest of its batch, so each start
+    ends where it would have ended on its own.  A ``PhiEvalError`` names
+    the first bad row of the shared batch, which may belong to any live
+    start.  Deterministic given the seed; ties between the starts' ends
+    break by lexicographic point order.
     """
     grid, gvals = table.pts, table.g
-    finite = np.isfinite(gvals)
-    if not finite.any():
+    ranked = rank_points(gvals, grid)
+    if not len(ranked):
         raise DescentError("f1 is identically +inf on C")
-    order = sorted(np.nonzero(finite)[0], key=lambda i: (gvals[i], tuple(grid[i])))
-    seeds = order[:3]
+    seeds = ranked[:3]
 
     dim = grid.shape[1]
     rng = np.random.default_rng(seed)
@@ -138,34 +163,22 @@ def descend_g(
     h_min = 1e-10 * max(span, 1.0)
     memo = {z.tobytes(): float(v) for z, v in zip(grid, gvals)}
 
-    def g_rows(Z: np.ndarray) -> np.ndarray:
-        keys = [z.tobytes() for z in Z]
-        fresh = [i for i, k in enumerate(keys) if k not in memo]
-        if fresh:
-            F = Z[fresh]
-            vals = f_values(f1, F)
-            ok = np.isfinite(vals)
-            vals[~ok] = np.inf
-            if ok.any():
-                vals[ok] -= phi_on_grid(sc, F[ok], tol=phi_tol)
-            memo.update(zip((keys[i] for i in fresh), vals.tolist()))
-        return np.array([memo[k] for k in keys])
+    # every start keeps its own x, g(x) and h; the live ones step together
+    x, fx = grid[seeds], gvals[seeds].astype(float)
+    h = np.full(len(seeds), span / 8)
+    live = np.nonzero(h >= h_min)[0]
+    while len(live):
+        Z = x[live, None, :] + h[live, None, None] * stencil
+        vals = _g_rows(Z.reshape(-1, dim), memo, f1, sc, phi_tol).reshape(Z.shape[:2])
+        k = np.argmin(vals, axis=1)
+        best = vals[np.arange(len(live)), k]
+        moved = best < fx[live]
+        x[live[moved]] = Z[moved, k[moved]]
+        fx[live[moved]] = best[moved]
+        h[live] = np.where(moved, h[live] * 2, h[live] / 2)
+        live = live[h[live] >= h_min]
 
-    def descend(x: np.ndarray, fx: float) -> tuple[np.ndarray, float]:
-        h = span / 8
-        while h >= h_min:
-            Z = x + h * stencil
-            vals = g_rows(Z)
-            k = int(np.argmin(vals))
-            if vals[k] < fx:
-                x, fx = Z[k], float(vals[k])
-                h *= 2
-            else:
-                h /= 2
-        return x, fx
-
-    ends = [descend(grid[i], float(gvals[i])) for i in seeds]
-    best_x, best_f = min(ends, key=lambda end: (end[1], tuple(end[0])))
+    best_x, best_f = min(zip(x, fx), key=lambda end: (end[1], tuple(end[0])))
     return EkelandPoint(u=best_x.copy(), eps=EKELAND_EPS, value=float(best_f))
 
 
@@ -202,8 +215,7 @@ def evp_check(
     """
     u = as_point(u)
     finite = np.isfinite(table.g)
-    # row by row, so each distance rounds exactly as a single norm does
-    dists = np.array([np.linalg.norm(z - u) for z in table.pts[finite]])
+    dists = row_norms(table.pts[finite] - u)
     worst = float(np.min(table.g[finite] + eps * dists - gu, initial=np.inf))
     return EvpReport(worst >= -tol_evp, worst)
 

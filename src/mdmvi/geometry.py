@@ -48,6 +48,21 @@ def as_rows(X, dim: int) -> np.ndarray:
     return X
 
 
+def rank_points(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Indices of the finite entries of ``vals``, lowest value first, ties
+    broken by lexicographic order of the points ``pts`` and then by index:
+    a stable sort on the key (vals[i], tuple(pts[i])), so -0.0 ranks as 0.0."""
+    idx = np.nonzero(np.isfinite(vals))[0]
+    return idx[np.lexsort(np.vstack([pts[idx, ::-1].T, vals[idx]]))]
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of X.  Each is one BLAS dot, as
+    ``np.linalg.norm`` takes for a single vector, so a row's norm has the
+    same bits as that row's own ``np.linalg.norm``."""
+    return np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class Polytope:
     """Nonempty bounded convex set given by its vertices (one per row).

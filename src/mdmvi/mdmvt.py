@@ -46,6 +46,8 @@ from .geometry import (
     as_point,
     dist_to_hull,
     inf_linear,
+    rank_points,
+    row_norms,
     sample_set,
     _direction_net,
 )
@@ -231,13 +233,14 @@ def _project_region(x: np.ndarray, A: Polytope, B: Polytope, delta: float) -> np
 
 def _estimate_inf(
     f: TestFunction, A: Polytope, B: Polytope, delta: float, resolution: int,
-    pts: np.ndarray | None = None, vals: np.ndarray | None = None,
+    pts: np.ndarray | None = None, vals: np.ndarray | None = None, *, name: str,
 ) -> _InfEstimate:
     """Grid minimum of f over the inflated hull, refined by projected
     line searches from the best grid point.  Exact for singleton regions.
 
     ``pts``, the region's grid, and ``vals``, f there, are computed when
-    the caller does not already have them.
+    the caller does not already have them.  ``name`` names the estimate in
+    the SpecInvariantError raised when f is +inf on the whole grid.
     """
     if pts is None:
         V = np.unique(np.vstack([A.vertices, B.vertices]), axis=0)
@@ -245,10 +248,12 @@ def _estimate_inf(
         pts = V if single else sample_set(A, B, delta, resolution)
     if vals is None:
         vals = f_values(f, pts)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise SpecInvariantError("f is +inf on the whole sampled region")
-    idx = sorted(np.nonzero(finite)[0], key=lambda i: (vals[i], tuple(pts[i])))[0]
+    ranked = rank_points(vals, pts)
+    if not len(ranked):
+        raise SpecInvariantError(
+            f"estimate {name}: f is +inf at all {len(pts)} points of its grid"
+        )
+    idx = ranked[0]
     x = pts[idx].copy()
     fx = float(vals[idx])
     spans = pts.max(axis=0) - pts.min(axis=0)
@@ -279,8 +284,8 @@ def _estimate_inf(
 def choose_params(ps: ProblemSpec) -> PipelineParams:
     """Deterministic parameter rule (see ``_choose_params``), from fresh
     estimates of the infima of f over A and over the inflated B."""
-    inf_a = _estimate_inf(ps.f, ps.A, ps.A, 0.0, ps.resolution)
-    inf_bd = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, ps.resolution)
+    inf_a = _estimate_inf(ps.f, ps.A, ps.A, 0.0, ps.resolution, name="inf_A")
+    inf_bd = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, ps.resolution, name="inf_B_inflated")
     return _choose_params(ps, inf_a, inf_bd)
 
 
@@ -391,12 +396,11 @@ def boundary_samples(
 def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals=None) -> float:
     """Largest subgradient norm at the points where f (``fvals``, when the
     caller already has them) is finite; at least 1.  One batched call gives
-    every representative; each norm is one BLAS dot, as in ``np.linalg.norm``."""
+    every representative (see ``row_norms`` for the norms' bits)."""
     if fvals is None:
         fvals = f_values(f, pts)
     G = f.subgrad_rows(pts[np.isfinite(fvals)])
-    norms = np.sqrt(G[..., None, :] @ G[..., :, None])
-    return float(np.fmax.reduce(norms, axis=None, initial=1.0))
+    return float(np.fmax.reduce(row_norms(G), axis=None, initial=1.0))
 
 
 def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
@@ -443,13 +447,11 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
     hull_grid = sample_set(A, B, 0.0, ps.resolution)
     c_grid = sample_set(A, B, delta, ps.resolution)
 
-    inf_a = _estimate_inf(ps.f, A, A, 0.0, ps.resolution)
-    inf_c = _estimate_inf(ps.f, A, B, delta, ps.resolution, c_grid)
-    inf_bd = _estimate_inf(ps.f, B, B, delta, ps.resolution)
+    inf_a = _estimate_inf(ps.f, A, A, 0.0, ps.resolution, name="inf_A")
+    inf_c = _estimate_inf(ps.f, A, B, delta, ps.resolution, c_grid, name="inf_C")
+    inf_bd = _estimate_inf(ps.f, B, B, delta, ps.resolution, name="inf_B_inflated")
     hull_f = f_values(ps.f, hull_grid)
-    inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution, hull_grid, hull_f)
-    if not np.isfinite(inf_a.value):
-        raise SpecInvariantError(f"A does not meet the domain of f ({inf_a.named('inf_A')})")
+    inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution, hull_grid, hull_f, name="inf_hull")
     if not ps.mu < inf_c.value:
         raise SpecInvariantError(
             f"mu must lie strictly below inf of f over C (mu = {ps.mu!r}; {inf_c.named('inf_C')})"

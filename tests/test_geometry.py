@@ -20,6 +20,8 @@ from mdmvi.geometry import (
     _direction_net,
     as_point,
     hull_vertex_matrix,
+    rank_points,
+    row_norms,
     within,
 )
 
@@ -247,6 +249,44 @@ def test_as_point_returns_a_float64_point_itself():
     assert as_point(np.array([1, 2]), 2).dtype == np.float64
     assert as_point(np.array([1.0, 2.0], dtype=np.float32), 2).dtype == np.float64
     assert as_point([1.0, 2.0]).tolist() == [1.0, 2.0]
+
+
+def _rank_by_tuple_key(vals, pts):
+    finite = np.nonzero(np.isfinite(vals))[0]
+    return sorted(finite, key=lambda i: (vals[i], tuple(pts[i])))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_points_orders_as_the_tuple_key(seed, dim):
+    # few distinct levels, so values and coordinates tie often; zeros of
+    # both signs and non-finite values mixed in
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 60))
+    levels = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    vals = rng.choice(np.append(levels, [np.inf, -np.inf, np.nan]), size=m)
+    pts = rng.choice(levels, size=(m, dim))
+    got = rank_points(vals, pts)
+    assert got.tolist() == _rank_by_tuple_key(vals, pts)
+
+
+def test_rank_points_treats_negative_zero_as_zero():
+    vals = np.array([0.0, -0.0, 0.0, np.inf])
+    pts = np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 0.0], [-1.0, 0.0]])
+    # 2 first on its point; 0 and 1 tie on the key and keep their order
+    assert rank_points(vals, pts).tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_row_norms_have_the_bits_of_single_norms(seed, dim):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((500, dim)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+    ref = np.array([np.linalg.norm(x) for x in X])
+    assert row_norms(X).tobytes() == ref.tobytes()
+    # stacked tables of rows, as the Lipschitz estimate passes them
+    assert row_norms(X.reshape(50, 10, dim)).tobytes() == ref.tobytes()
+    assert row_norms(X[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("x", [np.array([[0.0, 1.0]]), [[0.0], [1.0]], np.zeros((2, 2))])

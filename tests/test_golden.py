@@ -1,0 +1,22 @@
+"""The certificates of the bundled problems, byte for byte.
+
+``tests/golden/cert_<name>.json`` holds each certificate as ``run`` wrote
+it (JSON with sorted keys, as ``scripts/run_suite.py`` writes it).  A
+change that keeps the pipeline's results must reproduce every byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from test_descent import BUNDLED
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_run_reproduces_the_golden_certificate(name, suite_results):
+    cert = suite_results[name]["cert"]
+    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"cert_{name}.json").read_text()

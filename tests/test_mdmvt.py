@@ -264,7 +264,7 @@ class TestSpecValidation:
         }
         data["s"] = 0.5
         data["mu"] = -0.1
-        with pytest.raises(SpecInvariantError):
+        with pytest.raises(SpecInvariantError, match=r"estimate inf_A: f is \+inf at all 1 points"):
             run(ProblemSpec.from_json_dict(data))
 
     def test_mu_above_infimum_rejected(self):
@@ -278,7 +278,7 @@ class TestSpecValidation:
     def test_failed_estimate_is_named_with_its_value_and_argmin(self):
         ps = make_spec(mu=0.0, resolution=41)
         est = _estimate_inf(
-            ps.f, ps.A, ps.B, ps.delta, 41, sample_set(ps.A, ps.B, ps.delta, 41)
+            ps.f, ps.A, ps.B, ps.delta, 41, sample_set(ps.A, ps.B, ps.delta, 41), name="inf_C"
         )
         assert est.value == pytest.approx(-0.5)
         with pytest.raises(SpecInvariantError) as info:
@@ -287,7 +287,7 @@ class TestSpecValidation:
         assert "mu = 0.0" in str(info.value) and named in str(info.value)
 
         ps = make_spec(s=0.7, resolution=41)
-        est = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, 41)
+        est = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, 41, name="inf_B_inflated")
         for call in (run, choose_params):
             with pytest.raises(SpecInvariantError) as info:
                 call(ps)
@@ -309,13 +309,13 @@ class TestSpecValidation:
 
 class TestEstimatesAndBoundary:
     def test_singleton_estimate_exact(self, seg_a):
-        est = _estimate_inf(linear([1.0]), seg_a, seg_a, 0.0, 41)
+        est = _estimate_inf(linear([1.0]), seg_a, seg_a, 0.0, 41, name="inf_A")
         assert est.value == 0.0 and est.step == 0.0
 
     def test_inflated_estimate_with_polish(self, seg_b):
         from mdmvi import quadratic
 
-        est = _estimate_inf(quadratic([[1.0]], [-1.2]), seg_b, seg_b, 0.5, 81)
+        est = _estimate_inf(quadratic([[1.0]], [-1.2]), seg_b, seg_b, 0.5, 81, name="inf_B_inflated")
         # min of x^2/2 - 1.2 x over [0.5, 1.5] sits at 1.2
         assert est.value == pytest.approx(0.5 * 1.44 - 1.44, abs=1e-8)
 

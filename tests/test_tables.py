@@ -46,7 +46,7 @@ def test_one_vertex_estimate_makes_no_projection(monkeypatch, seg_a):
         return spy
 
     _patch_everywhere(monkeypatch, geometry, "dist_to_hull", counting)
-    est = mdmvt._estimate_inf(linear([1.0]), seg_a, seg_a, 0.0, 41)
+    est = mdmvt._estimate_inf(linear([1.0]), seg_a, seg_a, 0.0, 41, name="inf_A")
     assert calls == []
     assert est.value == 0.0 and est.step == 0.0
     assert np.array_equal(est.argmin, [0.0])
