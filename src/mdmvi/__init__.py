@@ -14,7 +14,6 @@ from .geometry import (  # noqa: E402
     INTERIOR,
     DimensionMismatch,
     HullCoords,
-    HullInflation,
     Polytope,
     classify_point,
     dist_to_hull,
@@ -65,7 +64,6 @@ from .ekeland import (  # noqa: E402
     FuzzyPairError,
     evp_verify,
     fuzzy_pair,
-    minimize_g,
 )
 from .mdmvt import (  # noqa: E402
     Certificate,

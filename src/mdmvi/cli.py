@@ -54,12 +54,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _failed_checks(report: dict) -> list[str]:
+    """The names of the verify report's sections that failed."""
+    return [k for k, v in report.items() if isinstance(v, dict) and not v["ok"]]
+
+
 def _cmd_certificate(args) -> int:
-    tol = 1e-8 if args.tol is None else args.tol
-    if not (np.isfinite(tol) and tol > 0):
-        raise SpecFormatError("tol must be a positive finite number")
     ps = _load_spec(args.spec, args)
-    cert = run(ps, tol=tol)
+    cert = run(ps)
     valid, report = verify_certificate(cert, ps)
     out = Path(args.out) if args.out else Path(args.spec).with_suffix(".certificate.json")
     _write_json(out, cert.to_json_dict())
@@ -68,8 +70,7 @@ def _cmd_certificate(args) -> int:
         chk = cert.checks[name]
         print(f"  {name}: lhs={chk.lhs:.6g} rhs={chk.rhs:.6g} slack={chk.slack:.6g}")
     if not valid:
-        bad = [k for k, v in report.items() if isinstance(v, dict) and not v["ok"]]
-        print(f"verification FAILED: {', '.join(bad)}", file=sys.stderr)
+        print(f"verification FAILED: {', '.join(_failed_checks(report))}", file=sys.stderr)
         return 1
     print("independent verification passed")
     return 0
@@ -120,15 +121,11 @@ def bundled_problems() -> list[str]:
     return sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _selftest_problem(path: str, resolution: int | None) -> list[str]:
+def _selftest_problem(path: str, args) -> list[str]:
     from .oracles import psi_brute
 
     failures = []
-    ps = ProblemSpec.from_json_file(path)
-    if resolution is not None:
-        data = ps.to_json_dict()
-        data["resolution"] = resolution
-        ps = ProblemSpec.from_json_dict(data)
+    ps = _load_spec(path, args)
     sc = _build_supconv(ps)
     t = sc.tent
 
@@ -166,8 +163,7 @@ def _selftest_problem(path: str, resolution: int | None) -> list[str]:
         return failures
     valid, report = verify_certificate(cert, ps)
     if not valid:
-        bad = [k for k, v in report.items() if isinstance(v, dict) and not v["ok"]]
-        failures.append(f"certificate invalid: {bad}")
+        failures.append(f"certificate invalid: {_failed_checks(report)}")
     if cert.diagnostics["boundary_margin"] <= 0:
         failures.append("boundary decay margin not positive")
     return failures
@@ -177,7 +173,7 @@ def _cmd_selftest(args) -> int:
     paths = args.problems or bundled_problems()
     any_fail = False
     for path in paths:
-        failures = _selftest_problem(path, args.resolution)
+        failures = _selftest_problem(path, args)
         name = Path(path).stem
         if failures:
             any_fail = True
@@ -201,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out")
     p_cert.add_argument("--resolution", type=int)
     p_cert.add_argument("--seed", type=int)
-    p_cert.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="duality-gap tolerance for smoothing evaluations (default 1e-8)",
-    )
 
     p_ver = sub.add_parser("verify", help="independent certificate recheck")
     p_ver.add_argument("certificate")

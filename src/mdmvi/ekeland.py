@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import TestFunction, f_eval, f_subgrad, f_values
-from .geometry import HullInflation, as_point, rank_points, row_norms, sample_set
+from .geometry import as_point, rank_points, row_norms
 from .supconv import (
     SupConvSpec,
     SupergradientError,
@@ -28,8 +28,8 @@ from .supconv import (
     phi_supergradient,
 )
 
-DEFAULT_EVP_TOL = 1e-6
-DEFAULT_RESIDUAL_FACTOR = 10.0
+EVP_TOL = 1e-6  # the domination check's allowance
+RESIDUAL_FACTOR = 10.0  # a pair's residual may reach this times the eps of u
 EKELAND_EPS = 0.1  # the eps of Ekeland's principle for the point u
 
 
@@ -58,11 +58,11 @@ class FuzzyPair:
     separation: float  # ||x - y||
 
 
-def _g_eval(z: np.ndarray, f1: TestFunction, sc: SupConvSpec, tol: float = 1e-8) -> float:
+def _g_eval(z: np.ndarray, f1: TestFunction, sc: SupConvSpec) -> float:
     fv = f_eval(f1, z)
     if not np.isfinite(fv):
         return np.inf
-    return fv - phi_eval(z, sc, tol=tol).value
+    return fv - phi_eval(z, sc).value
 
 
 class GTable(NamedTuple):
@@ -75,32 +75,16 @@ class GTable(NamedTuple):
     g: np.ndarray
 
 
-def g_table(f1: TestFunction, sc: SupConvSpec, pts, tol: float = 1e-8) -> GTable:
+def g_table(f1: TestFunction, sc: SupConvSpec, pts) -> GTable:
     """Evaluate f1 and the smoothing on all points at once."""
     pts = np.asarray(pts, dtype=float)
     fvals = f_values(f1, pts)
-    phis = phi_on_grid(sc, pts, tol=tol)
+    phis = phi_on_grid(sc, pts)
     gvals = np.where(np.isfinite(fvals), fvals - phis, np.inf)
     return GTable(pts, fvals, phis, gvals)
 
 
-def minimize_g(
-    f1: TestFunction,
-    sc: SupConvSpec,
-    region: HullInflation,
-    resolution: int,
-    seed: int = 0,
-    phi_tol: float = 1e-8,
-) -> EkelandPoint:
-    """Near-minimizer of g = f1 - phi_K on C, seeded from a grid of C at
-    ``resolution`` (see ``descend_g``)."""
-    grid = sample_set(region.A, region.B, region.delta, resolution)
-    return descend_g(g_table(f1, sc, grid, tol=phi_tol), f1, sc, region.delta, seed, phi_tol)
-
-
-def _g_rows(
-    Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec, phi_tol: float
-) -> np.ndarray:
+def _g_rows(Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec) -> np.ndarray:
     """g on the rows of Z.  Rows found in ``memo`` (point bytes -> g) are
     read from it; the others, each distinct row once, are evaluated in one
     batch and added to it."""
@@ -112,18 +96,13 @@ def _g_rows(
         ok = np.isfinite(vals)
         vals[~ok] = np.inf
         if ok.any():
-            vals[ok] -= phi_on_grid(sc, F[ok], tol=phi_tol)
+            vals[ok] -= phi_on_grid(sc, F[ok])
         memo.update(zip(fresh, vals.tolist()))
     return np.array([memo[k] for k in keys])
 
 
 def descend_g(
-    table: GTable,
-    f1: TestFunction,
-    sc: SupConvSpec,
-    delta: float,
-    seed: int = 0,
-    phi_tol: float = 1e-8,
+    table: GTable, f1: TestFunction, sc: SupConvSpec, delta: float, seed: int = 0
 ) -> EkelandPoint:
     """Near-minimizer of g = f1 - phi_K on C, at eps ``EKELAND_EPS``.
 
@@ -169,7 +148,7 @@ def descend_g(
     live = np.nonzero(h >= h_min)[0]
     while len(live):
         Z = x[live, None, :] + h[live, None, None] * stencil
-        vals = _g_rows(Z.reshape(-1, dim), memo, f1, sc, phi_tol).reshape(Z.shape[:2])
+        vals = _g_rows(Z.reshape(-1, dim), memo, f1, sc).reshape(Z.shape[:2])
         k = np.argmin(vals, axis=1)
         best = vals[np.arange(len(live)), k]
         moved = best < fx[live]
@@ -187,29 +166,20 @@ class EvpReport(NamedTuple):
     worst: float
 
 
-def evp_verify(
-    u,
-    eps: float,
-    f1: TestFunction,
-    sc: SupConvSpec,
-    grid,
-    tol_evp: float = DEFAULT_EVP_TOL,
-) -> EvpReport:
+def evp_verify(u, eps: float, f1: TestFunction, sc: SupConvSpec, grid) -> EvpReport:
     """Grid check of the domination inequality around u (see ``evp_check``)."""
     u = as_point(u)
     gu = _g_eval(u, f1, sc)
     if not np.isfinite(gu):
         raise ValueError("g(u) must be finite")
-    return evp_check(g_table(f1, sc, grid), u, gu, eps, tol_evp)
+    return evp_check(g_table(f1, sc, grid), u, gu, eps)
 
 
-def evp_check(
-    table: GTable, u, gu: float, eps: float, tol_evp: float = DEFAULT_EVP_TOL
-) -> EvpReport:
+def evp_check(table: GTable, u, gu: float, eps: float) -> EvpReport:
     """Grid check of the domination inequality around u, whose g value is
     ``gu``:
 
-        g(z) + eps ||z - u|| >= g(u) - tol_evp  for all table points z.
+        g(z) + eps ||z - u|| >= g(u) - EVP_TOL  for all table points z.
 
     worst is the smallest left-minus-right margin over the finite ones.
     """
@@ -217,7 +187,7 @@ def evp_check(
     finite = np.isfinite(table.g)
     dists = row_norms(table.pts[finite] - u)
     worst = float(np.min(table.g[finite] + eps * dists - gu, initial=np.inf))
-    return EvpReport(worst >= -tol_evp, worst)
+    return EvpReport(worst >= -EVP_TOL, worst)
 
 
 def _perturbation_offsets(n: int, radius: float) -> list[np.ndarray]:
@@ -238,9 +208,7 @@ def fuzzy_pair(
     f: TestFunction,
     sc: SupConvSpec,
     search_radius: float,
-    grid: np.ndarray | None = None,
-    k_residual: float = DEFAULT_RESIDUAL_FACTOR,
-    tol: float = 1e-8,
+    grid: np.ndarray,
     grid_phi: np.ndarray | None = None,
 ) -> FuzzyPair:
     """Nearly-cancelling pair: p from f's representatives at x, q from the
@@ -248,12 +216,11 @@ def fuzzy_pair(
     of u.
 
     Minimizes residual plus separation over a deterministic perturbation
-    pattern; fails loudly when the residual exceeds k_residual times the
-    eps of u (a kink coincidence no point of the pattern gets past).
-    ``tol`` is the duality-gap tolerance of every smoothing evaluation;
-    ``grid_phi``, the smoothing on ``grid``, serves every supergradient
-    check when the caller already has it.  The subgradients of f at u are
-    computed once per call.
+    pattern; fails loudly when the residual exceeds ``RESIDUAL_FACTOR``
+    times the eps of u (a kink coincidence no point of the pattern gets
+    past).  Every supergradient is checked on ``grid``; ``grid_phi``, the
+    smoothing there, serves every check when the caller already has it.
+    The subgradients of f at u are computed once per call.
     """
     if search_radius <= 0:
         raise ValueError("search_radius must be positive")
@@ -261,7 +228,7 @@ def fuzzy_pair(
 
     def supergradient(y):  # None where the check fails
         try:
-            return phi_supergradient(y, sc, grid=grid, tol=tol, grid_phi=grid_phi)
+            return phi_supergradient(y, sc, grid=grid, grid_phi=grid_phi)
         except SupergradientError:
             return None
 
@@ -296,10 +263,10 @@ def fuzzy_pair(
                     )
         if best is not None and best.residual <= 1e-12:
             break
-    if best is None or best.residual > k_residual * u.eps:
+    if best is None or best.residual > RESIDUAL_FACTOR * u.eps:
         got = "none" if best is None else f"{best.residual:.3e}"
         raise FuzzyPairError(
-            f"no pair with residual <= {k_residual * u.eps:.3e} near "
+            f"no pair with residual <= {RESIDUAL_FACTOR * u.eps:.3e} near "
             f"{base.tolist()} (best {got})"
         )
     return best

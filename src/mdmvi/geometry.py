@@ -126,24 +126,6 @@ class HullCoords:
         return self.gamma @ A.vertices + self.eta @ B.vertices
 
 
-@dataclass(frozen=True, eq=False)
-class HullInflation:
-    """The set C = closure of [A,B] inflated by delta (delta >= 0)."""
-
-    A: Polytope
-    B: Polytope
-    delta: float
-
-    def __post_init__(self):
-        if self.A.dim != self.B.dim:
-            raise DimensionMismatch("A and B must share a dimension")
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError("delta must be finite and nonnegative")
-
-    def classify(self, x, tol: float = 1e-7) -> str:
-        return classify_point(x, self.A, self.B, self.delta, tol)
-
-
 class DistResult(NamedTuple):
     d: float
     point: np.ndarray

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__ as _version
 from .ekeland import (
-    DEFAULT_EVP_TOL,
+    EVP_TOL,
+    RESIDUAL_FACTOR,
     FuzzyPairError,
     descend_g,
     evp_check,
@@ -52,10 +53,11 @@ from .geometry import (
     _direction_net,
 )
 from .simplex_optim import golden_max
-from .supconv import LevelSets, SupConvSpec, level_sets, phi_eval, phi_on_grid
+from .supconv import GAP_TOL, LevelSets, SupConvSpec, level_sets, phi_eval, phi_on_grid
 from .tent import TentSpec, psi_on_grid
 
-_DEF_TOL = 1e-9
+INTERIOR_TOL = 1e-9  # C's membership tolerance, and xi's least margin inside it
+_BOUNDARY_CAP = 400  # boundary samples kept
 
 
 class SpecFormatError(ValueError):
@@ -95,6 +97,8 @@ class ProblemSpec:
             raise SpecInvariantError("epsilon must be positive")
         if self.resolution < 2:
             raise SpecFormatError("resolution must be at least 2")
+        if self.seed < 0:
+            raise SpecFormatError("seed must be nonnegative")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemSpec":
@@ -325,8 +329,8 @@ def _c_radii(delta: float) -> tuple[float, float]:
     fl(d - delta) < -1e-9 (interior to C): rounding is monotone, so
     ``within`` at them is exactly ``classify_point``'s rule at 1e-9."""
     radii = []
-    for r, ok in ((delta + _DEF_TOL, lambda d: d - delta <= _DEF_TOL),
-                  (delta - _DEF_TOL, lambda d: d - delta < -_DEF_TOL)):
+    for r, ok in ((delta + INTERIOR_TOL, lambda d: d - delta <= INTERIOR_TOL),
+                  (delta - INTERIOR_TOL, lambda d: d - delta < -INTERIOR_TOL)):
         while not ok(r):
             r = np.nextafter(r, -np.inf)
         while ok(np.nextafter(r, np.inf)):
@@ -355,7 +359,7 @@ def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestF
 
 
 def boundary_samples(
-    A: Polytope, B: Polytope, delta: float, resolution: int, cap: int = 400,
+    A: Polytope, B: Polytope, delta: float, resolution: int,
     hull_pts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deterministic points on the boundary of C, built by pushing hull
@@ -367,7 +371,8 @@ def boundary_samples(
     normal cone is at distance exactly delta, while no grid point need lie
     on a slanted edge.  Candidates are ranked by a support-function lower
     bound on their distance, highest first, and cut off below delta by a
-    margin; one hull screen decides the rest at once, first ``cap`` kept.
+    margin; one hull screen decides the rest at once, the first
+    ``_BOUNDARY_CAP`` kept.
     """
     if hull_pts is None:
         hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
@@ -390,15 +395,13 @@ def boundary_samples(
         raise CertificateSearchError(
             f"boundary samples: no candidate lies at distance {delta} from the hull"
         )
-    return kept[on][:cap]
+    return kept[on][:_BOUNDARY_CAP]
 
 
-def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals=None) -> float:
-    """Largest subgradient norm at the points where f (``fvals``, when the
-    caller already has them) is finite; at least 1.  One batched call gives
-    every representative (see ``row_norms`` for the norms' bits)."""
-    if fvals is None:
-        fvals = f_values(f, pts)
+def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals: np.ndarray) -> float:
+    """Largest subgradient norm at the points where f, ``fvals`` there, is
+    finite; at least 1.  One batched call gives every representative (see
+    ``row_norms`` for the norms' bits)."""
     G = f.subgrad_rows(pts[np.isfinite(fvals)])
     return float(np.fmax.reduce(row_norms(G), axis=None, initial=1.0))
 
@@ -428,10 +431,9 @@ def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
     return found
 
 
-def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
+def run(ps: ProblemSpec) -> Certificate:
     """Execute the full pipeline and return its certificate.
 
-    ``tol`` is the duality-gap tolerance for every smoothing evaluation.
     The C grid and the hull grid are each evaluated once, into tables that
     every later stage reads.  One descent gives the Ekeland point u, and
     one pair search around it gives the candidate (xi, p).  Raises
@@ -440,8 +442,6 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
     problem data breaks a hypothesis (including a positive grid infimum
     of g, which signals a misestimated r).
     """
-    if not tol > 0:
-        raise SpecFormatError("tol must be positive")
     A, B, delta = ps.A, ps.B, ps.delta
 
     hull_grid = sample_set(A, B, 0.0, ps.resolution)
@@ -471,7 +471,7 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
         A, B, delta, ps.resolution,
         hull_pts=hull_grid if ps.resolution <= 41 else None,
     )
-    b_phi = phi_on_grid(sc, bpts, tol=tol)
+    b_phi = phi_on_grid(sc, bpts)
     b_margins = ps.mu - b_phi
     boundary_margin = float(b_margins.min())
     if boundary_margin <= 0:
@@ -487,7 +487,7 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
     c_pts = c_grid
     if not np.all(c_grid == inf_a.argmin, axis=1).any():
         c_pts = np.vstack([c_grid, inf_a.argmin[None, :]])
-    c_table = g_table(f1, sc, c_pts, tol=tol)
+    c_table = g_table(f1, sc, c_pts)
     grid_inf_g = float(np.min(c_table.g))
     if grid_inf_g > 1e-6:
         raise SpecInvariantError(
@@ -496,36 +496,32 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
     # boundary samples lie in C, where f1 is f
     boundary_g = float(np.min(f_values(ps.f, bpts) - b_phi))
 
-    ek = descend_g(c_table, f1, sc, delta, seed=ps.seed, phi_tol=tol)
+    ek = descend_g(c_table, f1, sc, delta, seed=ps.seed)
 
     eps_bar = 0.5 * min(
         inf_c.value - ps.mu, inf_bd.value - s1, (delta - delta1) / (1.0 + 1.0 / K)
     )
     radius = min(ek.eps, eps_bar, delta / 4.0)
     try:
-        pair = fuzzy_pair(
-            ek, f1, sc, search_radius=radius, grid=c_pts, tol=tol, grid_phi=c_table.phi
-        )
+        pair = fuzzy_pair(ek, f1, sc, search_radius=radius, grid=c_pts, grid_phi=c_table.phi)
     except FuzzyPairError as exc:
         raise CertificateSearchError(f"pair search failed: {exc}") from exc
 
     xi, p = pair.x, pair.p
     failures = []
-    evp = evp_check(c_table, ek.u, ek.value, ek.eps, DEFAULT_EVP_TOL)
+    evp = evp_check(c_table, ek.u, ek.value, ek.eps)
     if not evp.ok:
-        failures.append(
-            f"domination check: worst margin {evp.worst:.3e} < -{DEFAULT_EVP_TOL:.0e}"
-        )
+        failures.append(f"domination check: worst margin {evp.worst:.3e} < -{EVP_TOL:.0e}")
     if pair.separation >= eps_bar:
         failures.append(f"pair separation {pair.separation:.3e} >= {eps_bar:.3e}")
-    gap_xy = f_eval(f1, pair.x) - phi_eval(pair.y, sc, tol=tol).value
+    gap_xy = f_eval(f1, pair.x) - phi_eval(pair.y, sc).value
     if gap_xy >= eps_bar:
         failures.append(f"value gap {gap_xy:.3e} >= {eps_bar:.3e}")
     interior_margin = delta - dist_to_hull(xi, A, B).d
-    if not interior_margin > _DEF_TOL:
+    if not interior_margin > INTERIOR_TOL:
         failures.append("xi is not interior to C")
 
-    levels = level_sets(pair.y, sc, s1, hull_grid, psi_on_grid(tent, hull_grid), tol=tol)
+    levels = level_sets(pair.y, sc, s1, hull_grid, psi_on_grid(tent, hull_grid))
     c_n = _bisect_disjoint(levels, abs(r - s1))
     if c_n is None:
         failures.append("level sets could not be separated at y")
@@ -577,11 +573,11 @@ def run(ps: ProblemSpec, tol: float = 1e-8) -> Certificate:
         "lipschitz_estimate": lip,
     }
     tolerances = {
-        "interior_tol": _DEF_TOL,
-        "evp_tol": DEFAULT_EVP_TOL,
-        "residual_factor": 10.0,
+        "interior_tol": INTERIOR_TOL,
+        "evp_tol": EVP_TOL,
+        "residual_factor": RESIDUAL_FACTOR,
         "grid_resolution": ps.resolution,
-        "smoothing_gap_tol": tol,
+        "smoothing_gap_tol": GAP_TOL,
     }
     return Certificate(
         xi=xi.copy(),
@@ -626,7 +622,8 @@ def verify_certificate(
     report["subgradient_membership"] = {"distance": gap, "ok": gap <= 1e-8}
 
     ginf_a = oracle_grid_inf(ps.f, ps.A, ps.A, 0.0, res)
-    lip = _lipschitz_estimate(ps.f, sample_set(ps.A, ps.B, 0.0, min(res, 41)))
+    lip_pts = sample_set(ps.A, ps.B, 0.0, min(res, 41))
+    lip = _lipschitz_estimate(ps.f, lip_pts, f_values(ps.f, lip_pts))
     r_err = ginf_a.step * lip + 1e-9
     report["level_r"] = {
         "claimed": r,

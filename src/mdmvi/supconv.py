@@ -28,10 +28,12 @@ import numpy as np
 from .geometry import HullCoords, as_point
 from .tent import _CHUNK, TentSpec, psi_on_grid
 
-DEFAULT_SEP_TOL = 1e-6
-DEFAULT_FD_STEP = 1e-5
-DEFAULT_SUPER_TOL = 1e-4
-_GAP_RAISE = 1e-4
+GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
+_GAP_RAISE = max(100.0 * GAP_TOL, 1e-4)  # a larger certified gap is refused
+SEP_TOL = 1e-6  # nearer than this to z*, a finite difference gives the supergradient
+FD_STEP = 1e-5
+SUPER_TOL = 1e-4  # the supergradient's grid check
+LEVEL_MARGIN = 1e-9  # strict level-set inequalities are decided generously
 _GAP_EXACT = 1e-12  # certified gaps above this try one more dual
 
 
@@ -250,14 +252,14 @@ def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.nda
     return _clip(P[[np.argmin(norms)]], sc.K)
 
 
-def _evaluate(sc: SupConvSpec, X: np.ndarray, tol: float) -> _Rows:
+def _evaluate(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """The kernel on the rows of X in chunks of at most ``_CHUNK`` row-face
     entries; raises PhiEvalError at the first row whose certified gap
-    exceeds the acceptance threshold."""
+    exceeds ``_GAP_RAISE``."""
     rows = max(1, _CHUNK // len(sc._faces.level))
     parts = [_kernel(sc, X[i : i + rows]) for i in range(0, max(len(X), 1), rows)]
     out = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
-    bad = out.gap > max(100.0 * tol, _GAP_RAISE)
+    bad = out.gap > _GAP_RAISE
     if bad.any():
         i = int(bad.argmax())
         raise PhiEvalError(
@@ -266,7 +268,7 @@ def _evaluate(sc: SupConvSpec, X: np.ndarray, tol: float) -> _Rows:
     return out
 
 
-def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8) -> PhiValue:
+def phi_eval(x, sc: SupConvSpec) -> PhiValue:
     """Evaluate the smoothing at x with a certified optimality gap.
 
     One row of the face-enumeration kernel (see the module docstring):
@@ -274,9 +276,9 @@ def phi_eval(x, sc: SupConvSpec, tol: float = 1e-8) -> PhiValue:
     value, the attaining point and its hull coordinates, and the conic
     dual bound at the cone gradient there, or at the facet plane's slope
     where the point is x itself, certifies the gap.  Raises PhiEvalError
-    when the certified gap is above max(100 tol, 1e-4).
+    when the certified gap is above 1e-4.
     """
-    return _phi_value(sc, _evaluate(sc, as_point(x, sc.dim)[None, :], tol), 0)
+    return _phi_value(sc, _evaluate(sc, as_point(x, sc.dim)[None, :]), 0)
 
 
 def _phi_value(sc: SupConvSpec, out: _Rows, i: int) -> PhiValue:
@@ -296,53 +298,46 @@ def phi_value(x, sc: SupConvSpec) -> float:
     return phi_eval(x, sc).value
 
 
-def phi_on_grid(sc: SupConvSpec, pts: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def phi_on_grid(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:
     """The smoothing on the rows of ``pts``, batched; each value equals
     ``phi_eval``'s, bit for bit."""
     pts = np.asarray(pts, dtype=float).reshape(-1, sc.dim)
     if not np.all(np.isfinite(pts)):
         raise ValueError("grid points must be finite")
-    return _evaluate(sc, pts, tol).value
+    return _evaluate(sc, pts).value
 
 
 def phi_supergradient(
-    x,
-    sc: SupConvSpec,
-    grid: np.ndarray,
-    tol_sep: float = DEFAULT_SEP_TOL,
-    fd_step: float = DEFAULT_FD_STEP,
-    tol_super: float = DEFAULT_SUPER_TOL,
-    tol: float = 1e-8,
-    grid_phi: np.ndarray | None = None,
+    x, sc: SupConvSpec, grid: np.ndarray, grid_phi: np.ndarray | None = None
 ) -> Supergradient:
     """A supergradient of the smoothing at x, verified on a grid.
 
     Away from the attaining point the cone formula -K (x - z*) / ||x - z*||
     is exact: the cone minorant touches the smoothing from below at x, so
-    its gradient is the only possible supergradient.  On the attaining set
-    a centered finite difference is used instead and accepted only if the
-    superdifferential inequality holds on the verification grid, whose
-    smoothing values ``grid_phi`` are computed when the caller does not
-    already have them.  ``tol`` is the duality-gap tolerance of every
-    smoothing evaluation; x and its difference stencil are evaluated in one
-    batch, each with the bits it gets alone.
+    its gradient is the only possible supergradient.  Within ``SEP_TOL`` of
+    the attaining point a centered finite difference is used instead.
+    Either is accepted only if the superdifferential inequality holds to
+    ``SUPER_TOL`` on the verification grid, whose smoothing values
+    ``grid_phi`` are computed when the caller does not already have them.
+    x and its difference stencil are evaluated in one batch, each with the
+    bits it gets alone.
     """
     x = as_point(x, sc.dim)
-    steps = fd_step * np.eye(sc.dim)
-    out = _evaluate(sc, np.vstack([x, x + steps, x - steps]), tol)
+    steps = FD_STEP * np.eye(sc.dim)
+    out = _evaluate(sc, np.vstack([x, x + steps, x - steps]))
     v = _phi_value(sc, out, 0)
     sep = float(np.linalg.norm(x - v.argmax))
-    if sep > tol_sep:
+    if sep > SEP_TOL:
         p = -sc.K * (x - v.argmax) / sep
         mode = "cone-formula"
     else:
-        p = (out.value[1 : sc.dim + 1] - out.value[sc.dim + 1 :]) / (2 * fd_step)
+        p = (out.value[1 : sc.dim + 1] - out.value[sc.dim + 1 :]) / (2 * FD_STEP)
         mode = "fallback"
 
     pts = np.asarray(grid, dtype=float)
-    vals = phi_on_grid(sc, pts, tol=tol) if grid_phi is None else grid_phi
+    vals = phi_on_grid(sc, pts) if grid_phi is None else grid_phi
     worst = float(np.max(vals - v.value - (pts - x) @ p))
-    if worst > tol_super:
+    if worst > SUPER_TOL:
         raise SupergradientError(
             f"supergradient check failed at {x.tolist()} (mode {mode}, "
             f"violation {worst:.3e}); perturb x away from the kink"
@@ -383,27 +378,28 @@ class LevelSets(NamedTuple):
         V_c = {z : level_dist(z) < c}
 
     score is psi(z) - K ||z - ybar|| and level_dist is |s_anchor - psi(z)|;
-    points off the hull score -inf and lie at distance +inf.
+    points off the hull score -inf and lie at distance +inf.  Both strict
+    inequalities carry ``LEVEL_MARGIN``, so membership is decided
+    generously and a reported disjointness is conservative.
     """
 
     phi_bar: float
     score: np.ndarray
     level_dist: np.ndarray
 
-    def disjoint(self, c: float, margin: float = 1e-9) -> bool:
-        in_u = self.score > self.phi_bar - c - margin
-        in_v = self.level_dist < c + margin
+    def disjoint(self, c: float) -> bool:
+        in_u = self.score > self.phi_bar - c - LEVEL_MARGIN
+        in_v = self.level_dist < c + LEVEL_MARGIN
         return not bool(np.any(in_u & in_v))
 
 
 def level_sets(
-    ybar, sc: SupConvSpec, s_anchor: float, pts: np.ndarray, psis: np.ndarray,
-    tol: float = 1e-8,
+    ybar, sc: SupConvSpec, s_anchor: float, pts: np.ndarray, psis: np.ndarray
 ) -> LevelSets:
     """Score the grid points ``pts``, whose tent values are ``psis``, once
     for every threshold of the level-set test at ybar."""
     ybar = as_point(ybar, sc.dim)
-    phi_bar = phi_eval(ybar, sc, tol=tol).value
+    phi_bar = phi_eval(ybar, sc).value
     finite = np.isfinite(psis)
     score = np.where(
         finite, psis - sc.K * np.linalg.norm(pts - ybar, axis=1), -np.inf
@@ -412,23 +408,18 @@ def level_sets(
     return LevelSets(phi_bar, score, level_dist)
 
 
-def uv_disjoint(
-    ybar, c: float, sc: SupConvSpec, s_anchor: float, grid, margin: float = 1e-9
-) -> bool:
+def uv_disjoint(ybar, c: float, sc: SupConvSpec, s_anchor: float, grid) -> bool:
     """Grid test that the near-attainment set at ybar and the tent level
-    set near s_anchor do not meet:
+    set near s_anchor do not meet (see ``LevelSets``):
 
         U = {z in [A,B] : psi(z) - K ||z - ybar|| > phi_K(ybar) - c}
         V = {z in [A,B] : |s_anchor - psi(z)| < c}
-
-    Strict inequalities carry a small margin so membership is decided
-    generously; a reported disjointness is therefore conservative.
     """
     if not c > 0:
         raise ValueError("c must be positive")
     pts = np.asarray(grid, dtype=float)
     psis = psi_on_grid(sc.tent, pts)
-    return level_sets(ybar, sc, s_anchor, pts, psis).disjoint(c, margin)
+    return level_sets(ybar, sc, s_anchor, pts, psis).disjoint(c)
 
 
 def sample_table(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:

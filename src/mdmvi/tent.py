@@ -234,14 +234,12 @@ def psi_supergradient(x, t: TentSpec) -> np.ndarray:
     return v.slope
 
 
-def eps_superdiff_check_psi(
-    p, x, eps: float, t: TentSpec, grid, tol_check: float = DEFAULT_CHECK_TOL
-) -> SuperdiffCheck:
+def eps_superdiff_check_psi(p, x, eps: float, t: TentSpec, grid) -> SuperdiffCheck:
     """Grid check of p being an eps-supergradient of the tent at x.
 
     worst_violation is max over finite-tent grid points z of
     (psi(z) - psi(x) - <p, z - x>) - eps; ok means it stays below
-    tol_check.
+    ``DEFAULT_CHECK_TOL``.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -257,7 +255,7 @@ def eps_superdiff_check_psi(
         return SuperdiffCheck(True, float("-inf"))
     gains = vals[finite] - vx - (pts[finite] - x) @ p
     worst = float(np.max(gains) - eps)
-    return SuperdiffCheck(worst <= tol_check, worst)
+    return SuperdiffCheck(worst <= DEFAULT_CHECK_TOL, worst)
 
 
 def tent_increment_bound_check(

@@ -22,7 +22,6 @@ def reference_compass(
     sc: SupConvSpec,
     delta: float,
     seed: int = 0,
-    phi_tol: float = 1e-8,
 ) -> tuple[np.ndarray, float]:
     """The best point reached and its g value."""
     grid, gvals = table.pts, table.g
@@ -52,7 +51,7 @@ def reference_compass(
             ok = np.isfinite(vals)
             vals[~ok] = np.inf
             if ok.any():
-                vals[ok] -= phi_on_grid(sc, F[ok], tol=phi_tol)
+                vals[ok] -= phi_on_grid(sc, F[ok])
             memo.update(zip((keys[i] for i in fresh), vals.tolist()))
         return np.array([memo[k] for k in keys])
 

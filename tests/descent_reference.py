@@ -23,7 +23,6 @@ def reference_descent(
     sc: SupConvSpec,
     delta: float,
     seed: int = 0,
-    phi_tol: float = 1e-8,
 ) -> tuple[np.ndarray, float]:
     """The best point reached and its g value."""
     grid, gvals = table.pts, table.g
@@ -45,7 +44,7 @@ def reference_descent(
     def g(z: np.ndarray) -> float:
         key = z.tobytes()
         if key not in memo:
-            memo[key] = _g_eval(z, f1, sc, tol=phi_tol)
+            memo[key] = _g_eval(z, f1, sc)
         return memo[key]
 
     def descend(x0: np.ndarray, g0: float) -> tuple[np.ndarray, float]:

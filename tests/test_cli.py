@@ -46,11 +46,12 @@ class TestCertificateCommand:
         assert rc == 0
         assert (workdir / "cert.json").exists()
 
-        # one Ekeland point, one pair search: no schedule to set, no trace
+        # one Ekeland point, one pair search: no schedule to set, no trace,
+        # and no smoothing tolerance to set
         import mdmvi.cli as cli
 
         monkeypatch.setattr(cli, "run", None)
-        for extra in (["--schedule", "0.1,0.01"], ["--trace", "trace.csv"]):
+        for extra in (["--schedule", "0.1,0.01"], ["--trace", "trace.csv"], ["--tol", "1e-8"]):
             assert run_command(["certificate", "canonical_1d.json"] + extra) == 2
         assert not (workdir / "trace.csv").exists()
 
@@ -172,11 +173,23 @@ def test_non_finite_spec_numbers_exit_2(workdir, capsys, field, value):
     assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
 
 
+def test_negative_spec_seed_exits_2(workdir, capsys, monkeypatch):
+    # the --seed -1 override is a row of test_bad_arguments_exit_2_before_the_pipeline
+    import mdmvi.cli as cli
+
+    monkeypatch.setattr(cli, "run", None)
+    data = json.loads((workdir / "canonical_1d.json").read_text())
+    (workdir / "bad.json").write_text(json.dumps(dict(data, seed=-1)))
+    assert run_command(["certificate", "bad.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certificate", "canonical_1d.json", "--tol", "0"],
-        ["certificate", "canonical_1d.json", "--tol", "nan"],
+        ["certificate", "canonical_1d.json", "--seed", "-1"],
+        ["eval-phi", "canonical_1d.json", "--seed", "-1", "--out", "phi.csv"],
         ["certificate", "canonical_1d.json", "--resolution", "1"],
         ["eval-psi", "canonical_1d.json", "--grid", "1", "--out", "psi.csv"],
         ["eval-phi", "canonical_1d.json", "--grid", "0", "--out", "phi.csv"],

@@ -57,7 +57,7 @@ def descent_inputs(ps: ProblemSpec):
 
 def _reference(args, kwargs):
     table, f1, sc, delta = args
-    return reference_descent(table, f1, sc, delta, kwargs["seed"], kwargs["phi_tol"])
+    return reference_descent(table, f1, sc, delta, kwargs["seed"])
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -78,13 +78,13 @@ def test_reaches_the_reference_value_on_multivertex_2d(seed):
     args, kwargs = descent_inputs(ps)
     _, g_ref = _reference(args, kwargs)
     point = ekeland.descend_g(*args, **kwargs)
-    assert point.value <= g_ref + ekeland.DEFAULT_EVP_TOL
+    assert point.value <= g_ref + ekeland.EVP_TOL
 
 
 def _same_bits_as_compass_reference(ps: ProblemSpec):
     args, kwargs = descent_inputs(ps)
     table, f1, sc, delta = args
-    u_ref, g_ref = reference_compass(table, f1, sc, delta, kwargs["seed"], kwargs["phi_tol"])
+    u_ref, g_ref = reference_compass(table, f1, sc, delta, kwargs["seed"])
     point = ekeland.descend_g(*args, **kwargs)
     assert point.u.tobytes() == u_ref.tobytes()
     assert np.float64(point.value).tobytes() == np.float64(g_ref).tobytes()
@@ -110,9 +110,9 @@ def test_valley_takes_a_bounded_number_of_batches(monkeypatch):
     batches = []
     real = ekeland.phi_on_grid
 
-    def spy(sc, pts, tol=1e-8):
+    def spy(sc, pts):
         batches.append(len(pts))
-        return real(sc, pts, tol=tol)
+        return real(sc, pts)
 
     monkeypatch.setattr(ekeland, "phi_on_grid", spy)
     monkeypatch.setattr(ekeland, "phi_eval", None)  # no point-at-a-time path
@@ -180,7 +180,7 @@ def test_a_batch_evaluates_each_fresh_row_once(monkeypatch, problems_dir):
         return real(f, X)
 
     monkeypatch.setattr(ekeland, "f_values", spy)
-    vals = ekeland._g_rows(Z, memo, f1, sc, kwargs["phi_tol"])
+    vals = ekeland._g_rows(Z, memo, f1, sc)
     assert len(seen) == 1 and seen[0].tobytes() == fresh.tobytes()
     assert vals[0] == vals[2] and vals[1] == table.g[0]
     assert memo[fresh.tobytes()] == vals[0]

@@ -11,12 +11,11 @@ from mdmvi import (
     evp_verify,
     fuzzy_pair,
     linear,
-    minimize_g,
     quadratic,
     restricted,
 )
-from mdmvi.ekeland import EKELAND_EPS, DescentError
-from mdmvi.geometry import HullInflation
+from mdmvi.ekeland import EKELAND_EPS, DescentError, descend_g, g_table
+from mdmvi.geometry import sample_set
 from mdmvi.mdmvt import restrict_f
 from mdmvi.supconv import phi_value
 
@@ -44,13 +43,18 @@ def wrap_phi(sc, extra=None):
     )
 
 
+def minimize_g(f1, sc, A, B, delta, resolution, seed):
+    """Near-minimizer of g = f1 - phi_K on C, seeded from a grid of C."""
+    table = g_table(f1, sc, sample_set(A, B, delta, resolution))
+    return descend_g(table, f1, sc, delta, seed=seed)
+
+
 class TestMinimizeG:
     def test_linear_objective_minimizer(self, seg_a, seg_b, canonical_smoothing):
         # dense-grid scan of g = f1 - phi pins the minimizer near 0, where
         # the smoothing's slope first exceeds the slope of f
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        pt = minimize_g(f1, canonical_smoothing, region, 201, seed=0)
+        pt = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 201, seed=0)
         xs = np.linspace(-0.5, 1.5, 2001)
         gs = np.array(
             [x - phi_value([x], canonical_smoothing) for x in xs]
@@ -62,30 +66,26 @@ class TestMinimizeG:
     def test_constant_g_returns_zero_value(self, seg_a, seg_b, canonical_smoothing):
         f = wrap_phi(canonical_smoothing)
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        pt = minimize_g(f1, canonical_smoothing, region, 101, seed=0)
+        pt = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 101, seed=0)
         assert pt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_centered_quadratic_recovers_center(self, seg_a, seg_b, canonical_smoothing):
         f = wrap_phi(canonical_smoothing, extra=lambda x: 0.5 * float((x[0] - 0.5) ** 2))
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        pt = minimize_g(f1, canonical_smoothing, region, 101, seed=0)
+        pt = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 101, seed=0)
         assert pt.u[0] == pytest.approx(0.5, abs=1e-6)
         assert pt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_domain_errors(self, seg_a, seg_b, canonical_smoothing):
         f = restricted(linear([1.0]), Polytope([[5.0], [6.0]]))
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
         with pytest.raises(DescentError):
-            minimize_g(f1, canonical_smoothing, region, 41, seed=0)
+            minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 41, seed=0)
 
     def test_deterministic_given_seed(self, seg_a, seg_b, canonical_smoothing):
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        a = minimize_g(f1, canonical_smoothing, region, 101, seed=4)
-        b = minimize_g(f1, canonical_smoothing, region, 101, seed=4)
+        a = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 101, seed=4)
+        b = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 101, seed=4)
         assert np.array_equal(a.u, b.u)
 
     def test_final_entry_meets_exhaustive_scan(self, seg_a, seg_b, canonical_smoothing):
@@ -95,8 +95,7 @@ class TestMinimizeG:
         from mdmvi.oracles import grid_inf
 
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
-        region = HullInflation(seg_a, seg_b, 0.5)
-        pt = minimize_g(f1, canonical_smoothing, region, 201, seed=0)
+        pt = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 201, seed=0)
         g_fn = TestFunction(
             fid="synthetic",
             params={},
@@ -231,4 +230,4 @@ class TestFuzzyPair:
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
         u = EkelandPoint(u=np.array([0.7]), eps=0.1, value=0.0)
         with pytest.raises(ValueError):
-            fuzzy_pair(u, f1, canonical_smoothing, 0.0)
+            fuzzy_pair(u, f1, canonical_smoothing, 0.0, grid=grid_1d(-0.5, 1.5, 101))

@@ -15,7 +15,6 @@ from mdmvi import (
     sample_set,
 )
 from mdmvi.geometry import (
-    HullInflation,
     HullScreen,
     _direction_net,
     as_point,
@@ -230,9 +229,8 @@ class TestSampleSet:
 
 
 def test_hull_inflation_descriptor(seg_a, seg_b):
-    region = HullInflation(seg_a, seg_b, 0.5)
-    assert region.classify(1.4) == INTERIOR
-    assert region.classify(1.7) == EXTERIOR
+    assert classify_point(1.4, seg_a, seg_b, 0.5) == INTERIOR
+    assert classify_point(1.7, seg_a, seg_b, 0.5) == EXTERIOR
     assert hull_diameter(seg_a, seg_b) == 1.0
 
 

@@ -121,6 +121,23 @@ class TestPhiEval:
             phi_eval(np.array([0.5]), sc)
         assert "gap" in str(err.value)
 
+    @pytest.mark.parametrize("gap, refused", [(1e-4, False), (2e-4, True)])
+    def test_certified_gap_above_1e_4_is_refused(self, unit_tent, monkeypatch, gap, refused):
+        import mdmvi.supconv as sp
+
+        real = sp._kernel
+        monkeypatch.setattr(
+            sp, "_kernel", lambda sc, X: real(sc, X)._replace(gap=np.full(len(X), gap))
+        )
+        sc, x = SupConvSpec(unit_tent, 2.0), np.array([0.5])
+        if refused:
+            for evaluate in (lambda: phi_eval(x, sc), lambda: phi_on_grid(sc, x[None, :])):
+                with pytest.raises(PhiEvalError, match="gap 2.000e-04"):
+                    evaluate()
+        else:
+            assert phi_eval(x, sc).gap == gap
+            assert phi_on_grid(sc, x[None, :]) == phi_value(x, sc)
+
     def test_rejects_bad_K(self, unit_tent):
         with pytest.raises(ValueError):
             SupConvSpec(unit_tent, 0.0)
@@ -229,10 +246,13 @@ class TestPhiSupergradient:
             assert mode == "cone-formula"
             assert p[0] == pytest.approx(fd, abs=1e-4)
 
-    def test_verification_failure_raises(self, unit_tent):
+    def test_verification_failure_raises(self, unit_tent, monkeypatch):
+        import mdmvi.supconv as supconv
+
         sc = SupConvSpec(unit_tent, 2.0)
+        monkeypatch.setattr(supconv, "SUPER_TOL", -1.0)
         with pytest.raises(SupergradientError):
-            phi_supergradient([0.5], sc, grid=grid_1d(-1, 2, 61), tol_super=-1.0)
+            phi_supergradient([0.5], sc, grid=grid_1d(-1, 2, 61))
 
 
 class TestTransferCheck:

@@ -76,9 +76,6 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
 
     _patch_everywhere(monkeypatch, geometry, "sample_set", sampling)
 
-    search_samples = []
-    monkeypatch.setattr(ekeland, "sample_set", lambda *args: search_samples.append(args))
-
     f1_points = Counter()
     real_restrict = mdmvt.restrict_f
 
@@ -97,20 +94,6 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
     assert len(estimates) == 4
     assert samples.count((ps.A, ps.B, ps.delta)) == 1
     assert [f1_points[z.tobytes()] for z in c_grid] == [1] * len(c_grid)
-    assert search_samples == []
+    assert not hasattr(ekeland, "sample_set")  # the search samples no grid of its own
     assert verify_certificate(cert, ps)[0]
 
-
-def test_every_smoothing_evaluation_uses_the_run_tol(monkeypatch, small_spec):
-    tols = []
-
-    def recording(original):
-        def spy(x, sc, tol=1e-8, *args, **kwargs):
-            tols.append(tol)
-            return original(x, sc, tol, *args, **kwargs)
-
-        return spy
-
-    _patch_everywhere(monkeypatch, supconv, "phi_eval", recording)
-    run(small_spec, tol=1e-7)
-    assert tols and set(tols) == {1e-7}
