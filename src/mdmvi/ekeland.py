@@ -3,11 +3,16 @@ certificate, plus extraction of a nearly-cancelling subgradient pair.
 
 The existential minimization step of Ekeland's principle is realized
 constructively, at the one ``EKELAND_EPS``: compass search from the three
-best grid points, stepping in lockstep with one batch of g per round,
-gives the point u, and an a-posteriori grid check of the domination
-inequality g(z) + eps ||z - u|| >= g(u) confirms it.  Both read g from
-one ``GTable`` of the grid, built once per pipeline run.  One pair search
-around u then yields the fuzzy pair.
+best grid points gives the point u, and an a-posteriori grid check of the
+domination inequality g(z) + eps ||z - u|| >= g(u) confirms it.  Both read
+g from one ``GTable`` of the grid, built once per pipeline run.  The
+search evaluates g on one batch per round: the stencils of every live
+start at four halving scales, over which each start then replays its
+steps.  One pair search around u then yields the fuzzy pair, from one
+smoothing batch for all its perturbed points and one batch of f for all
+its candidates.  Both searches give what one row at a time would give,
+bit for bit, and a smoothing value whose certified gap is refused fails
+them only where they read it.
 """
 
 from __future__ import annotations
@@ -18,19 +23,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functions import TestFunction, f_eval, f_subgrad, f_values
+from .functions import TestFunction, f_eval, f_subgrads, f_values
 from .geometry import as_point, rank_points, row_norms
 from .supconv import (
     SupConvSpec,
-    SupergradientError,
     phi_eval,
     phi_on_grid,
-    phi_supergradient,
+    phi_rows,
+    phi_supergradients,
 )
 
 EVP_TOL = 1e-6  # the domination check's allowance
 RESIDUAL_FACTOR = 10.0  # a pair's residual may reach this times the eps of u
 EKELAND_EPS = 0.1  # the eps of Ekeland's principle for the point u
+_HALVINGS = 0.5 ** np.arange(4)  # the compass scales one round evaluates, relative to h
 
 
 class DescentError(RuntimeError):
@@ -87,7 +93,8 @@ def g_table(f1: TestFunction, sc: SupConvSpec, pts) -> GTable:
 def _g_rows(Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec) -> np.ndarray:
     """g on the rows of Z.  Rows found in ``memo`` (point bytes -> g) are
     read from it; the others, each distinct row once, are evaluated in one
-    batch and added to it."""
+    batch and added to it.  g is NaN on a row whose smoothing is refused
+    (see ``phi_rows``)."""
     keys = [z.tobytes() for z in Z]
     fresh = dict.fromkeys(k for k in keys if k not in memo)
     if fresh:
@@ -96,7 +103,7 @@ def _g_rows(Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec) -> np.
         ok = np.isfinite(vals)
         vals[~ok] = np.inf
         if ok.any():
-            vals[ok] -= phi_on_grid(sc, F[ok])
+            vals[ok] -= phi_rows(sc, F[ok])
         memo.update(zip(fresh, vals.tolist()))
     return np.array([memo[k] for k in keys])
 
@@ -109,19 +116,25 @@ def descend_g(
     Multistart compass search (Torczon 1997; Kolda, Lewis & Torczon 2003)
     from the three best points of ``table``, a grid of C inflated by
     ``delta``.  The directions are the coordinates and two seeded random
-    unit vectors, with the repeats of 1-D dropped.  Each start moves to
-    the best point of its stencil x +- h d, first on ties, doubling h,
-    when that lowers g; otherwise it halves h.  h starts at span / 8 and a
-    start stops below 1e-10 max(span, 1).
+    unit vectors, with the repeats of 1-D dropped.  Each step moves a
+    start to the best point of its stencil x +- h d, first on ties,
+    doubling h, when that lowers g; otherwise it halves h.  h starts at
+    span / 8 and a start stops below 1e-10 max(span, 1).
 
-    The starts step in lockstep: each round evaluates the stencils of
-    every live start in one batch (``f_values``, then ``phi_on_grid`` where
-    f1 is finite), and no point, the table's included, is evaluated twice.
-    g on a row does not depend on the rest of its batch, so each start
-    ends where it would have ended on its own.  A ``PhiEvalError`` names
-    the first bad row of the shared batch, which may belong to any live
-    start.  Deterministic given the seed; ties between the starts' ends
-    break by lexicographic point order.
+    A halving leaves x in place, so the next stencils are known: each
+    round evaluates, for every live start, the stencils at h, h/2, h/4
+    and h/8 (those not below the stop) in one batch (``f_values``, then
+    ``phi_rows`` where f1 is finite), and no point, the table's included,
+    is evaluated twice.  Each start then replays the steps over those
+    scales, up to its first move.  g on a row does not depend on the rest
+    of its batch, so each start takes the path it would take alone.
+
+    Only rows that a step reads can fail the run: g is NaN on a refused
+    row, and the PhiEvalError is ``phi_eval``'s at the first refused row
+    of the earliest step that reads one, the lowest start first on ties,
+    as when the starts stepped together one scale per batch.
+    Deterministic given the seed; ties between the starts' ends break by
+    lexicographic point order.
     """
     grid, gvals = table.pts, table.g
     ranked = rank_points(gvals, grid)
@@ -142,20 +155,40 @@ def descend_g(
     h_min = 1e-10 * max(span, 1.0)
     memo = {z.tobytes(): float(v) for z, v in zip(grid, gvals)}
 
-    # every start keeps its own x, g(x) and h; the live ones step together
+    # every start keeps its own x, g(x), h and count of steps taken
     x, fx = grid[seeds], gvals[seeds].astype(float)
     h = np.full(len(seeds), span / 8)
+    steps = np.zeros(len(seeds), dtype=int)
+    halt = None  # (step, start, point) of the earliest read of a refused row
     live = np.nonzero(h >= h_min)[0]
     while len(live):
-        Z = x[live, None, :] + h[live, None, None] * stencil
-        vals = _g_rows(Z.reshape(-1, dim), memo, f1, sc).reshape(Z.shape[:2])
-        k = np.argmin(vals, axis=1)
-        best = vals[np.arange(len(live)), k]
-        moved = best < fx[live]
-        x[live[moved]] = Z[moved, k[moved]]
-        fx[live[moved]] = best[moved]
-        h[live] = np.where(moved, h[live] * 2, h[live] / 2)
+        H = h[live, None] * _HALVINGS  # (live, scale)
+        use = H >= h_min
+        Z = x[live, None, None, :] + H[:, :, None, None] * stencil
+        vals = np.full(Z.shape[:3], np.inf)
+        vals[use] = _g_rows(Z[use].reshape(-1, dim), memo, f1, sc).reshape(-1, len(stencil))
+        refused = np.isnan(vals)
+        k = np.argmin(vals, axis=2)
+        best = np.take_along_axis(vals, k[:, :, None], axis=2)[:, :, 0]
+        # a move, or a read of a refused row, ends the replay
+        stop = use & ((best < fx[live, None]) | refused.any(axis=2))
+        for i, s in enumerate(live):
+            j = int(np.argmax(stop[i])) if stop[i].any() else int(use[i].sum()) - 1
+            steps[s] += j + 1
+            if refused[i, j].any():
+                if halt is None or (steps[s], s) < halt[:2]:
+                    halt = (steps[s], s, Z[i, j, np.argmax(refused[i, j])])
+                h[s] = 0.0
+            elif stop[i, j]:
+                x[s], fx[s], h[s] = Z[i, j, k[i, j]], best[i, j], H[i, j] * 2
+            else:
+                h[s] = H[i, j] / 2
         live = live[h[live] >= h_min]
+        if halt is not None:  # a start short of the halt's step may halt sooner
+            live = live[steps[live] < halt[0]]
+    if halt is not None:
+        phi_eval(halt[2], sc)  # refused in its batch, so refused alone: raises
+        raise AssertionError("a refused smoothing value was certified alone")
 
     best_x, best_f = min(zip(x, fx), key=lambda end: (end[1], tuple(end[0])))
     return EkelandPoint(u=best_x.copy(), eps=EKELAND_EPS, value=float(best_f))
@@ -216,46 +249,42 @@ def fuzzy_pair(
     of u.
 
     Minimizes residual plus separation over a deterministic perturbation
-    pattern; fails loudly when the residual exceeds ``RESIDUAL_FACTOR``
-    times the eps of u (a kink coincidence no point of the pattern gets
-    past).  Every supergradient is checked on ``grid``; ``grid_phi``, the
-    smoothing there, serves every check when the caller already has it.
-    The subgradients of f at u are computed once per call.
+    pattern of y, with x = y or x = u; fails loudly when the residual
+    exceeds ``RESIDUAL_FACTOR`` times the eps of u (a kink coincidence no
+    point of the pattern gets past).  Every supergradient is checked on
+    ``grid``; ``grid_phi``, the smoothing there, serves every check when
+    the caller already has it.
+
+    The search is batched: one kernel batch for every y of the pattern
+    and its difference stencil (``phi_supergradients``), and one
+    ``f_values`` and one ``f_subgrads`` batch for every candidate x, each
+    distinct point once.  The walk then visits the pattern in order and
+    stops at the first y whose best pair has residual at most 1e-12, so
+    only the y it visits can raise PhiEvalError, as one call per y did.
     """
-    if search_radius <= 0:
-        raise ValueError("search_radius must be positive")
+    if not (np.isfinite(search_radius) and search_radius > 0):
+        raise ValueError("search_radius must be positive and finite")
     base = as_point(u.u, f.dim)
-
-    def supergradient(y):  # None where the check fails
-        try:
-            return phi_supergradient(y, sc, grid=grid, grid_phi=grid_phi)
-        except SupergradientError:
-            return None
-
-    def subgrads(x):  # none outside the domain of f
-        return f_subgrad(f, x) if np.isfinite(f_eval(f, x)) else []
-
+    offsets = _perturbation_offsets(f.dim, search_radius)
+    Y = base + np.array(offsets)
     # u is a candidate x for every y, and is y itself at the zero offset
-    base_key, base_subgrads = base.tobytes(), subgrads(base)
+    subgrads = _subgrads_by_point(f, np.vstack([base, Y]))
     best: FuzzyPair | None = None
     best_score = np.inf
-    for off in _perturbation_offsets(f.dim, search_radius):
-        y = base + off
-        sg = supergradient(y)
+    for off, y, sg in zip(offsets, Y, phi_supergradients(Y, sc, grid, grid_phi)):
         if sg is None:
             continue
         q = -sg.p
-        x_cands = [y] if not off.any() else [y, base]
-        for x in x_cands:
-            for p in base_subgrads if x.tobytes() == base_key else subgrads(x):
+        for x in [y] if not off.any() else [y, base]:
+            for p in subgrads[x.tobytes()]:
                 residual = float(np.linalg.norm(p + q))
                 separation = float(np.linalg.norm(x - y))
                 score = residual + separation
                 if score < best_score - 1e-15:
                     best_score = score
                     best = FuzzyPair(
-                        x=np.asarray(x, dtype=float).copy(),
-                        p=np.asarray(p, dtype=float).copy(),
+                        x=x.copy(),
+                        p=p.copy(),
                         y=y.copy(),
                         q=q.copy(),
                         residual=residual,
@@ -270,3 +299,15 @@ def fuzzy_pair(
             f"{base.tolist()} (best {got})"
         )
     return best
+
+
+def _subgrads_by_point(f: TestFunction, X: np.ndarray) -> dict[bytes, list[np.ndarray]]:
+    """f's subgradient representatives at each distinct row of X, by its
+    bytes; none outside the domain of f."""
+    keys = list(dict.fromkeys(x.tobytes() for x in X))
+    U = np.frombuffer(b"".join(keys), dtype=float).reshape(-1, X.shape[1])
+    inside = np.isfinite(f_values(f, U))
+    out = {k: [] for k in keys}
+    if inside.any():
+        out.update(zip(itertools.compress(keys, inside), f_subgrads(f, U[inside])))
+    return out

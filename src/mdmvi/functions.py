@@ -6,7 +6,7 @@ rows: an (m, n) array of points maps to their m values, and to an
 (m, k, n) array of subgradient representatives, NaN rows standing for
 those a point lacks.  Every sum is written term by term, so a point gets
 the same bits alone (``f_eval``, ``f_subgrad``) or in a batch
-(``f_values``, ``subgrad_rows``).  A restricted member reads its values
+(``f_values``, ``f_subgrads``).  A restricted member reads its values
 and interior points from one exact batched hull screen of its domain.
 
 Subdifferentials are exposed as finite representative sets: extreme points
@@ -100,6 +100,12 @@ def f_values(f: TestFunction, X) -> np.ndarray:
 def f_subgrad(f: TestFunction, x) -> list[np.ndarray]:
     """f's subgradient representatives at x: one row of ``f.subgrad_rows``."""
     return _reps(f.subgrad_rows(as_point(x, f.dim)[None, :])[0])
+
+
+def f_subgrads(f: TestFunction, X) -> list[list[np.ndarray]]:
+    """f's subgradient representatives at every row of X, from one
+    ``f.subgrad_rows`` batch; each list equals ``f_subgrad`` at that row."""
+    return [_reps(G) for G in f.subgrad_rows(as_rows(X, f.dim))]
 
 
 def _on_rows(rows, X: np.ndarray, keep: np.ndarray, fill: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -252,20 +252,32 @@ def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.nda
     return _clip(P[[np.argmin(norms)]], sc.K)
 
 
-def _evaluate(sc: SupConvSpec, X: np.ndarray) -> _Rows:
+def _kernel_rows(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """The kernel on the rows of X in chunks of at most ``_CHUNK`` row-face
-    entries; raises PhiEvalError at the first row whose certified gap
-    exceeds ``_GAP_RAISE``."""
+    entries.  A row whose certified gap exceeds ``_GAP_RAISE`` is refused:
+    its value is NaN."""
     rows = max(1, _CHUNK // len(sc._faces.level))
     parts = [_kernel(sc, X[i : i + rows]) for i in range(0, max(len(X), 1), rows)]
     out = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
-    bad = out.gap > _GAP_RAISE
+    return out._replace(value=np.where(out.gap > _GAP_RAISE, np.nan, out.value))
+
+
+def _refuse(X: np.ndarray, out: _Rows) -> _Rows:
+    """``out``, the kernel's rows of X; raises PhiEvalError at the first
+    row that it refuses."""
+    bad = np.isnan(out.value)
     if bad.any():
         i = int(bad.argmax())
         raise PhiEvalError(
             f"could not certify value at {X[i].tolist()}: gap {out.gap[i]:.3e}"
         )
     return out
+
+
+def _evaluate(sc: SupConvSpec, X: np.ndarray) -> _Rows:
+    """The kernel on the rows of X; raises PhiEvalError at the first row
+    that it refuses."""
+    return _refuse(X, _kernel_rows(sc, X))
 
 
 def phi_eval(x, sc: SupConvSpec) -> PhiValue:
@@ -298,13 +310,31 @@ def phi_value(x, sc: SupConvSpec) -> float:
     return phi_eval(x, sc).value
 
 
-def phi_on_grid(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:
-    """The smoothing on the rows of ``pts``, batched; each value equals
-    ``phi_eval``'s, bit for bit."""
+def _grid_rows(sc: SupConvSpec, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, sc.dim)
     if not np.all(np.isfinite(pts)):
         raise ValueError("grid points must be finite")
-    return _evaluate(sc, pts).value
+    return pts
+
+
+def phi_on_grid(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:
+    """The smoothing on the rows of ``pts``, batched; each value equals
+    ``phi_eval``'s, bit for bit."""
+    return _evaluate(sc, _grid_rows(sc, pts)).value
+
+
+def phi_rows(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:
+    """The smoothing on the rows of ``pts`` as ``phi_on_grid`` gives it,
+    but NaN, not PhiEvalError, on each row whose certified gap is above
+    1e-4: the caller raises (``phi_eval`` there) if it reads that row."""
+    return _kernel_rows(sc, _grid_rows(sc, pts)).value
+
+
+def _fd_stencils(Y: np.ndarray) -> np.ndarray:
+    """Each row y of Y with its central difference stencil y + FD_STEP e_i,
+    y - FD_STEP e_i: an (m, 2 dim + 1, dim) array."""
+    steps = FD_STEP * np.eye(Y.shape[1])
+    return np.concatenate([Y[:, None], Y[:, None] + steps, Y[:, None] - steps], axis=1)
 
 
 def phi_supergradient(
@@ -323,20 +353,54 @@ def phi_supergradient(
     bits it gets alone.
     """
     x = as_point(x, sc.dim)
-    steps = FD_STEP * np.eye(sc.dim)
-    out = _evaluate(sc, np.vstack([x, x + steps, x - steps]))
-    v = _phi_value(sc, out, 0)
-    sep = float(np.linalg.norm(x - v.argmax))
+    out = _evaluate(sc, _fd_stencils(x[None, :])[0])
+    pts = np.asarray(grid, dtype=float)
+    vals = phi_on_grid(sc, pts) if grid_phi is None else grid_phi
+    return _checked_supergradient(sc, x, out, pts, vals)
+
+
+def phi_supergradients(
+    Y, sc: SupConvSpec, grid: np.ndarray, grid_phi: np.ndarray | None = None
+) -> Iterator[Supergradient | None]:
+    """``phi_supergradient`` at each row of Y in turn, None where its grid
+    check fails, bit for bit, errors included.
+
+    Every row and its difference stencil go through one kernel batch when
+    the first row is read, but a row is refused (PhiEvalError) or checked
+    only when the caller reads it: rows past its last read never raise.
+    """
+    Y = _grid_rows(sc, Y)
+    S = _fd_stencils(Y)
+    out = _kernel_rows(sc, S.reshape(-1, sc.dim))
+    pts = np.asarray(grid, dtype=float)
+    vals, k = grid_phi, S.shape[1]
+    for i, y in enumerate(Y):
+        rows = _refuse(S[i], _Rows(*(a[i * k : (i + 1) * k] for a in out)))
+        if vals is None:
+            vals = phi_on_grid(sc, pts)
+        try:
+            sg = _checked_supergradient(sc, y, rows, pts, vals)
+        except SupergradientError:
+            sg = None
+        yield sg
+
+
+def _checked_supergradient(
+    sc: SupConvSpec, x: np.ndarray, out: _Rows, pts: np.ndarray, vals: np.ndarray
+) -> Supergradient:
+    """The supergradient at x from the kernel's rows of x's difference
+    stencil (``_fd_stencils``), checked on the grid ``pts`` whose
+    smoothing values are ``vals`` (see ``phi_supergradient``)."""
+    value = float(out.value[0])
+    sep = float(np.linalg.norm(x - out.argmax[0]))
     if sep > SEP_TOL:
-        p = -sc.K * (x - v.argmax) / sep
+        p = -sc.K * (x - out.argmax[0]) / sep
         mode = "cone-formula"
     else:
         p = (out.value[1 : sc.dim + 1] - out.value[sc.dim + 1 :]) / (2 * FD_STEP)
         mode = "fallback"
 
-    pts = np.asarray(grid, dtype=float)
-    vals = phi_on_grid(sc, pts) if grid_phi is None else grid_phi
-    worst = float(np.max(vals - v.value - (pts - x) @ p))
+    worst = float(np.max(vals - value - (pts - x) @ p))
     if worst > SUPER_TOL:
         raise SupergradientError(
             f"supergradient check failed at {x.tolist()} (mode {mode}, "

@@ -1,6 +1,7 @@
-"""Checks that only the tests use: a hull's diameter, and membership of a
+"""Checks that only the tests use: a hull's diameter, membership of a
 slope in the eps-subdifferential of a catalog function, decided on a
-grid."""
+grid, and a smoothing kernel that certifies a refused gap on chosen
+points."""
 
 import numpy as np
 
@@ -33,3 +34,21 @@ def eps_subdiff_check(
         if float(p @ (z - x)) > fz - fx + eps + tol_check:
             return False
     return True
+
+
+def force_gap(monkeypatch, points, gap: float = 2e-4) -> list:
+    """Make the smoothing kernel certify ``gap`` at every row whose bytes
+    are in ``points``, above the 1e-4 that is refused; the returned list
+    gets the bytes of each such row the kernel evaluates."""
+    import mdmvi.supconv as supconv
+
+    real, hits = supconv._kernel, []
+
+    def kernel(sc, X):
+        out = real(sc, X)
+        hit = np.array([x.tobytes() in points for x in X], dtype=bool)
+        hits.extend(x.tobytes() for x in X[hit])
+        return out._replace(gap=np.where(hit, gap, out.gap))
+
+    monkeypatch.setattr(supconv, "_kernel", kernel)
+    return hits

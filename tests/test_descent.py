@@ -1,6 +1,7 @@
-"""The lockstep compass search of ``ekeland.descend_g`` against the
+"""The speculative compass search of ``ekeland.descend_g`` against the
 coordinate-and-golden descent it replaced (``descent_reference``), and bit
-for bit against the start-after-start compass search (``compass_reference``).
+for bit against the start-after-start and lockstep compass searches
+(``compass_reference``).
 
 All read the inputs ``run`` hands ``descend_g``, captured by stopping the
 pipeline there.
@@ -14,9 +15,12 @@ import pytest
 import mdmvi.ekeland as ekeland
 import mdmvi.mdmvt as mdmvt
 from mdmvi import ProblemSpec
+from mdmvi.supconv import PhiEvalError
 
-from compass_reference import reference_compass
+import compass_reference
+from compass_reference import reference_compass, reference_lockstep
 from descent_reference import reference_descent
+from helpers import force_gap
 from test_multivertex import MULTIVERTEX_2D
 
 BUNDLED = (
@@ -104,25 +108,130 @@ def test_same_bits_as_compass_reference_on_multivertex_2d(seed):
     _same_bits_as_compass_reference(ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=seed)))
 
 
+def _case(name: str) -> ProblemSpec:
+    """A bundled problem by name, ``pair_3d``, or ``multivertex_2d@<seed>``."""
+    if name == "pair_3d":
+        return ProblemSpec.from_json_file(PAIR_3D)
+    if name.startswith("multivertex_2d@"):
+        return ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=int(name.split("@")[1])))
+    return ProblemSpec.from_json_file(
+        Path(ekeland.__file__).parent / "problems" / f"{name}.json"
+    )
+
+
+def _lockstep_batches(args, kwargs, monkeypatch) -> list[list[bytes]]:
+    """The rows of each smoothing batch of the lockstep reference: the
+    fresh rows of each round where f1 is finite."""
+    batches = []
+    real = compass_reference.phi_on_grid
+
+    def spy(sc, pts):
+        batches.append([z.tobytes() for z in pts])
+        return real(sc, pts)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(compass_reference, "phi_on_grid", spy)
+        table, f1, sc, delta = args
+        reference_lockstep(table, f1, sc, delta, kwargs["seed"])
+    return batches
+
+
+def _speculative_only(args, kwargs, monkeypatch) -> set[bytes]:
+    """The rows descend_g evaluates that the lockstep reference does not."""
+    rows = set()
+    real = ekeland.phi_rows
+
+    def spy(sc, pts):
+        rows.update(z.tobytes() for z in pts)
+        return real(sc, pts)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ekeland, "phi_rows", spy)
+        ekeland.descend_g(*args, **kwargs)
+    read = {z for batch in _lockstep_batches(args, kwargs, monkeypatch) for z in batch}
+    return rows - read
+
+
+REFUSAL_CASES = ("canonical_1d", "quadratic_1d", "plane_2d", "multivertex_2d@1")
+
+
+@pytest.mark.parametrize("name", REFUSAL_CASES)
+def test_a_refused_row_that_no_step_reads_fails_nothing(name, monkeypatch):
+    args, kwargs = descent_inputs(_case(name))
+    table, f1, sc, delta = args
+    unread = _speculative_only(args, kwargs, monkeypatch)
+    u_ref, g_ref = reference_lockstep(table, f1, sc, delta, kwargs["seed"])
+    hits = force_gap(monkeypatch, unread)
+    point = ekeland.descend_g(*args, **kwargs)
+    assert hits  # the kernel did certify a refused gap on them
+    assert point.u.tobytes() == u_ref.tobytes()
+    assert np.float64(point.value).tobytes() == np.float64(g_ref).tobytes()
+
+
+@pytest.mark.parametrize("name", REFUSAL_CASES)
+def test_a_refused_row_that_a_step_reads_raises_as_the_references_do(name, monkeypatch):
+    # one row, read in round t: every search names it
+    args, kwargs = descent_inputs(_case(name))
+    table, f1, sc, delta = args
+    batches = _lockstep_batches(args, kwargs, monkeypatch)
+    for t in range(0, len(batches), max(1, len(batches) // 6)):
+        with monkeypatch.context() as mp:
+            force_gap(mp, {batches[t][-1]})
+            with pytest.raises(PhiEvalError) as want:
+                reference_compass(table, f1, sc, delta, kwargs["seed"])
+            with pytest.raises(PhiEvalError) as got:
+                ekeland.descend_g(*args, **kwargs)
+            assert str(got.value) == str(want.value)
+            assert str(want.value).startswith(
+                f"could not certify value at {np.frombuffer(batches[t][-1]).tolist()}"
+            )
+
+
+@pytest.mark.parametrize("name", REFUSAL_CASES)
+def test_several_refused_rows_raise_the_lockstep_error(name, monkeypatch):
+    # three read rows drawn at random, or the rows of one round, and every
+    # row no step reads: the starts reach their steps in different rounds
+    # here, and the error is still that of the first refused row of the
+    # earliest lockstep round
+    args, kwargs = descent_inputs(_case(name))
+    table, f1, sc, delta = args
+    batches = _lockstep_batches(args, kwargs, monkeypatch)
+    unread = _speculative_only(args, kwargs, monkeypatch)
+    read = [z for batch in batches[1:] for z in batch]
+    rng = np.random.default_rng(0)
+    picks = [{read[i] for i in rng.choice(len(read), size=3, replace=False)} for _ in range(20)]
+    # and every row first read in one round, where starts tie on the step
+    picks += [set(batch) for batch in batches[1 :: max(1, len(batches) // 8)]]
+    for pick in picks:
+        with monkeypatch.context() as mp:
+            force_gap(mp, unread | pick)
+            with pytest.raises(PhiEvalError) as want:
+                reference_lockstep(table, f1, sc, delta, kwargs["seed"])
+            with pytest.raises(PhiEvalError) as got:
+                ekeland.descend_g(*args, **kwargs)
+            assert str(got.value) == str(want.value)
+
+
 def test_valley_takes_a_bounded_number_of_batches(monkeypatch):
     ps = ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=VALLEY_SEED))
     args, kwargs = descent_inputs(ps)
     batches = []
-    real = ekeland.phi_on_grid
+    real = ekeland.phi_rows
 
     def spy(sc, pts):
         batches.append(len(pts))
         return real(sc, pts)
 
-    monkeypatch.setattr(ekeland, "phi_on_grid", spy)
+    monkeypatch.setattr(ekeland, "phi_rows", spy)
     monkeypatch.setattr(ekeland, "phi_eval", None)  # no point-at-a-time path
     point = ekeland.descend_g(*args, **kwargs)
-    starts, stencil = 3, 8
-    # 381 batches of at most 24 points, the three starts stepping together
-    # (789 of at most 8 when they ran one after another); the golden-section
+    starts, scales, stencil = 3, 4, 8
+    # 180 batches of at most 96 points, each start's stencils at four
+    # scales together (381 of at most 24 at one scale per batch, 789 of at
+    # most 8 when the starts ran one after another); the golden-section
     # descent took about 7,500 single evaluations for one start
-    assert len(batches) <= 400
-    assert max(batches) <= starts * stencil
+    assert len(batches) <= 200
+    assert max(batches) <= starts * scales * stencil
     # below the value where the old descent's 30 sweeps left it
     assert point.value < -0.039983
 
@@ -146,21 +255,25 @@ def test_table_points_are_not_evaluated_again(monkeypatch, problems_dir):
 
 def test_one_dimensional_stencil_has_two_points(monkeypatch, problems_dir):
     # in 1-D the random directions are +-e1 again and are dropped, so each
-    # round's batch holds 2 rows per live start; starts only ever stop
+    # round's batch holds the pair x + h, x - h for every scale of every
+    # live start: 2 rows per live start per scale
     args, kwargs = descent_inputs(ProblemSpec.from_json_file(problems_dir / "canonical_1d.json"))
-    sizes = []
+    batches = []
     real = ekeland._g_rows
 
     def spy(Z, *rest):
-        sizes.append(len(Z))
+        batches.append(Z[:, 0].copy())
         return real(Z, *rest)
 
     monkeypatch.setattr(ekeland, "_g_rows", spy)
     ekeland.descend_g(*args, **kwargs)
-    starts = 3
-    assert sizes[0] == 2 * starts
-    assert all(size in (2, 4, 6) for size in sizes)
-    assert sizes == sorted(sizes, reverse=True)
+    starts, scales = 3, 4
+    assert len(batches[0]) == 2 * starts * scales
+    for Z in batches:
+        assert len(Z) % 2 == 0 and len(Z) <= 2 * starts * scales
+        assert (Z[0::2] > Z[1::2]).all()
+    # 20 rounds, where one scale per round took 59
+    assert len(batches) <= 20
 
 
 def test_a_batch_evaluates_each_fresh_row_once(monkeypatch, problems_dir):

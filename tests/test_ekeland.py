@@ -229,5 +229,6 @@ class TestFuzzyPair:
     def test_rejects_bad_radius(self, seg_a, seg_b, canonical_smoothing):
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
         u = EkelandPoint(u=np.array([0.7]), eps=0.1, value=0.0)
-        with pytest.raises(ValueError):
-            fuzzy_pair(u, f1, canonical_smoothing, 0.0, grid=grid_1d(-0.5, 1.5, 101))
+        for radius in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="search_radius"):
+                fuzzy_pair(u, f1, canonical_smoothing, radius, grid=grid_1d(-0.5, 1.5, 101))

@@ -36,24 +36,41 @@ def test_multivertex_2d_ends_in_a_certificate_or_a_documented_error():
 
 
 def test_pair_search_evaluates_no_point_twice_in_a_run(monkeypatch):
+    # one batch of the smoothing for every y, and one of f and one of its
+    # subgradients for every candidate x, each point in it once
     ps = ProblemSpec.from_json_dict(MULTIVERTEX_2D)
-    seen = {"phi": [], "f": []}
-    real_sg, real_sub = ekeland.phi_supergradient, ekeland.f_subgrad
+    seen = {"phi": [], "f": [], "subgrad": []}
+    in_pair = []
+    real_pair = mdmvt.fuzzy_pair
+    real_sg, real_f, real_sub = ekeland.phi_supergradients, ekeland.f_values, ekeland.f_subgrads
 
-    def sg_spy(y, *args, **kwargs):
-        seen["phi"].append(y.tobytes())
-        return real_sg(y, *args, **kwargs)
+    def pair_spy(*args, **kwargs):
+        in_pair.append(True)
+        try:
+            return real_pair(*args, **kwargs)
+        finally:
+            in_pair.pop()
 
-    def sub_spy(f, x):
-        seen["f"].append(x.tobytes())
-        return real_sub(f, x)
+    def spy(key, real, at):  # the points are the argument at ``at``
+        def call(*args, **kwargs):
+            if in_pair:
+                seen[key].append([r.tobytes() for r in args[at]])
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(ekeland, "phi_supergradient", sg_spy)
-    monkeypatch.setattr(ekeland, "f_subgrad", sub_spy)
+        return call
+
+    monkeypatch.setattr(mdmvt, "fuzzy_pair", pair_spy)
+    monkeypatch.setattr(ekeland, "phi_supergradients", spy("phi", real_sg, 0))
+    monkeypatch.setattr(ekeland, "f_values", spy("f", real_f, 1))
+    monkeypatch.setattr(ekeland, "f_subgrads", spy("subgrad", real_sub, 1))
     with pytest.raises(CertificateSearchError):
         run(ps)
-    assert seen["phi"] and len(seen["phi"]) == len(set(seen["phi"]))
-    assert seen["f"] and len(seen["f"]) == len(set(seen["f"]))
+    for key, calls in seen.items():
+        assert len(calls) == 1, key
+        assert calls[0] and len(calls[0]) == len(set(calls[0])), key
+    # u and every y are candidate x; u is also the y of the zero offset
+    assert len(seen["f"][0]) == len(seen["phi"][0])
+    assert set(seen["subgrad"][0]) <= set(seen["f"][0])
 
 
 def test_run_searches_for_one_pair(monkeypatch):

@@ -134,9 +134,11 @@ class TestPhiEval:
             for evaluate in (lambda: phi_eval(x, sc), lambda: phi_on_grid(sc, x[None, :])):
                 with pytest.raises(PhiEvalError, match="gap 2.000e-04"):
                     evaluate()
+            assert np.isnan(sp.phi_rows(sc, x[None, :])).all()  # left to its reader
         else:
             assert phi_eval(x, sc).gap == gap
             assert phi_on_grid(sc, x[None, :]) == phi_value(x, sc)
+            assert sp.phi_rows(sc, x[None, :]) == phi_value(x, sc)
 
     def test_rejects_bad_K(self, unit_tent):
         with pytest.raises(ValueError):
