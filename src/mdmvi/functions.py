@@ -1,13 +1,14 @@
 """Catalog of lower semicontinuous test functions with exact value and
 subgradient-representative oracles.
 
-Each catalog member defines its value and its subgradients once, on
-rows: an (m, n) array of points maps to their m values, and to an
-(m, k, n) array of subgradient representatives, NaN rows standing for
-those a point lacks.  Every sum is written term by term, so a point gets
-the same bits alone (``f_eval``, ``f_subgrad``) or in a batch
-(``f_values``, ``f_subgrads``).  A restricted member reads its values
-and interior points from one exact batched hull screen of its domain.
+A ``TestFunction`` is its two row oracles and nothing else: ``rows``
+maps an (m, n) array of points to their m values, and ``subgrad_rows``
+to an (m, k, n) array of subgradient representatives, NaN rows standing
+for those a point lacks.  One point is one row of a batch.  Every sum is
+written term by term, so a point gets the same bits alone (``f_eval``,
+``f_subgrad``) or in a batch (``f_values``, ``f_subgrads``).  A
+restricted member reads its values and interior points from one exact
+batched hull screen of its domain.
 
 Subdifferentials are exposed as finite representative sets: extreme points
 for the convex members (active-piece gradients of a max-affine, the unit
@@ -32,29 +33,13 @@ def _reps(G: np.ndarray) -> list[np.ndarray]:
     return [g.copy() for g in G if not np.isnan(g[0])]
 
 
-class RowOracle:
-    """An oracle defined on rows: ``rows`` maps an (m, n) array to one
-    entry per row.  Called on one point, it reads that point's row with
-    ``read``: a float for values, ``_reps`` for subgradients."""
-
-    __slots__ = ("rows", "read")
-
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], read=float):
-        self.rows = rows
-        self.read = read
-
-    def __call__(self, x):
-        return self.read(self.rows(np.asarray(x, dtype=float)[None, :])[0])
-
-
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Lsc function with exact value and subgradient-representative oracles.
+    """Lsc function defined by its two row oracles.
 
-    ``value`` and ``subgrad`` are each a ``RowOracle`` or a scalar callable
-    on one point (a float, a list of representatives).  ``rows`` (m values)
-    and ``subgrad_rows`` (an (m, k, n) table, NaN rows padding) are the
-    oracles' own, or loops over the scalar callables.
+    ``rows`` maps an (m, dim) array of points to their m values, and
+    ``subgrad_rows`` to an (m, k, dim) table of subgradient
+    representatives, NaN rows padding each point's list to k.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -62,28 +47,8 @@ class TestFunction:
     fid: str
     params: dict
     dim: int
-    value: Callable[[np.ndarray], float]
-    subgrad: Callable[[np.ndarray], list[np.ndarray]]
-    rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-    subgrad_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = getattr(self.value, "rows", None)
-        if rows is None:
-            def rows(X):
-                return np.array([float(self.value(x)) for x in X], dtype=float)
-
-        subgrad_rows = getattr(self.subgrad, "rows", None)
-        if subgrad_rows is None:
-            def subgrad_rows(X):
-                reps = [self.subgrad(x) for x in X]
-                G = np.full((len(X), max(map(len, reps), default=0), self.dim), np.nan)
-                for row, gs in zip(G, reps):
-                    row[: len(gs)] = np.reshape(gs, (-1, self.dim))
-                return G
-
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "subgrad_rows", subgrad_rows)
+    rows: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    subgrad_rows: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 def f_eval(f: TestFunction, x) -> float:
@@ -143,8 +108,8 @@ def linear(a, b: float = 0.0) -> TestFunction:
         fid="linear",
         params={"a": a.tolist(), "b": b},
         dim=a.size,
-        value=RowOracle(lambda X: _row_dot(X, a) + b),
-        subgrad=RowOracle(lambda X: np.broadcast_to(a, (len(X), 1, a.size)), _reps),
+        rows=lambda X: _row_dot(X, a) + b,
+        subgrad_rows=lambda X: np.broadcast_to(a, (len(X), 1, a.size)),
     )
 
 
@@ -161,8 +126,8 @@ def quadratic(Q, a) -> TestFunction:
         fid="quadratic",
         params={"Q": Q.tolist(), "a": a.tolist()},
         dim=a.size,
-        value=RowOracle(lambda X: 0.5 * _quad_rows(X, Q) + _row_dot(X, a)),
-        subgrad=RowOracle(lambda X: (_mat_rows(X, Q) + a)[:, None, :], _reps),
+        rows=lambda X: 0.5 * _quad_rows(X, Q) + _row_dot(X, a),
+        subgrad_rows=lambda X: (_mat_rows(X, Q) + a)[:, None, :],
     )
 
 
@@ -187,8 +152,8 @@ def l2_norm(x0) -> TestFunction:
         fid="l2_norm",
         params={"x0": x0.tolist()},
         dim=n,
-        value=RowOracle(rows),
-        subgrad=RowOracle(subgrad, _reps),
+        rows=rows,
+        subgrad_rows=subgrad,
     )
 
 
@@ -211,8 +176,8 @@ def max_affine(slopes, offsets) -> TestFunction:
         fid="max_affine",
         params={"slopes": S.tolist(), "offsets": b.tolist()},
         dim=S.shape[1],
-        value=RowOracle(lambda X: np.max(pieces(X), axis=1)),
-        subgrad=RowOracle(subgrad, _reps),
+        rows=lambda X: np.max(pieces(X), axis=1),
+        subgrad_rows=subgrad,
     )
 
 
@@ -233,8 +198,8 @@ def sin_quadratic(c: float, w, Q, a) -> TestFunction:
         fid="sin_quadratic",
         params={"c": float(c), "w": w.tolist(), "Q": Q.tolist(), "a": a.tolist()},
         dim=w.size,
-        value=RowOracle(rows),
-        subgrad=RowOracle(subgrad, _reps),
+        rows=rows,
+        subgrad_rows=subgrad,
     )
 
 
@@ -261,12 +226,12 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
             "domain": domain.to_json(),
         },
         dim=base.dim,
-        value=RowOracle(lambda X: _on_rows(base.rows, X, screen.within(X, 1e-9), np.inf)),
-        subgrad=RowOracle(subgrad, _reps),
+        rows=lambda X: _on_rows(base.rows, X, screen.within(X, 1e-9), np.inf),
+        subgrad_rows=subgrad,
     )
 
 
-def make_function(fid: str, params: dict, dim: int | None = None) -> TestFunction:
+def make_function(fid: str, params: dict) -> TestFunction:
     """Build a catalog member from its JSON id and parameters."""
     try:
         if fid == "linear":

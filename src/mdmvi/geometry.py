@@ -368,18 +368,12 @@ class HullScreen:
         return inside.reshape(radius.shape + (len(X),))
 
 
-def within(X, A: Polytope, B: Polytope, radius: float) -> np.ndarray:
-    """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]`` for the
-    rows x of X, from one ``HullScreen`` of [A,B]."""
-    return HullScreen(A, B).within(X, radius)
-
-
 def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.ndarray:
     """Deterministic axis-aligned grid covering the delta-inflated hull.
 
     Grid points farther than delta plus one grid step from [A,B] are
-    dropped, decided exactly by ``within``; all vertices of A and B are
-    appended.  Identical inputs give identical output arrays.
+    dropped, decided exactly by ``HullScreen.within``; all vertices of A
+    and B are appended.  Identical inputs give identical output arrays.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -399,7 +393,7 @@ def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.nd
             step = max(step, (b - a) / (resolution - 1))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = pts[within(pts, A, B, delta + step + 1e-12)]
+    pts = pts[HullScreen(A, B).within(pts, delta + step + 1e-12)]
 
     extra = V[~(pts[None] == V[:, None]).all(axis=2).any(axis=1)]
     if len(extra):

@@ -32,10 +32,8 @@ from .ekeland import (
     g_table,
 )
 from .functions import (
-    RowOracle,
     TestFunction,
     _on_rows,
-    _reps,
     f_eval,
     f_subgrad,
     f_values,
@@ -70,6 +68,15 @@ class SpecInvariantError(ValueError):
 
 class CertificateSearchError(RuntimeError):
     """The pipeline's candidate failed a check, or no candidate was found."""
+
+
+def _json_int(data: dict, key: str, default: int) -> int:
+    """data[key], or default when absent; anything but a JSON integer (a
+    float, a bool, a string) is refused rather than truncated."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +119,8 @@ class ProblemSpec:
                 mu=float(data["mu"]),
                 s=float(data["s"]),
                 epsilon=float(data["epsilon"]),
-                resolution=int(data.get("resolution", 201)),
-                seed=int(data.get("seed", 0)),
+                resolution=_json_int(data, "resolution", 201),
+                seed=_json_int(data, "seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SpecInvariantError):
@@ -327,7 +334,8 @@ def _choose_params(ps: ProblemSpec, inf_a: _InfEstimate, inf_bd: _InfEstimate) -
 def _c_radii(delta: float) -> tuple[float, float]:
     """The largest floats d with fl(d - delta) <= 1e-9 (in C) and with
     fl(d - delta) < -1e-9 (interior to C): rounding is monotone, so
-    ``within`` at them is exactly ``classify_point``'s rule at 1e-9."""
+    ``HullScreen.within`` at them is exactly ``classify_point``'s rule at
+    1e-9."""
     radii = []
     for r, ok in ((delta + INTERIOR_TOL, lambda d: d - delta <= INTERIOR_TOL),
                   (delta - INTERIOR_TOL, lambda d: d - delta < -INTERIOR_TOL)):
@@ -351,10 +359,8 @@ def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestF
         fid=f"{f.fid}|restricted_to_inflated_hull",
         params={"base": {"id": f.fid, "params": f.params}, "delta": delta},
         dim=f.dim,
-        value=RowOracle(lambda X: _on_rows(f.rows, X, screen.within(X, outer), np.inf)),
-        subgrad=RowOracle(
-            lambda X: _on_rows(f.subgrad_rows, X, screen.within(X, inner), np.nan), _reps
-        ),
+        rows=lambda X: _on_rows(f.rows, X, screen.within(X, outer), np.inf),
+        subgrad_rows=lambda X: _on_rows(f.subgrad_rows, X, screen.within(X, inner), np.nan),
     )
 
 

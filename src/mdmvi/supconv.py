@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import HullCoords, as_point
+from .geometry import as_point
 from .tent import _CHUNK, TentSpec, psi_on_grid
 
 GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
@@ -141,12 +141,11 @@ class SupConvSpec:
 
 @dataclass(frozen=True, eq=False)
 class PhiValue:
-    """Certified evaluation: value, an attaining point with its hull
-    coordinates, and the certified optimality gap (upper bound slack)."""
+    """Certified evaluation: value, an attaining point, and the certified
+    optimality gap (upper bound slack)."""
 
     value: float
     argmax: np.ndarray
-    coords: HullCoords
     gap: float
 
 
@@ -156,13 +155,10 @@ class Supergradient(NamedTuple):
 
 
 class _Rows(NamedTuple):
-    """The smoothing on rows: value, attaining face and point, the face's
-    barycentric weights of that point, and the certified gap."""
+    """The smoothing on rows: value, attaining point and certified gap."""
 
     value: np.ndarray
-    face: np.ndarray
     argmax: np.ndarray
-    weights: np.ndarray
     gap: np.ndarray
 
 
@@ -214,8 +210,6 @@ def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     for j in range(1, n):
         r += e[:, j : j + 1] * U[:, j]
     y = fc.origin[face] + (D[rows, face] - r) + tau[:, None] * grad
-    W = W[rows, face]
-    W[:, 0] += 1.0
 
     # duals: the cone gradient at y*, -K (x - y*) / ||x - y*||, which is
     # grad - root (x - x0) / h, read from the residual without the
@@ -232,7 +226,7 @@ def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
         p = _least_supergradient(sc, X[i], value[i])
         upper[i : i + 1] = np.minimum(upper[i : i + 1], _dual_value(p, X[i : i + 1], sc))
     Y = np.where(fc.full[face][:, None], X, y)  # x itself where y* = x exactly
-    return _Rows(value, face, Y, W, np.maximum(upper - value, 0.0))
+    return _Rows(value, Y, np.maximum(upper - value, 0.0))
 
 
 def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.ndarray:
@@ -285,25 +279,13 @@ def phi_eval(x, sc: SupConvSpec) -> PhiValue:
 
     One row of the face-enumeration kernel (see the module docstring):
     the best candidate over every face of the tent's simplices gives the
-    value, the attaining point and its hull coordinates, and the conic
-    dual bound at the cone gradient there, or at the facet plane's slope
-    where the point is x itself, certifies the gap.  Raises PhiEvalError
-    when the certified gap is above 1e-4.
+    value and the attaining point, and the conic dual bound at the cone
+    gradient there, or at the facet plane's slope where the point is x
+    itself, certifies the gap.  Raises PhiEvalError when the certified
+    gap is above 1e-4.
     """
-    return _phi_value(sc, _evaluate(sc, as_point(x, sc.dim)[None, :]), 0)
-
-
-def _phi_value(sc: SupConvSpec, out: _Rows, i: int) -> PhiValue:
-    """Row i of the kernel's output, with the attaining point's hull
-    coordinates."""
-    verts = sc._faces.verts[out.face[i]]
-    keep = verts >= 0
-    w = np.maximum(out.weights[i][keep], 0.0)
-    full = np.zeros(len(sc.tent.vertex_levels()))
-    full[verts[keep]] = w / w.sum()
-    mA = sc.tent.A.num_vertices
-    coords = HullCoords(full[:mA], full[mA:])
-    return PhiValue(float(out.value[i]), out.argmax[i], coords, float(out.gap[i]))
+    out = _evaluate(sc, as_point(x, sc.dim)[None, :])
+    return PhiValue(float(out.value[0]), out.argmax[0], float(out.gap[0]))
 
 
 def phi_value(x, sc: SupConvSpec) -> float:

@@ -174,15 +174,18 @@ def test_non_finite_spec_numbers_exit_2(workdir, capsys, field, value):
 
 
 def test_negative_spec_seed_exits_2(workdir, capsys, monkeypatch):
-    # the --seed -1 override is a row of test_bad_arguments_exit_2_before_the_pipeline
+    # the --seed -1 override is a row of test_bad_arguments_exit_2_before_the_pipeline;
+    # a seed or resolution that is not a JSON integer is refused, not truncated
     import mdmvi.cli as cli
 
     monkeypatch.setattr(cli, "run", None)
     data = json.loads((workdir / "canonical_1d.json").read_text())
-    (workdir / "bad.json").write_text(json.dumps(dict(data, seed=-1)))
-    assert run_command(["certificate", "bad.json"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    bad = [("seed", -1)] + [(k, v) for k in ("seed", "resolution") for v in (1.5, True, "7")]
+    for field, value in bad:
+        (workdir / "bad.json").write_text(json.dumps(dict(data, **{field: value})))
+        assert run_command(["certificate", "bad.json"]) == 2, (field, value)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from mdmvi import (
 from mdmvi.ekeland import EKELAND_EPS, DescentError, descend_g, g_table
 from mdmvi.geometry import sample_set
 from mdmvi.mdmvt import restrict_f
-from mdmvi.supconv import phi_value
+from mdmvi.supconv import phi_on_grid, phi_value
 
 from conftest import grid_1d
 
@@ -28,18 +28,20 @@ def canonical_smoothing(seg_a, seg_b):
     return SupConvSpec(TentSpec(seg_a, seg_b, 0.0, 0.425), 2.0825396825396825)
 
 
+def no_subgrads(X):
+    """A subgradient table with no representative at any row."""
+    return np.empty((len(X), 0, X.shape[1]))
+
+
 def wrap_phi(sc, extra=None):
-    """Test-only function equal to the smoothing (plus an optional term)."""
+    """Test-only function equal to the smoothing (plus an optional term,
+    given on rows)."""
 
-    def value(x):
-        v = phi_value(x, sc)
-        return v + (extra(x) if extra else 0.0)
-
-    def subgrad(x):
-        return []
+    def rows(X):
+        return phi_on_grid(sc, X) + (extra(X) if extra else 0.0)
 
     return TestFunction(
-        fid="synthetic", params={}, dim=sc.dim, value=value, subgrad=subgrad
+        fid="synthetic", params={}, dim=sc.dim, rows=rows, subgrad_rows=no_subgrads
     )
 
 
@@ -70,7 +72,7 @@ class TestMinimizeG:
         assert pt.value == pytest.approx(0.0, abs=1e-9)
 
     def test_centered_quadratic_recovers_center(self, seg_a, seg_b, canonical_smoothing):
-        f = wrap_phi(canonical_smoothing, extra=lambda x: 0.5 * float((x[0] - 0.5) ** 2))
+        f = wrap_phi(canonical_smoothing, extra=lambda X: 0.5 * (X[:, 0] - 0.5) ** 2)
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
         pt = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 101, seed=0)
         assert pt.u[0] == pytest.approx(0.5, abs=1e-6)
@@ -100,8 +102,8 @@ class TestMinimizeG:
             fid="synthetic",
             params={},
             dim=1,
-            value=lambda x: f1.value(x) - phi_value(x, canonical_smoothing),
-            subgrad=lambda x: [],
+            rows=lambda X: f1.rows(X) - phi_on_grid(canonical_smoothing, X),
+            subgrad_rows=no_subgrads,
         )
         scan = grid_inf(g_fn, seg_a, seg_b, 0.5, 401)
         lip_budget = 1.0 + canonical_smoothing.K
@@ -119,9 +121,7 @@ class TestEvpVerify:
 
     def test_displaced_point_fails(self, seg_a, seg_b, canonical_smoothing):
         # g(u) sits 0.5 above the infimum, far beyond what eps*diam allows
-        f = wrap_phi(
-            canonical_smoothing, extra=lambda x: 0.5 * float((x[0] - 0.5) ** 2)
-        )
+        f = wrap_phi(canonical_smoothing, extra=lambda X: 0.5 * (X[:, 0] - 0.5) ** 2)
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
         u = [1.5]  # g(1.5) = 0.5
         ok, worst = evp_verify(
@@ -188,18 +188,16 @@ class TestFuzzyPair:
     ):
         base = quadratic([[1.0]], [-0.5])  # x^2/2 - x/2, gradient x - 0.5
 
-        def value(x):
-            return base.value(x) + phi_value(x, canonical_smoothing)
+        def rows(X):
+            return base.rows(X) + phi_on_grid(canonical_smoothing, X)
 
-        def subgrad(x):
-            sg = base.subgrad(x)[0]
-            slope = 0.425 if 0 < x[0] < 1 else None
-            if slope is None:
-                return []
-            return [sg + slope]
+        def subgrad_rows(X):
+            # the smoothing's slope is 0.425 strictly inside (0, 1)
+            inside = ((0 < X[:, 0]) & (X[:, 0] < 1))[:, None, None]
+            return np.where(inside, base.subgrad_rows(X) + 0.425, np.nan)
 
         f = TestFunction(
-            fid="synthetic", params={}, dim=1, value=value, subgrad=subgrad
+            fid="synthetic", params={}, dim=1, rows=rows, subgrad_rows=subgrad_rows
         )
         f1 = restrict_f(f, seg_a, seg_b, 0.5)
         u = EkelandPoint(u=np.array([0.5]), eps=0.1, value=0.0)

@@ -293,16 +293,6 @@ def test_f_values_validates_rows():
         f_values(f, [0.0, 1.0])
 
 
-def test_scalar_only_functions_get_a_row_loop():
-    from mdmvi import TestFunction
-
-    f = TestFunction(
-        fid="synthetic", params={}, dim=1, value=lambda x: 2.0 * x[0], subgrad=lambda x: []
-    )
-    assert f_values(f, [[1.0], [3.0]]).tolist() == [2.0, 6.0]
-    assert f_eval(f, [0.5]) == 1.0
-
-
 def _check_subgrad_rows(f, X):
     """Each row of one ``subgrad_rows`` call, NaN rows dropped, is bit for
     bit what ``f_subgrad`` returns at that point alone."""
@@ -387,21 +377,3 @@ def test_restrict_f_rows_on_the_boundary_of_c(dim):
     G = _check_subgrad_rows(f1, X)
     assert len(f_subgrad(f1, X[0])) >= 1 and len(f_subgrad(f1, X[1])) >= 1
     assert np.isnan(G[2:]).all()  # within 1e-9 of the boundary of C, or outside
-
-
-def test_scalar_only_subgradients_get_a_row_loop():
-    from mdmvi import TestFunction
-
-    def subgrad(x):
-        if x[0] < 0:
-            return []
-        return [np.array([-1.0]), np.array([1.0])] if x[0] == 0 else [np.array([2.0])]
-
-    f = TestFunction(fid="synthetic", params={}, dim=1, value=lambda x: abs(x[0]), subgrad=subgrad)
-    X = np.array([[-1.0], [0.0], [3.0]])
-    G = _check_subgrad_rows(f, X)
-    assert G.shape == (3, 2, 1)
-    assert [[g.tolist() for g in f_subgrad(f, x)] for x in X] == [[], [[-1.0], [1.0]], [[2.0]]]
-    none = TestFunction(fid="none", params={}, dim=2, value=lambda x: 0.0, subgrad=lambda x: [])
-    assert none.subgrad_rows(np.zeros((4, 2))).shape == (4, 0, 2)
-    assert f_subgrad(none, [0.0, 0.0]) == []

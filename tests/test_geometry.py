@@ -21,7 +21,6 @@ from mdmvi.geometry import (
     hull_vertex_matrix,
     rank_points,
     row_norms,
-    within,
 )
 
 from helpers import hull_diameter
@@ -351,7 +350,7 @@ def test_within_equals_the_projection_comparison(seed, dim, m_a, m_b, flat, shar
                     rows.append(y + (x0 - y) * (target / d))
     X = np.array(rows)
     want = [dist_to_hull(x, A, B).d <= radius for x in X]
-    assert within(X, A, B, radius).tolist() == want
+    assert HullScreen(A, B).within(X, radius).tolist() == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -82,11 +82,11 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
     def restrict_spy(*args):
         f1 = real_restrict(*args)
 
-        def value(x):
-            f1_points[x.tobytes()] += 1
-            return f1.value(x)
+        def rows(X):
+            f1_points.update(x.tobytes() for x in X)
+            return f1.rows(X)
 
-        return dataclasses.replace(f1, value=value)
+        return dataclasses.replace(f1, rows=rows)
 
     monkeypatch.setattr(mdmvt, "restrict_f", restrict_spy)
 
