@@ -9,10 +9,10 @@ g from one ``GTable`` of the grid, built once per pipeline run.  The
 search evaluates g on one batch per round: the stencils of every live
 start at four halving scales, over which each start then replays its
 steps.  One pair search around u then yields the fuzzy pair, from one
-smoothing batch for all its perturbed points and one batch of f for all
-its candidates.  Both searches give what one row at a time would give,
-bit for bit, and a smoothing value whose certified gap is refused fails
-them only where they read it.
+smoothing batch for all its perturbed points and one batch of f's
+subgradients for all its candidates.  Both searches give what one row
+at a time would give, bit for bit, and a smoothing value whose
+certified gap is refused fails them only where they read it.
 """
 
 from __future__ import annotations
@@ -257,8 +257,7 @@ def fuzzy_pair(
 
     The search is batched: one kernel batch for every y of the pattern
     and its difference stencil (``phi_supergradients``), and one
-    ``f_values`` and one ``f_subgrads`` batch for every candidate x, each
-    distinct point once.  The walk then visits the pattern in order and
+    ``f_subgrads`` batch for every candidate x, each distinct point once.  The walk then visits the pattern in order and
     stops at the first y whose best pair has residual at most 1e-12, so
     only the y it visits can raise PhiEvalError, as one call per y did.
     """
@@ -303,11 +302,8 @@ def fuzzy_pair(
 
 def _subgrads_by_point(f: TestFunction, X: np.ndarray) -> dict[bytes, list[np.ndarray]]:
     """f's subgradient representatives at each distinct row of X, by its
-    bytes; none outside the domain of f."""
+    bytes, from one batch; a ``TestFunction`` gives none outside its
+    domain."""
     keys = list(dict.fromkeys(x.tobytes() for x in X))
     U = np.frombuffer(b"".join(keys), dtype=float).reshape(-1, X.shape[1])
-    inside = np.isfinite(f_values(f, U))
-    out = {k: [] for k in keys}
-    if inside.any():
-        out.update(zip(itertools.compress(keys, inside), f_subgrads(f, U[inside])))
-    return out
+    return dict(zip(keys, f_subgrads(f, U)))

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HullScreen, Polytope, as_point, as_rows
+from .geometry import Hull, Polytope, as_point, as_rows
 
 _ACTIVE_TOL = 1e-9
 
@@ -211,12 +211,12 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
     while on a facet of any slope some probe is 1.25e-9/sqrt(dim) out."""
     if domain.dim != base.dim:
         raise ValueError("domain dimension must match the base function")
-    screen = HullScreen(domain, domain)
+    hull = Hull(domain, domain)
     steps = 1.25e-9 * np.vstack([np.eye(base.dim), -np.eye(base.dim)])
 
     def subgrad(X):
         probes = (X[:, None, :] + steps).reshape(-1, base.dim)
-        inside = screen.within(probes, 2.5e-10).reshape(len(X), len(steps)).all(axis=1)
+        inside = hull.within(probes, 2.5e-10).reshape(len(X), len(steps)).all(axis=1)
         return _on_rows(base.subgrad_rows, X, inside, np.nan)
 
     return TestFunction(
@@ -226,7 +226,7 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
             "domain": domain.to_json(),
         },
         dim=base.dim,
-        rows=lambda X: _on_rows(base.rows, X, screen.within(X, 1e-9), np.inf),
+        rows=lambda X: _on_rows(base.rows, X, hull.within(X, 1e-9), np.inf),
         subgrad_rows=subgrad,
     )
 

@@ -7,7 +7,7 @@ treated as immutable, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -90,10 +90,6 @@ class Polytope:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    def support(self, d: np.ndarray) -> float:
-        """Support function h(d) = max over vertices of <d, v>."""
-        return float(np.max(self.vertices @ d))
 
     def to_json(self) -> list[list[float]]:
         return [[float(c) for c in row] for row in self.vertices]
@@ -289,12 +285,14 @@ _SCREEN_CHUNK = 1 << 16  # entries of each batched face projection
 
 
 @dataclass(frozen=True, eq=False)
-class HullScreen:
-    """Vectorized two-sided bounds on the distance to [A,B], built once per
-    hull, that decide most rows of a batch without a projection.
+class Hull:
+    """The joint hull [A,B], built once per vertex set, that screens,
+    grids and projects onto its inflations (the radius is an argument).
 
-    For every row x, each affinely independent subset S of at most k + 1
-    distinct vertices (k the hull's affine dimension) gives a point of the
+    The screen's two-sided bounds on the distance to [A,B] decide most
+    rows of a batch without a projection.  For every row x, each affinely
+    independent subset S of at most k + 1 distinct vertices ``V`` (k the
+    hull's affine dimension) gives a point of the
     hull: the clipped, renormalized affine weights of x in S.  The nearest
     of these points, y, bounds d(x, [A,B]) from above by ||x - y||, and
     the support function in the direction u = (x - y) / ||x - y|| bounds
@@ -307,6 +305,10 @@ class HullScreen:
 
     A: Polytope
     B: Polytope
+    V: np.ndarray = field(init=False, repr=False)  # distinct vertices, first seen first
+    faces: list = field(init=False, repr=False)  # (origin, pinv of edges, vertices) per size
+    width: int = field(init=False, repr=False)  # candidate hull points per row
+    scale: float = field(init=False, repr=False)  # 1 + the largest vertex coordinate
 
     def __post_init__(self):
         V = hull_vertex_matrix(self.A, self.B)
@@ -318,16 +320,16 @@ class HullScreen:
             S = independent_subsets(Vr, size)[0]
             edges = V[S[:, 1:]] - V[S[:, :1]]
             faces.append((V[S[:, 0]], np.linalg.pinv(edges), V[S]))
-        object.__setattr__(self, "_V", V)
-        object.__setattr__(self, "_faces", faces)
-        object.__setattr__(self, "_width", len(V) + sum(len(f[0]) for f in faces))
-        object.__setattr__(self, "_scale", 1.0 + float(np.abs(V).max()))
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "width", len(V) + sum(len(f[0]) for f in faces))
+        object.__setattr__(self, "scale", 1.0 + float(np.abs(V).max()))
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
         """The nearest, for each row, of the hull points its affine weights
         give in the vertices and in every independent subset."""
-        cands = [np.broadcast_to(self._V, (len(X),) + self._V.shape)]
-        for origin, pinv, verts in self._faces:
+        cands = [np.broadcast_to(self.V, (len(X),) + self.V.shape)]
+        for origin, pinv, verts in self.faces:
             T = np.einsum("rpn,pnk->rpk", X[:, None, :] - origin, pinv)
             W = np.concatenate([1.0 - T.sum(axis=2, keepdims=True), T], axis=2)
             W = np.maximum(W, 0.0)
@@ -340,14 +342,14 @@ class HullScreen:
 
     def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on d(x, [A,B]) for the rows x of X."""
-        rows = max(1, _SCREEN_CHUNK // (self._width * (X.shape[1] + 1)))
+        rows = max(1, _SCREEN_CHUNK // (self.width * (X.shape[1] + 1)))
         Y = np.empty_like(X)
         for i in range(0, len(X), rows):
             Y[i : i + rows] = self._nearest(X[i : i + rows])
         diff = X - Y
         upper = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         u = diff / np.where(upper > 0.0, upper, 1.0)[:, None]
-        lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self._V.T, axis=1)
+        lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self.V.T, axis=1)
         return np.maximum(lower, 0.0), upper
 
     def within(self, X, radius) -> np.ndarray:
@@ -355,11 +357,11 @@ class HullScreen:
         one such row per entry when ``radius`` is an array of radii.  The
         bounds are computed once; the projection runs only on the rows
         that some radius leaves undecided."""
-        X = as_rows(X, self._V.shape[1])
+        X = as_rows(X, self.V.shape[1])
         radius = np.asarray(radius, dtype=float)
         R = radius.reshape(-1, 1)
         lower, upper = self._bounds(X)
-        margin = _SCREEN_MARGIN * (self._scale + np.abs(X).max(axis=1))
+        margin = _SCREEN_MARGIN * (self.scale + np.abs(X).max(axis=1))
         inside = upper <= R - margin
         band = ~inside & (lower <= R + margin)
         for i in np.nonzero(band.any(axis=0))[0]:
@@ -367,35 +369,46 @@ class HullScreen:
             inside[:, i] |= band[:, i] & (d <= R[:, 0])
         return inside.reshape(radius.shape + (len(X),))
 
+    def grid(self, delta: float, resolution: int) -> np.ndarray:
+        """Deterministic axis-aligned grid covering the delta-inflated hull.
+
+        Grid points farther than delta plus one grid step from [A,B] are
+        dropped, decided exactly by ``within``; all vertices of A and B are
+        appended.  Identical inputs give identical output arrays.
+        """
+        if resolution < 2:
+            raise ValueError("resolution must be at least 2")
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        V = hull_vertex_matrix(self.A, self.B)
+        lo = V.min(axis=0) - delta
+        hi = V.max(axis=0) + delta
+
+        axes = []
+        step = 0.0
+        for a, b in zip(lo, hi):
+            if b - a <= 1e-12:
+                axes.append(np.array([0.5 * (a + b)]))
+            else:
+                axes.append(np.linspace(a, b, resolution))
+                step = max(step, (b - a) / (resolution - 1))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = pts[self.within(pts, delta + step + 1e-12)]
+
+        extra = V[~(pts[None] == V[:, None]).all(axis=2).any(axis=1)]
+        if len(extra):
+            pts = np.vstack([pts, extra])
+        return pts
+
+    def project(self, x: np.ndarray, delta: float) -> np.ndarray:
+        """The nearest point to x of the delta-inflated hull."""
+        d, y, _ = dist_to_hull(x, self.A, self.B)
+        if d <= delta or d < 1e-15:
+            return x
+        return y + (delta / d) * (x - y)
+
 
 def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.ndarray:
-    """Deterministic axis-aligned grid covering the delta-inflated hull.
-
-    Grid points farther than delta plus one grid step from [A,B] are
-    dropped, decided exactly by ``HullScreen.within``; all vertices of A
-    and B are appended.  Identical inputs give identical output arrays.
-    """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    V = hull_vertex_matrix(A, B)
-    lo = V.min(axis=0) - delta
-    hi = V.max(axis=0) + delta
-
-    axes = []
-    step = 0.0
-    for a, b in zip(lo, hi):
-        if b - a <= 1e-12:
-            axes.append(np.array([0.5 * (a + b)]))
-        else:
-            axes.append(np.linspace(a, b, resolution))
-            step = max(step, (b - a) / (resolution - 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = pts[HullScreen(A, B).within(pts, delta + step + 1e-12)]
-
-    extra = V[~(pts[None] == V[:, None]).all(axis=2).any(axis=1)]
-    if len(extra):
-        pts = np.vstack([pts, extra])
-    return pts
+    """``Hull(A, B).grid(delta, resolution)``."""
+    return Hull(A, B).grid(delta, resolution)

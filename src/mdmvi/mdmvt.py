@@ -40,7 +40,7 @@ from .functions import (
     make_function,
 )
 from .geometry import (
-    HullScreen,
+    Hull,
     Polytope,
     as_point,
     dist_to_hull,
@@ -79,6 +79,19 @@ def _json_int(data: dict, key: str, default: int) -> int:
     return value
 
 
+def _json_numbers(data: dict, key: str):
+    """data[key], a JSON number or nested lists of them; a bool, a string
+    or null anywhere in it is refused rather than converted."""
+    value, todo = data[key], [data[key]]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo += item
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise TypeError(f"{key} must hold JSON numbers, not {item!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A concrete certificate problem: function, sets, and parameters."""
@@ -113,12 +126,12 @@ class ProblemSpec:
             fun = make_function(data["function"]["id"], data["function"]["params"])
             return cls(
                 f=fun,
-                A=Polytope.from_json(data["A"]),
-                B=Polytope.from_json(data["B"]),
-                delta=float(data["delta"]),
-                mu=float(data["mu"]),
-                s=float(data["s"]),
-                epsilon=float(data["epsilon"]),
+                A=Polytope.from_json(_json_numbers(data, "A")),
+                B=Polytope.from_json(_json_numbers(data, "B")),
+                delta=float(_json_numbers(data, "delta")),
+                mu=float(_json_numbers(data, "mu")),
+                s=float(_json_numbers(data, "s")),
+                epsilon=float(_json_numbers(data, "epsilon")),
                 resolution=_json_int(data, "resolution", 201),
                 seed=_json_int(data, "seed", 0),
             )
@@ -235,18 +248,11 @@ class _InfEstimate(NamedTuple):
         return f"estimate {name} = {float(self.value)!r} at {self.argmin.tolist()}"
 
 
-def _project_region(x: np.ndarray, A: Polytope, B: Polytope, delta: float) -> np.ndarray:
-    d, y, _ = dist_to_hull(x, A, B)
-    if d <= delta or d < 1e-15:
-        return x
-    return y + (delta / d) * (x - y)
-
-
 def _estimate_inf(
-    f: TestFunction, A: Polytope, B: Polytope, delta: float, resolution: int,
+    f: TestFunction, hull: Hull, delta: float, resolution: int,
     pts: np.ndarray | None = None, vals: np.ndarray | None = None, *, name: str,
 ) -> _InfEstimate:
-    """Grid minimum of f over the inflated hull, refined by projected
+    """Grid minimum of f over the delta-inflated ``hull``, refined by projected
     line searches from the best grid point.  Exact for singleton regions.
 
     ``pts``, the region's grid, and ``vals``, f there, are computed when
@@ -254,9 +260,8 @@ def _estimate_inf(
     the SpecInvariantError raised when f is +inf on the whole grid.
     """
     if pts is None:
-        V = np.unique(np.vstack([A.vertices, B.vertices]), axis=0)
-        single = len(V) == 1 and delta == 0.0
-        pts = V if single else sample_set(A, B, delta, resolution)
+        single = len(hull.V) == 1 and delta == 0.0
+        pts = hull.V if single else hull.grid(delta, resolution)
     if vals is None:
         vals = f_values(f, pts)
     ranked = rank_points(vals, pts)
@@ -273,18 +278,18 @@ def _estimate_inf(
     if span == 0.0:
         return _InfEstimate(fx, x, step)  # a single point: nothing to search
 
-    dirs = np.eye(A.dim)
+    dirs = np.eye(hull.A.dim)
     for _ in range(12):
         improved = False
         for d in dirs:
             def along(t: float) -> float:
-                z = _project_region(x + t * d, A, B, delta)
+                z = hull.project(x + t * d, delta)
                 v = f_eval(f, z)
                 return -v if np.isfinite(v) else -1e30
 
             t, neg = golden_max(along, -span, span, xtol=1e-11 * max(span, 1.0))
             if -neg < fx - 1e-14:
-                x = _project_region(x + t * d, A, B, delta)
+                x = hull.project(x + t * d, delta)
                 fx = -neg
                 improved = True
         if not improved:
@@ -295,8 +300,8 @@ def _estimate_inf(
 def choose_params(ps: ProblemSpec) -> PipelineParams:
     """Deterministic parameter rule (see ``_choose_params``), from fresh
     estimates of the infima of f over A and over the inflated B."""
-    inf_a = _estimate_inf(ps.f, ps.A, ps.A, 0.0, ps.resolution, name="inf_A")
-    inf_bd = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, ps.resolution, name="inf_B_inflated")
+    inf_a = _estimate_inf(ps.f, Hull(ps.A, ps.A), 0.0, ps.resolution, name="inf_A")
+    inf_bd = _estimate_inf(ps.f, Hull(ps.B, ps.B), ps.delta, ps.resolution, name="inf_B_inflated")
     return _choose_params(ps, inf_a, inf_bd)
 
 
@@ -334,7 +339,7 @@ def _choose_params(ps: ProblemSpec, inf_a: _InfEstimate, inf_bd: _InfEstimate) -
 def _c_radii(delta: float) -> tuple[float, float]:
     """The largest floats d with fl(d - delta) <= 1e-9 (in C) and with
     fl(d - delta) < -1e-9 (interior to C): rounding is monotone, so
-    ``HullScreen.within`` at them is exactly ``classify_point``'s rule at
+    ``Hull.within`` at them is exactly ``classify_point``'s rule at
     1e-9."""
     radii = []
     for r, ok in ((delta + INTERIOR_TOL, lambda d: d - delta <= INTERIOR_TOL),
@@ -349,53 +354,49 @@ def _c_radii(delta: float) -> tuple[float, float]:
 
 def restrict_f(f: TestFunction, A: Polytope, B: Polytope, delta: float) -> TestFunction:
     """f made +inf outside C (boundary kept inside); subgradients delegate
-    to f at interior points only, so boundary use fails loudly.
+    to f at interior points only, so boundary use fails loudly."""
+    return _restrict_to(f, Hull(A, B), delta)
 
-    One hull screen of [A,B] decides both, at the radii of ``_c_radii``."""
-    screen = HullScreen(A, B)
+
+def _restrict_to(f: TestFunction, hull: Hull, delta: float) -> TestFunction:
+    """``restrict_f`` on the delta-inflation of ``hull``, whose screen
+    decides values and subgradients at the radii of ``_c_radii``."""
     outer, inner = _c_radii(delta)
 
     return TestFunction(
         fid=f"{f.fid}|restricted_to_inflated_hull",
         params={"base": {"id": f.fid, "params": f.params}, "delta": delta},
         dim=f.dim,
-        rows=lambda X: _on_rows(f.rows, X, screen.within(X, outer), np.inf),
-        subgrad_rows=lambda X: _on_rows(f.subgrad_rows, X, screen.within(X, inner), np.nan),
+        rows=lambda X: _on_rows(f.rows, X, hull.within(X, outer), np.inf),
+        subgrad_rows=lambda X: _on_rows(f.subgrad_rows, X, hull.within(X, inner), np.nan),
     )
 
 
-def boundary_samples(
-    A: Polytope, B: Polytope, delta: float, resolution: int,
-    hull_pts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Deterministic points on the boundary of C, built by pushing hull
-    samples outward by delta and keeping those at distance delta +- 1e-9.
+def boundary_samples(hull: Hull, delta: float, hull_pts: np.ndarray) -> np.ndarray:
+    """Deterministic points on the boundary of C, the delta-inflated
+    ``hull``, built by pushing hull samples outward by delta and keeping
+    those at distance delta +- 1e-9.
 
-    The seeds are a stride of ``hull_pts``, the hull grid at resolution
-    min(resolution, 41) (computed when the caller does not already have
-    it), plus every vertex of A and B: a vertex pushed by delta along its
-    normal cone is at distance exactly delta, while no grid point need lie
-    on a slanted edge.  Candidates are ranked by a support-function lower
-    bound on their distance, highest first, and cut off below delta by a
-    margin; one hull screen decides the rest at once, the first
+    The seeds are a stride of ``hull_pts``, about 50 points of a grid of
+    the hull, plus every vertex of A and B: a vertex pushed by delta along
+    its normal cone is at distance exactly delta, while no grid point need
+    lie on a slanted edge.  Candidates are ranked by a support-function
+    lower bound on their distance, highest first, and cut off below delta
+    by a margin; the hull's screen decides the rest at once, the first
     ``_BOUNDARY_CAP`` kept.
     """
-    if hull_pts is None:
-        hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
     stride = max(1, len(hull_pts) // 50)
     seeds = hull_pts[::stride]
-    V = np.vstack([A.vertices, B.vertices])
-    corners = V[np.sort(np.unique(V, axis=0, return_index=True)[1])]
-    fresh = ~(seeds[None] == corners[:, None]).all(axis=2).any(axis=1)
-    seeds = np.vstack([seeds, corners[fresh]])
-    dirs = _direction_net(A.dim)
-    cands = (seeds[:, None, :] + delta * dirs[None, :, :]).reshape(-1, A.dim)
+    fresh = ~(seeds[None] == hull.V[:, None]).all(axis=2).any(axis=1)
+    seeds = np.vstack([seeds, hull.V[fresh]])
+    dirs = _direction_net(hull.A.dim)
+    cands = (seeds[:, None, :] + delta * dirs[None, :, :]).reshape(-1, hull.A.dim)
 
-    support = np.max(V @ dirs.T, axis=0)
+    support = np.max(hull.V @ dirs.T, axis=0)
     lower = np.max(cands @ dirs.T - support[None, :], axis=1)
     order = np.argsort(-lower, kind="stable")
     kept = cands[order[lower[order] >= delta - max(0.05 * delta, 1e-6)]]
-    outer, inner = HullScreen(A, B).within(kept, np.array(_c_radii(delta)))
+    outer, inner = hull.within(kept, np.array(_c_radii(delta)))
     on = outer & ~inner
     if not on.any():
         raise CertificateSearchError(
@@ -449,15 +450,16 @@ def run(ps: ProblemSpec) -> Certificate:
     of g, which signals a misestimated r).
     """
     A, B, delta = ps.A, ps.B, ps.delta
+    hull = Hull(A, B)
 
-    hull_grid = sample_set(A, B, 0.0, ps.resolution)
-    c_grid = sample_set(A, B, delta, ps.resolution)
+    hull_grid = hull.grid(0.0, ps.resolution)
+    c_grid = hull.grid(delta, ps.resolution)
 
-    inf_a = _estimate_inf(ps.f, A, A, 0.0, ps.resolution, name="inf_A")
-    inf_c = _estimate_inf(ps.f, A, B, delta, ps.resolution, c_grid, name="inf_C")
-    inf_bd = _estimate_inf(ps.f, B, B, delta, ps.resolution, name="inf_B_inflated")
+    inf_a = _estimate_inf(ps.f, Hull(A, A), 0.0, ps.resolution, name="inf_A")
+    inf_c = _estimate_inf(ps.f, hull, delta, ps.resolution, c_grid, name="inf_C")
+    inf_bd = _estimate_inf(ps.f, Hull(B, B), delta, ps.resolution, name="inf_B_inflated")
     hull_f = f_values(ps.f, hull_grid)
-    inf_hull = _estimate_inf(ps.f, A, B, 0.0, ps.resolution, hull_grid, hull_f, name="inf_hull")
+    inf_hull = _estimate_inf(ps.f, hull, 0.0, ps.resolution, hull_grid, hull_f, name="inf_hull")
     if not ps.mu < inf_c.value:
         raise SpecInvariantError(
             f"mu must lie strictly below inf of f over C (mu = {ps.mu!r}; {inf_c.named('inf_C')})"
@@ -473,10 +475,7 @@ def run(ps: ProblemSpec) -> Certificate:
     tent = TentSpec(A, B, r, s1)
     sc = SupConvSpec(tent, K)
 
-    bpts = boundary_samples(
-        A, B, delta, ps.resolution,
-        hull_pts=hull_grid if ps.resolution <= 41 else None,
-    )
+    bpts = boundary_samples(hull, delta, hull_grid)
     b_phi = phi_on_grid(sc, bpts)
     b_margins = ps.mu - b_phi
     boundary_margin = float(b_margins.min())
@@ -486,7 +485,7 @@ def run(ps: ProblemSpec) -> Certificate:
             f"(margin {boundary_margin:.3e})"
         )
 
-    f1 = restrict_f(ps.f, A, B, delta)
+    f1 = _restrict_to(ps.f, hull, delta)
     lip = _lipschitz_estimate(ps.f, hull_grid, hull_f)
 
     # the C table also holds the argmin of f over A, where g is about 0

@@ -19,7 +19,7 @@ finite-difference fallback, both verified a posteriori on a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -81,7 +81,7 @@ class _Faces(NamedTuple):
 def _faces(t: TentSpec, K: float) -> _Faces:
     """The faces of the kept simplices (``tent._Facets.verts``), smallest
     first, each with its frame, interpolant and barycentric map."""
-    V, levels, kept = t.vertex_matrix(), t.vertex_levels(), t._facets
+    V, levels, kept = t.V, t.levels, t.facets
     n, k1 = V.shape[1], kept.verts.shape[1]
     owner: dict[tuple, int] = {}  # face -> first kept simplex holding it
     for j, row in enumerate(kept.verts):
@@ -128,11 +128,12 @@ class SupConvSpec:
 
     tent: TentSpec
     K: float
+    faces: _Faces = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.K) and self.K > 0):
             raise ValueError("K must be positive and finite")
-        object.__setattr__(self, "_faces", _faces(self.tent, float(self.K)))
+        object.__setattr__(self, "faces", _faces(self.tent, float(self.K)))
 
     @property
     def dim(self) -> int:
@@ -173,8 +174,8 @@ def _dot(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _dual_value(P: np.ndarray, X: np.ndarray, sc: SupConvSpec) -> np.ndarray:
     """Upper bounds on phi_K at the rows of X, one per row of P; each is
     valid when that row has norm at most K."""
-    V = sc.tent.vertex_matrix()
-    lift = sc.tent.vertex_levels() - P[:, :1] * V[:, 0]
+    V = sc.tent.V
+    lift = sc.tent.levels - P[:, :1] * V[:, 0]
     for j in range(1, V.shape[1]):
         lift -= P[:, j : j + 1] * V[:, j]
     return _dot(P, X) + lift.max(axis=1)
@@ -189,7 +190,7 @@ def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """Every face's candidate for every row of X, and the best of them,
     certified.  Sums run term by term, so a row gets the same bits alone
     or in a batch."""
-    fc, K = sc._faces, sc.K
+    fc, K = sc.faces, sc.K
     g, n = X.shape
     D = X[:, None, :] - fc.origin  # (g, F, n)
     P = D[:, :, :1] * fc.lin[:, 0]
@@ -235,7 +236,7 @@ def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.nda
     value = psi(x) that is the least-norm supergradient of the tent at x,
     an exact dual whenever phi_K(x) = psi(x).  It is the least-norm
     solution of at most n active constraints, so every such set is tried."""
-    A, b = sc.tent.vertex_matrix() - x, sc.tent.vertex_levels() - value
+    A, b = sc.tent.V - x, sc.tent.levels - value
     slack = 1e-9 * (1.0 + np.abs(b).max() + np.linalg.norm(A, axis=1).max())
     P = [np.zeros((1, len(x)))]
     for size in range(1, min(len(x), len(A)) + 1):
@@ -250,7 +251,7 @@ def _kernel_rows(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """The kernel on the rows of X in chunks of at most ``_CHUNK`` row-face
     entries.  A row whose certified gap exceeds ``_GAP_RAISE`` is refused:
     its value is NaN."""
-    rows = max(1, _CHUNK // len(sc._faces.level))
+    rows = max(1, _CHUNK // len(sc.faces.level))
     parts = [_kernel(sc, X[i : i + rows]) for i in range(0, max(len(X), 1), rows)]
     out = parts[0] if len(parts) == 1 else _Rows(*map(np.concatenate, zip(*parts)))
     return out._replace(value=np.where(out.gap > _GAP_RAISE, np.nan, out.value))

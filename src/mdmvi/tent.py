@@ -12,7 +12,7 @@ tent is minus infinity outside [A,B].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +95,9 @@ class TentSpec:
     B: Polytope
     r: float
     s: float
+    V: np.ndarray = field(init=False, repr=False)  # vertex rows of A, then of B
+    levels: np.ndarray = field(init=False, repr=False)  # r at A's rows, s at B's
+    facets: _Facets = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.A.dim != self.B.dim:
@@ -109,19 +112,13 @@ class TentSpec:
             [np.full(self.A.num_vertices, float(self.r)),
              np.full(self.B.num_vertices, float(self.s))]
         )
-        object.__setattr__(self, "_V", V)
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_facets", _facets(V, levels))
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "facets", _facets(V, levels))
 
     @property
     def dim(self) -> int:
         return self.A.dim
-
-    def vertex_matrix(self) -> np.ndarray:
-        return self._V
-
-    def vertex_levels(self) -> np.ndarray:
-        return self._levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,12 +189,12 @@ def psi_eval(x, t: TentSpec) -> PsiValue:
     Off the hull the value is -inf, with no coordinates and no slope.
     """
     x = as_point(x, t.dim)
-    F = t._facets
+    F = t.facets
     piece, w, value = _locate(F, x[None, :])
     j = int(piece[0])
     if j < 0:
         return PsiValue(-np.inf, None, None)
-    full = np.zeros(len(t.vertex_levels()))
+    full = np.zeros(len(t.levels))
     full[F.verts[j]] = w[0]
     mA = t.A.num_vertices
     return PsiValue(
@@ -215,9 +212,9 @@ def psi_on_grid(t: TentSpec, pts: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("grid points must be finite")
     out = np.empty(len(pts))
-    rows = max(1, _CHUNK // t._facets.shift.size)
+    rows = max(1, _CHUNK // t.facets.shift.size)
     for i in range(0, len(pts), rows):
-        out[i : i + rows] = _locate(t._facets, pts[i : i + rows])[2]
+        out[i : i + rows] = _locate(t.facets, pts[i : i + rows])[2]
     return out
 
 

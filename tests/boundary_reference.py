@@ -11,14 +11,14 @@ cutoff.
 
 import numpy as np
 
-from mdmvi.geometry import Polytope, _direction_net, dist_to_hull, sample_set
+from mdmvi.geometry import Polytope, _direction_net, dist_to_hull
 
 
 def reference_boundary_samples(
-    A: Polytope, B: Polytope, delta: float, resolution: int, cap: int = 400,
+    A: Polytope, B: Polytope, delta: float, hull_pts: np.ndarray, cap: int = 400,
 ) -> np.ndarray:
-    """The boundary points, or an empty (0, dim) array when none is found."""
-    hull_pts = sample_set(A, B, 0.0, min(resolution, 41))
+    """The boundary points seeded from ``hull_pts``, a grid of [A,B], or
+    an empty (0, dim) array when none is found."""
     stride = max(1, len(hull_pts) // 50)
     seeds = hull_pts[::stride]
     V = np.vstack([A.vertices, B.vertices])

@@ -24,8 +24,8 @@ class FWPhi(NamedTuple):
 
 
 def _objective(x: np.ndarray, sc: SupConvSpec) -> ConcaveObjective:
-    V = sc.tent.vertex_matrix()
-    levels = sc.tent.vertex_levels()
+    V = sc.tent.V
+    levels = sc.tent.levels
     K = sc.K
 
     def value(c: HullCoords) -> float:
@@ -86,8 +86,8 @@ def _objective(x: np.ndarray, sc: SupConvSpec) -> ConcaveObjective:
 
 def _dual_value(p: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> float:
     """Upper bound on phi_K(x) valid for any p with ||p|| <= K."""
-    V = sc.tent.vertex_matrix()
-    levels = sc.tent.vertex_levels()
+    V = sc.tent.V
+    levels = sc.tent.levels
     return float(p @ x + np.max(levels - V @ p))
 
 
@@ -125,7 +125,7 @@ def fw_phi_eval(x, sc: SupConvSpec, tol: float = 1e-8) -> FWPhi:
         if gap <= accept:
             return FWPhi(*_honest(x, x, sc), px.value + max(gap, 0.0))
 
-    V = t.vertex_matrix()
+    V = t.V
     mA = t.A.num_vertices
     fw = maximize_concave(
         _objective(x, sc), (mA, V.shape[0] - mA), tol=tol, max_iters=400
@@ -195,5 +195,5 @@ def _honest(y: np.ndarray, x: np.ndarray, sc: SupConvSpec) -> tuple[float, np.nd
     a sliver simplex moves the point by up to about 1e-7, so scoring y
     itself can overstate the value."""
     pv = psi_eval(y, sc.tent)
-    yc = pv.coords.weights() @ sc.tent.vertex_matrix()
+    yc = pv.coords.weights() @ sc.tent.V
     return pv.value - sc.K * float(np.linalg.norm(x - yc)), yc

@@ -175,12 +175,15 @@ def test_non_finite_spec_numbers_exit_2(workdir, capsys, field, value):
 
 def test_negative_spec_seed_exits_2(workdir, capsys, monkeypatch):
     # the --seed -1 override is a row of test_bad_arguments_exit_2_before_the_pipeline;
-    # a seed or resolution that is not a JSON integer is refused, not truncated
+    # a seed or resolution that is not a JSON integer is refused, not truncated,
+    # and a number field or vertex entry that is not a JSON number, not converted
     import mdmvi.cli as cli
 
     monkeypatch.setattr(cli, "run", None)
     data = json.loads((workdir / "canonical_1d.json").read_text())
     bad = [("seed", -1)] + [(k, v) for k in ("seed", "resolution") for v in (1.5, True, "7")]
+    bad += [("delta", "0.5"), ("mu", True), ("s", None), ("epsilon", "1e-3")]
+    bad += [("A", [["0"]]), ("B", [[True]]), ("A", [[0.0, "1"]])]
     for field, value in bad:
         (workdir / "bad.json").write_text(json.dumps(dict(data, **{field: value})))
         assert run_command(["certificate", "bad.json"]) == 2, (field, value)

@@ -15,7 +15,7 @@ from mdmvi import (
     sample_set,
 )
 from mdmvi.geometry import (
-    HullScreen,
+    Hull,
     _direction_net,
     as_point,
     hull_vertex_matrix,
@@ -350,7 +350,7 @@ def test_within_equals_the_projection_comparison(seed, dim, m_a, m_b, flat, shar
                     rows.append(y + (x0 - y) * (target / d))
     X = np.array(rows)
     want = [dist_to_hull(x, A, B).d <= radius for x in X]
-    assert HullScreen(A, B).within(X, radius).tolist() == want
+    assert Hull(A, B).within(X, radius).tolist() == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -374,7 +374,7 @@ def test_within_decides_several_radii_at_once(seed, dim, m_a, m_b, flat):
             rows.extend(y + (x0 - y) * (radii / d)[:, None])
     X = np.array(rows)
     dists = [dist_to_hull(x, A, B).d for x in X]
-    got = HullScreen(A, B).within(X, radii)
+    got = Hull(A, B).within(X, radii)
     assert got.shape == (len(radii), len(X))
     assert got.tolist() == [[d <= r for d in dists] for r in radii]
 

@@ -25,6 +25,7 @@ from mdmvi.mdmvt import (
     sample_set,
 )
 from mdmvi.ekeland import EvpReport
+from mdmvi.geometry import Hull
 from mdmvi.supconv import phi_on_grid
 
 from test_multivertex import MULTIVERTEX_2D
@@ -278,7 +279,7 @@ class TestSpecValidation:
     def test_failed_estimate_is_named_with_its_value_and_argmin(self):
         ps = make_spec(mu=0.0, resolution=41)
         est = _estimate_inf(
-            ps.f, ps.A, ps.B, ps.delta, 41, sample_set(ps.A, ps.B, ps.delta, 41), name="inf_C"
+            ps.f, Hull(ps.A, ps.B), ps.delta, 41, sample_set(ps.A, ps.B, ps.delta, 41), name="inf_C"
         )
         assert est.value == pytest.approx(-0.5)
         with pytest.raises(SpecInvariantError) as info:
@@ -287,7 +288,7 @@ class TestSpecValidation:
         assert "mu = 0.0" in str(info.value) and named in str(info.value)
 
         ps = make_spec(s=0.7, resolution=41)
-        est = _estimate_inf(ps.f, ps.B, ps.B, ps.delta, 41, name="inf_B_inflated")
+        est = _estimate_inf(ps.f, Hull(ps.B, ps.B), ps.delta, 41, name="inf_B_inflated")
         for call in (run, choose_params):
             with pytest.raises(SpecInvariantError) as info:
                 call(ps)
@@ -309,20 +310,22 @@ class TestSpecValidation:
 
 class TestEstimatesAndBoundary:
     def test_singleton_estimate_exact(self, seg_a):
-        est = _estimate_inf(linear([1.0]), seg_a, seg_a, 0.0, 41, name="inf_A")
+        est = _estimate_inf(linear([1.0]), Hull(seg_a, seg_a), 0.0, 41, name="inf_A")
         assert est.value == 0.0 and est.step == 0.0
 
     def test_inflated_estimate_with_polish(self, seg_b):
         from mdmvi import quadratic
 
-        est = _estimate_inf(quadratic([[1.0]], [-1.2]), seg_b, seg_b, 0.5, 81, name="inf_B_inflated")
+        est = _estimate_inf(
+            quadratic([[1.0]], [-1.2]), Hull(seg_b, seg_b), 0.5, 81, name="inf_B_inflated"
+        )
         # min of x^2/2 - 1.2 x over [0.5, 1.5] sits at 1.2
         assert est.value == pytest.approx(0.5 * 1.44 - 1.44, abs=1e-8)
 
     def test_boundary_samples_sit_on_boundary(self, seg_a, seg_b):
         from mdmvi import dist_to_hull
 
-        pts = boundary_samples(seg_a, seg_b, 0.5, 41)
+        pts = boundary_samples(Hull(seg_a, seg_b), 0.5, sample_set(seg_a, seg_b, 0.0, 41))
         assert len(pts) >= 2
         for x in pts:
             assert dist_to_hull(x, seg_a, seg_b).d == pytest.approx(0.5, abs=1e-9)
@@ -330,22 +333,22 @@ class TestEstimatesAndBoundary:
     def test_no_boundary_sample_is_a_typed_error(self, seg_a, seg_b, monkeypatch):
         """When no candidate lands at distance delta the search stage says
         so with a CertificateSearchError, not a bare RuntimeError."""
-        from mdmvi.geometry import HullScreen
         from mdmvi.mdmvt import CertificateSearchError
 
-        real = HullScreen.within
+        real = Hull.within
 
         def too_far(self, X, radius):  # every distance one unit larger
             return real(self, X, radius - 1.0)
 
-        monkeypatch.setattr(HullScreen, "within", too_far)
+        hull, hull_pts = Hull(seg_a, seg_b), sample_set(seg_a, seg_b, 0.0, 41)
+        monkeypatch.setattr(Hull, "within", too_far)
         with pytest.raises(CertificateSearchError, match="boundary samples"):
-            boundary_samples(seg_a, seg_b, 0.5, 41)
+            boundary_samples(hull, 0.5, hull_pts)
 
     def test_boundary_decay_strict_for_pipeline_K(self):
         ps = make_spec(resolution=201)
         params = choose_params(ps)
         sc = SupConvSpec(TentSpec(ps.A, ps.B, params.r, params.s1), params.K)
-        pts = boundary_samples(ps.A, ps.B, ps.delta, 201)
+        pts = boundary_samples(Hull(ps.A, ps.B), ps.delta, sample_set(ps.A, ps.B, 0.0, 201))
         margins = ps.mu - phi_on_grid(sc, pts)
         assert margins.min() > 0.0

@@ -1,5 +1,5 @@
 """Membership in C, on its boundary, and in the domain of a restricted
-member: every decision reads one ``HullScreen`` per set, and each agrees
+member: every decision reads one ``Hull`` screen per set, and each agrees
 with the exact per-point rule it replaced."""
 
 import json
@@ -15,7 +15,7 @@ from mdmvi.geometry import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
-    HullScreen,
+    Hull,
     classify_point,
     dist_to_hull,
     sample_set,
@@ -48,11 +48,13 @@ SPECS["pair_3d"] = json.loads((ROOT / "benchmarks" / "specs" / "pair_3d.json").r
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_boundary_samples_match_the_per_candidate_search(name, monkeypatch):
     ps = ProblemSpec.from_json_dict(SPECS[name])
-    want = reference_boundary_samples(ps.A, ps.B, ps.delta, ps.resolution)
+    hull_pts = sample_set(ps.A, ps.B, 0.0, ps.resolution)  # run's hull grid
+    want = reference_boundary_samples(ps.A, ps.B, ps.delta, hull_pts)
+    hull = Hull(ps.A, ps.B)
     projections = []
     real = mdmvt.dist_to_hull
     monkeypatch.setattr(mdmvt, "dist_to_hull", lambda *a: projections.append(a) or real(*a))
-    got = boundary_samples(ps.A, ps.B, ps.delta, ps.resolution)
+    got = boundary_samples(hull, ps.delta, hull_pts)
     assert len(want) > 0
     assert np.array_equal(got, want)
     assert projections == []
@@ -61,16 +63,16 @@ def test_boundary_samples_match_the_per_candidate_search(name, monkeypatch):
 @pytest.mark.parametrize("name", ["plane_2d", "multivertex_2d", "pair_3d"])
 def test_boundary_samples_bound_their_candidates_once(name, monkeypatch):
     ps = ProblemSpec.from_json_dict(SPECS[name])
-    hull_pts = sample_set(ps.A, ps.B, 0.0, min(ps.resolution, 41))
+    hull, hull_pts = Hull(ps.A, ps.B), sample_set(ps.A, ps.B, 0.0, ps.resolution)
     calls = []
-    real = HullScreen._bounds
+    real = Hull._bounds
 
     def spy(self, X):
         calls.append(len(X))
         return real(self, X)
 
-    monkeypatch.setattr(HullScreen, "_bounds", spy)
-    boundary_samples(ps.A, ps.B, ps.delta, ps.resolution, hull_pts=hull_pts)
+    monkeypatch.setattr(Hull, "_bounds", spy)
+    boundary_samples(hull, ps.delta, hull_pts)
     assert len(calls) == 1
 
 

@@ -207,7 +207,7 @@ class TestCertificateFirst:
     def test_vertices_are_scored_from_the_tent(self, plane_sc):
         """The kernel scores a vertex by its level, which is the tent there:
         far from the hull the smoothing is the best vertex's cone."""
-        V = plane_sc.tent.vertex_matrix()
+        V = plane_sc.tent.V
         vertex_psi = psi_on_grid(plane_sc.tent, V)
         assert np.array_equal(vertex_psi, [psi_value(v, plane_sc.tent) for v in V])
         for x in ([-3.0, -2.0], [5.0, 4.0], [1.0, -30.0]):
@@ -340,7 +340,7 @@ def test_phi_on_grid_equals_pointwise_bit_for_bit():
     sc = SupConvSpec(TentSpec(A, B, 0.0, 1.3), 1.7)
     pts = np.random.default_rng(5).uniform(-1.0, 3.0, size=(5000, 3))
     vals = phi_on_grid(sc, pts)
-    assert len(pts) * len(sc._faces.level) > _CHUNK
+    assert len(pts) * len(sc.faces.level) > _CHUNK
     assert np.array_equal(vals, [phi_value(z, sc) for z in pts])
     assert phi_on_grid(sc, np.empty((0, 3))).shape == (0,)
 
@@ -377,7 +377,7 @@ def test_faces_match_frank_wolfe(seed, dim, m_a, m_b, flat, shared, where, log_k
     if abs(r - s) < 0.1:
         s = r + 0.5
     sc = SupConvSpec(TentSpec(A, B, r, s), float(np.exp(log_k)))
-    V = sc.tent.vertex_matrix()
+    V = sc.tent.V
     if where == "inside":
         x = rng.dirichlet(np.ones(len(V))) @ V
     elif where == "vertex":

@@ -1,11 +1,14 @@
-"""The pipeline evaluates each grid once and shares the tables.
+"""The pipeline builds each hull once, evaluates each grid once and
+shares the tables.
 
-These tests run ``canonical_1d`` at a reduced resolution with counting
-spies around the stages that read the C grid and the hull grid.
+These tests run ``canonical_1d`` (at a reduced resolution where the grids
+are counted) and ``pair_3d`` with counting spies around the stages that
+build the hulls and read the C grid and the hull grid.
 """
 
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +49,7 @@ def test_one_vertex_estimate_makes_no_projection(monkeypatch, seg_a):
         return spy
 
     _patch_everywhere(monkeypatch, geometry, "dist_to_hull", counting)
-    est = mdmvt._estimate_inf(linear([1.0]), seg_a, seg_a, 0.0, 41, name="inf_A")
+    est = mdmvt._estimate_inf(linear([1.0]), geometry.Hull(seg_a, seg_a), 0.0, 41, name="inf_A")
     assert calls == []
     assert est.value == 0.0 and est.step == 0.0
     assert np.array_equal(est.argmin, [0.0])
@@ -66,18 +69,16 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
     monkeypatch.setattr(mdmvt, "_estimate_inf", estimate_spy)
 
     samples = []
+    real_grid = geometry.Hull.grid
 
-    def sampling(original):
-        def spy(A, B, delta, resolution):
-            samples.append((A, B, delta))
-            return original(A, B, delta, resolution)
+    def grid_spy(hull, delta, resolution):
+        samples.append((hull.A, hull.B, delta))
+        return real_grid(hull, delta, resolution)
 
-        return spy
-
-    _patch_everywhere(monkeypatch, geometry, "sample_set", sampling)
+    monkeypatch.setattr(geometry.Hull, "grid", grid_spy)
 
     f1_points = Counter()
-    real_restrict = mdmvt.restrict_f
+    real_restrict = mdmvt._restrict_to
 
     def restrict_spy(*args):
         f1 = real_restrict(*args)
@@ -88,7 +89,7 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
 
         return dataclasses.replace(f1, rows=rows)
 
-    monkeypatch.setattr(mdmvt, "restrict_f", restrict_spy)
+    monkeypatch.setattr(mdmvt, "_restrict_to", restrict_spy)
 
     cert = run(ps)
     assert len(estimates) == 4
@@ -97,3 +98,22 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
     assert not hasattr(ekeland, "sample_set")  # the search samples no grid of its own
     assert verify_certificate(cert, ps)[0]
 
+
+@pytest.mark.parametrize(
+    "path", ["src/mdmvi/problems/canonical_1d.json", "benchmarks/specs/pair_3d.json"]
+)
+def test_run_builds_one_hull_per_vertex_set(monkeypatch, path):
+    ps = ProblemSpec.from_json_file(Path(__file__).resolve().parents[1] / path)
+    built = []
+    real_init = geometry.Hull.__post_init__
+
+    def init_spy(hull):
+        built.append((hull.A, hull.B))
+        real_init(hull)
+
+    monkeypatch.setattr(geometry.Hull, "__post_init__", init_spy)
+    cert = run(ps)
+    assert len(built) == 3
+    assert set(built) == {(ps.A, ps.B), (ps.A, ps.A), (ps.B, ps.B)}
+    assert verify_certificate(cert, ps)[0]
+    assert len(built) == 4  # the verifier's one, for its Lipschitz grid

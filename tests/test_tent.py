@@ -17,6 +17,7 @@ from mdmvi import (
     tent_increment_bound_check,
     verify_certificate,
 )
+from mdmvi.geometry import Hull, sample_set
 from mdmvi.mdmvt import boundary_samples
 from mdmvi.oracles import psi_brute
 from mdmvi.tent import psi_on_grid, psi_value
@@ -182,10 +183,10 @@ def test_psi_on_grid_matches_pointwise(unit_tent):
 def lp_tent(x, t: TentSpec):
     """The tent as its hull-decomposition LP: maximize the levels over
     convex weights of the vertices that reproduce x."""
-    V = t.vertex_matrix()
+    V = t.V
     return solve_lp(
         LPProblem(
-            objective=t.vertex_levels(),
+            objective=t.levels,
             eq_matrix=np.vstack([V.T, np.ones((1, len(V)))]),
             eq_rhs=np.concatenate([x, [1.0]]),
         )
@@ -220,7 +221,7 @@ def test_facet_tent_matches_the_lp(seed, dim, m_a, m_b, flat, shared, where):
     if abs(r - s) < 0.1:
         s = r + 0.5
     t = TentSpec(A, B, r, s)
-    V = t.vertex_matrix()
+    V = t.V
     if where == "inside":
         x = rng.dirichlet(np.ones(len(V))) @ V
     elif where == "vertex":
@@ -242,7 +243,7 @@ def test_facet_tent_matches_the_lp(seed, dim, m_a, m_b, flat, shared, where):
         assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
         assert np.allclose(w @ V, x, rtol=0.0, atol=1e-8)
         assert v.lam == pytest.approx((v.value - s) / (r - s), abs=1e-9)
-        gains = t.vertex_levels() - v.value - (V - x) @ v.slope
+        gains = t.levels - v.value - (V - x) @ v.slope
         assert gains.max() <= 1e-9
     if v.coords is None:
         assert v.slope is None
@@ -291,7 +292,7 @@ def test_boundary_samples_on_a_rotated_hull():
     R = np.array([[c, -s], [s, c]])
     A = Polytope(np.array([[0.0, 0.0], [0.0, 1.0]]) @ R.T)
     B = Polytope(np.array([[2.0, 0.0], [2.0, 1.0]]) @ R.T)
-    pts = boundary_samples(A, B, 0.5, 41)
+    pts = boundary_samples(Hull(A, B), 0.5, sample_set(A, B, 0.0, 41))
     assert len(pts) > 0
     for z in pts:
         assert dist_to_hull(z, A, B).d == pytest.approx(0.5, abs=1e-9)
