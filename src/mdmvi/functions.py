@@ -231,22 +231,40 @@ def restricted(base: TestFunction, domain: Polytope) -> TestFunction:
     )
 
 
+def _json_numbers(data: dict, key: str):
+    """data[key], a JSON number or nested lists of them; a bool, a string
+    or null anywhere in it is refused rather than converted."""
+    value, todo = data[key], [data[key]]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo += item
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise TypeError(f"{key} must hold JSON numbers, not {item!r}")
+    return value
+
+
 def make_function(fid: str, params: dict) -> TestFunction:
-    """Build a catalog member from its JSON id and parameters."""
+    """Build a catalog member from its JSON id and parameters; a numeric
+    parameter holding anything but JSON numbers is refused (TypeError)."""
+
+    def num(key):
+        return _json_numbers(params, key)
+
     try:
         if fid == "linear":
-            return linear(params["a"], params.get("b", 0.0))
+            return linear(num("a"), num("b") if "b" in params else 0.0)
         if fid == "quadratic":
-            return quadratic(params["Q"], params["a"])
+            return quadratic(num("Q"), num("a"))
         if fid == "l2_norm":
-            return l2_norm(params["x0"])
+            return l2_norm(num("x0"))
         if fid == "max_affine":
-            return max_affine(params["slopes"], params["offsets"])
+            return max_affine(num("slopes"), num("offsets"))
         if fid == "sin_quadratic":
-            return sin_quadratic(params["c"], params["w"], params["Q"], params["a"])
+            return sin_quadratic(num("c"), num("w"), num("Q"), num("a"))
         if fid == "restricted":
             base = make_function(params["base"]["id"], params["base"]["params"])
-            return restricted(base, Polytope.from_json(params["domain"]))
+            return restricted(base, Polytope.from_json(num("domain")))
     except KeyError as exc:
         raise ValueError(f"missing parameter {exc} for function id {fid!r}") from exc
     raise ValueError(f"unknown function id {fid!r}")

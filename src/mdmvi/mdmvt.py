@@ -33,6 +33,7 @@ from .ekeland import (
 )
 from .functions import (
     TestFunction,
+    _json_numbers,
     _on_rows,
     f_eval,
     f_subgrad,
@@ -47,7 +48,6 @@ from .geometry import (
     inf_linear,
     rank_points,
     row_norms,
-    sample_set,
     _direction_net,
 )
 from .simplex_optim import golden_max
@@ -76,19 +76,6 @@ def _json_int(data: dict, key: str, default: int) -> int:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
-def _json_numbers(data: dict, key: str):
-    """data[key], a JSON number or nested lists of them; a bool, a string
-    or null anywhere in it is refused rather than converted."""
-    value, todo = data[key], [data[key]]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, list):
-            todo += item
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise TypeError(f"{key} must hold JSON numbers, not {item!r}")
     return value
 
 
@@ -219,10 +206,12 @@ class Certificate:
             }
             pp = data["params"]
             return cls(
-                xi=as_point(data["xi"]),
-                p=as_point(data["p"]),
+                xi=as_point(_json_numbers(data, "xi")),
+                p=as_point(_json_numbers(data, "p")),
                 checks=checks,
-                params=PipelineParams(*(float(pp[k]) for k in ("r", "s1", "delta1", "K"))),
+                params=PipelineParams(
+                    *(float(_json_numbers(pp, k)) for k in ("r", "s1", "delta1", "K"))
+                ),
                 diagnostics=data.get("diagnostics", {}),
                 tolerances=data.get("tolerances", {}),
             )
@@ -602,10 +591,10 @@ def verify_certificate(
     Recomputes membership of xi, subgradient membership of p, and the
     three inequalities; the value localization uses the brute-force grid
     infimum over [A,B], and the claimed r must match the one over A within
-    a grid step times the largest subgradient norm on the hull grid.  Grid
-    infima read f, and that norm f's subgradients, in one batched call per
-    grid.  Raises SpecFormatError when xi or p is not a finite point of
-    the spec's dimension.
+    a grid step times the largest subgradient norm on that grid's rows.
+    f is read once per grid row, and at xi.  Raises SpecFormatError when
+    xi or p is not a finite point of the spec's dimension, and
+    SpecInvariantError when f is +inf on every row of a grid.
     """
     from .oracles import grid_inf as oracle_grid_inf
 
@@ -626,10 +615,14 @@ def verify_certificate(
     gap = min((float(np.linalg.norm(p - g)) for g in reps), default=np.inf)
     report["subgradient_membership"] = {"distance": gap, "ok": gap <= 1e-8}
 
-    ginf_a = oracle_grid_inf(ps.f, ps.A, ps.A, 0.0, res)
-    lip_pts = sample_set(ps.A, ps.B, 0.0, min(res, 41))
-    lip = _lipschitz_estimate(ps.f, lip_pts, f_values(ps.f, lip_pts))
-    r_err = ginf_a.step * lip + 1e-9
+    def oracle_inf(B: Polytope, name: str):
+        try:
+            return oracle_grid_inf(ps.f, ps.A, B, 0.0, res)
+        except ValueError as exc:
+            raise SpecInvariantError(f"oracle inf over {name}: {exc}") from exc
+
+    ginf_a = oracle_inf(ps.A, "A")
+    r_err = ginf_a.step * _lipschitz_estimate(ps.f, ginf_a.pts, ginf_a.vals) + 1e-9
     report["level_r"] = {
         "claimed": r,
         "oracle": ginf_a.value,
@@ -637,7 +630,7 @@ def verify_certificate(
         "ok": r <= ginf_a.value + 1e-9 and r >= ginf_a.value - r_err,
     }
 
-    ginf_hull = oracle_grid_inf(ps.f, ps.A, ps.B, 0.0, res)
+    ginf_hull = oracle_inf(ps.B, "[A,B]")
     for name, lhs, rhs in (
         ("value_localization", fx, ginf_hull.value + abs(r - s) + ps.epsilon),
         ("subgradient_norm", float(np.linalg.norm(p)),

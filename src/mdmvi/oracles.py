@@ -17,7 +17,7 @@ bound: Piyavskii 1972; Shubert 1972).  Boxes the bound settles are kept or
 dropped whole; the rest are halved, a level of boxes at a time, down to
 single grid points, whose gap is evaluated exactly.  The kept set is the
 one the full grid gives, at a small share of its gap rows; f is then read
-on all kept rows at once (``functions.f_values``).
+on all kept rows at once; the result holds those rows and f's values.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ from .tent import TentSpec
 
 @dataclass(frozen=True, eq=False)
 class GridInf:
-    """Exhaustive grid minimum; the true infimum can undershoot the value
-    by at most step times a Lipschitz constant of f."""
+    """Exhaustive grid minimum over the rows ``pts`` (screened box points
+    in C order, then the vertices; f there in ``vals``).  The true infimum
+    can undershoot it by at most step times a Lipschitz constant of f."""
 
     value: float
     argmin: np.ndarray
     step: float
+    pts: np.ndarray
+    vals: np.ndarray
 
 
 def _sphere_net(n: int, count: int) -> np.ndarray:
@@ -206,7 +209,7 @@ def grid_inf(
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
         raise ValueError("f is +inf on every grid point")
-    return GridInf(float(vals[best]), pts[best].copy(), step)
+    return GridInf(float(vals[best]), pts[best].copy(), step, pts, vals)
 
 
 def psi_brute(x, t: TentSpec, resolution: int) -> float:

@@ -5,7 +5,7 @@ against.
 It builds the whole box grid, scores every point's support gap against the
 direction net in row chunks, keeps the points whose gap is at most delta
 plus one grid step, appends the vertices, and takes the first row that
-attains the minimum of f.
+attains the minimum of f; the rows and f's values there come back with it.
 """
 
 import numpy as np
@@ -64,4 +64,4 @@ def reference_grid_inf(
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
         raise ValueError("f is +inf on every grid point")
-    return GridInf(float(vals[best]), pts[best].copy(), step)
+    return GridInf(float(vals[best]), pts[best].copy(), step, pts, vals)

@@ -7,6 +7,8 @@ import pytest
 
 from mdmvi.cli import bundled_problems, run_command
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 @pytest.fixture()
 def workdir(tmp_path, problems_dir, monkeypatch):
@@ -89,7 +91,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "field, value",
         [("xi", [0.1, 0.2]), ("p", [1.0, 0.0, 0.0]), ("xi", [float("nan")]),
-         ("p", [float("inf")]), ("xi", ["a"]), ("xi", [[0.1]])],
+         ("p", [float("inf")]), ("xi", ["a"]), ("xi", [[0.1]]), ("xi", ["0.1"]),
+         ("p", [True]), ("params", {"r": "0.0", "s1": 0.0, "delta1": 0.5, "K": 1.0})],
     )
     def test_malformed_certificate_exits_2(self, workdir, capsys, field, value):
         run_command(["certificate", "canonical_1d.json", "--out", "cert.json"])
@@ -98,6 +101,16 @@ class TestVerifyCommand:
         (workdir / "cert.json").write_text(json.dumps(data))
         assert run_command(["verify", "cert.json", "canonical_1d.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_f_infinite_on_every_oracle_row_exits_1(self, workdir, capsys, problems_dir):
+        # the domain [2, 3] misses A = {0} and [A,B] = [0, 1]
+        data = json.loads((problems_dir / "restricted_quadratic_1d.json").read_text())
+        data["function"]["params"]["domain"] = [[2.0], [3.0]]
+        (workdir / "spec.json").write_text(json.dumps(data))
+        cert = ROOT / "benchmarks" / "fixtures" / "restricted_quadratic_1d.cert.json"
+        assert run_command(["verify", str(cert), "spec.json"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "inf over A" in err[0]
 
 
 class TestEvalCommands:
@@ -189,6 +202,17 @@ def test_negative_spec_seed_exits_2(workdir, capsys, monkeypatch):
         assert run_command(["certificate", "bad.json"]) == 2, (field, value)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+    # so is a catalog parameter, the domain of a restricted member included
+    base = data["function"]
+    bad = [dict(base["params"], **{k: v}) for k, v in (("a", ["1"]), ("b", True), ("a", [True]))]
+    functions = [dict(base, params=params) for params in bad]
+    functions.append({"id": "restricted", "params": {"base": base, "domain": [["0"], [True]]}})
+    for function, param in zip(functions, ("a", "b", "a", "domain")):
+        (workdir / "bad.json").write_text(json.dumps(dict(data, function=function)))
+        assert run_command(["certificate", "bad.json"]) == 2, function
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{param} must hold JSON numbers" in err[0]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
-"""The certificates of the bundled problems, byte for byte.
+"""The certificates of the bundled problems and the verifier's reports on
+the benchmark fixtures, byte for byte.
 
 ``tests/golden/cert_<name>.json`` holds each certificate as ``run`` wrote
-it (JSON with sorted keys, as ``scripts/run_suite.py`` writes it).  A
-change that keeps the pipeline's results must reproduce every byte.
+it (JSON with sorted keys, as ``scripts/run_suite.py`` writes it), and
+``tests/golden/verify_<name>_r<resolution>`` the report of
+``verify_certificate`` on ``benchmarks/fixtures/<name>.cert.json`` (``.json``)
+and the output of ``mdmvi verify`` (``.txt``).  A change that keeps the
+pipeline's and the verifier's results must reproduce every byte.
 """
 
 import json
@@ -13,6 +17,7 @@ import pytest
 from test_descent import BUNDLED
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -37,3 +42,19 @@ def test_recorded_tolerances_are_the_checks_constants(name, problems_dir):
         "grid_resolution": ProblemSpec.from_json_file(problems_dir / f"{name}.json").resolution,
         "smoothing_gap_tol": GAP_TOL,
     }
+
+
+@pytest.mark.parametrize("name, resolution", [("plane_2d", 301), ("restricted_quadratic_1d", 8001)])
+def test_verify_reproduces_the_golden_report(name, resolution, problems_dir, capsys):
+    from mdmvi import Certificate, ProblemSpec, verify_certificate
+    from mdmvi.cli import run_command
+
+    spec, cert = problems_dir / f"{name}.json", FIXTURES / f"{name}.cert.json"
+    report = verify_certificate(
+        Certificate.from_json_file(cert), ProblemSpec.from_json_file(spec), resolution
+    )[1]
+    golden = GOLDEN / f"verify_{name}_r{resolution}"
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    assert text == golden.with_suffix(".json").read_text()
+    assert run_command(["verify", str(cert), str(spec), "--resolution", str(resolution)]) == 0
+    assert capsys.readouterr().out == golden.with_suffix(".txt").read_text()

@@ -22,10 +22,9 @@ from mdmvi.mdmvt import (
     SpecFormatError,
     _estimate_inf,
     boundary_samples,
-    sample_set,
 )
 from mdmvi.ekeland import EvpReport
-from mdmvi.geometry import Hull
+from mdmvi.geometry import Hull, sample_set
 from mdmvi.supconv import phi_on_grid
 
 from test_multivertex import MULTIVERTEX_2D

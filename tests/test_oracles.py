@@ -174,6 +174,8 @@ def assert_same_as_full_grid(f, A, B, delta, resolution):
     assert _bits(got.value) == _bits(want.value)
     assert _bits(got.argmin) == _bits(want.argmin)
     assert _bits(got.step) == _bits(want.step)
+    assert _bits(got.pts) == _bits(want.pts) and got.pts.shape == want.pts.shape
+    assert _bits(got.vals) == _bits(want.vals)
 
 
 def _bundled():

@@ -3,7 +3,8 @@ shares the tables.
 
 These tests run ``canonical_1d`` (at a reduced resolution where the grids
 are counted) and ``pair_3d`` with counting spies around the stages that
-build the hulls and read the C grid and the hull grid.
+build the hulls and read the C grid and the hull grid, and the verifier on
+the benchmark fixtures with a spy on the rows of f it reads.
 """
 
 import dataclasses
@@ -17,10 +18,12 @@ import mdmvi.ekeland as ekeland
 import mdmvi.geometry as geometry
 import mdmvi.mdmvt as mdmvt
 import mdmvi.supconv as supconv
-from mdmvi import ProblemSpec, linear, run, verify_certificate
+from mdmvi import Certificate, ProblemSpec, linear, run, verify_certificate
 from mdmvi.geometry import sample_set
+from mdmvi.oracles import grid_inf
 
 RES = 41
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -103,7 +106,7 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
     "path", ["src/mdmvi/problems/canonical_1d.json", "benchmarks/specs/pair_3d.json"]
 )
 def test_run_builds_one_hull_per_vertex_set(monkeypatch, path):
-    ps = ProblemSpec.from_json_file(Path(__file__).resolve().parents[1] / path)
+    ps = ProblemSpec.from_json_file(ROOT / path)
     built = []
     real_init = geometry.Hull.__post_init__
 
@@ -116,4 +119,21 @@ def test_run_builds_one_hull_per_vertex_set(monkeypatch, path):
     assert len(built) == 3
     assert set(built) == {(ps.A, ps.B), (ps.A, ps.A), (ps.B, ps.B)}
     assert verify_certificate(cert, ps)[0]
-    assert len(built) == 4  # the verifier's one, for its Lipschitz grid
+    assert len(built) == 3  # the verifier builds none
+
+
+@pytest.mark.parametrize("name, resolution", [("plane_2d", 301), ("restricted_quadratic_1d", 8001)])
+def test_verifier_reads_f_once_per_oracle_row(problems_dir, name, resolution):
+    ps = ProblemSpec.from_json_file(problems_dir / f"{name}.json")
+    cert = Certificate.from_json_file(ROOT / "benchmarks" / "fixtures" / f"{name}.cert.json")
+    rows = []
+
+    def rows_spy(X):
+        rows.append(len(X))
+        return ps.f.rows(X)
+
+    spied = dataclasses.replace(ps, f=dataclasses.replace(ps.f, rows=rows_spy))
+    assert verify_certificate(cert, spied, resolution)[0]
+    ginf_a = grid_inf(ps.f, ps.A, ps.A, 0.0, resolution)
+    ginf_hull = grid_inf(ps.f, ps.A, ps.B, 0.0, resolution)
+    assert sum(rows) == len(ginf_a.pts) + len(ginf_hull.pts) + 1  # and one row at xi
