@@ -26,6 +26,7 @@ from .mdmvt import (
     ProblemSpec,
     SpecFormatError,
     SpecInvariantError,
+    check_grid_rows,
     choose_params,
     run,
     verify_certificate,
@@ -102,6 +103,7 @@ def _cmd_eval(args, inflate: bool) -> int:
     if args.grid < 2:
         raise SpecFormatError("grid must be at least 2")
     ps = _load_spec(args.spec, args)
+    check_grid_rows(args.grid, ps.A.dim, "grid")
     sc = _build_supconv(ps)
     delta = ps.delta if inflate else 0.0
     pts = sample_set(ps.A, ps.B, delta, args.grid)

@@ -282,6 +282,33 @@ def independent_subsets(Vr: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarr
 
 _SCREEN_MARGIN = 1e-12  # per unit of coordinate scale, far above rounding
 _SCREEN_CHUNK = 1 << 16  # entries of each batched face projection
+_FACET_TOL = 1e-9  # per unit of the frame's scale; loose, so no facet is missed
+
+
+def _facet_planes(Vr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Supporting planes of the full-dimensional hull of the rows of Vr
+    (k = Vr.shape[1] >= 1 coordinates): normals n, offsets b with
+    Vr @ n <= b, and the mask of the vertices on each.
+
+    Every plane through k affinely independent rows that has all rows on
+    one side, within 1e-9 of the frame's scale, is kept, on each side that
+    holds them all.  Each facet of the hull is such a plane, so no facet is
+    missed; a plane the tolerance keeps beside them only shrinks the region
+    the planes bound.  Planes are not merged by the vertices on them: near
+    a boundary whose vertices are coplanar within the tolerance but not
+    exactly, several planes hold the same vertices, and only one of them
+    need be the facet."""
+    k = Vr.shape[1]
+    _, M = independent_subsets(Vr, k)
+    null = np.linalg.svd(M)[2][:, -1]  # [n, -b] of the plane through each subset
+    n, b = null[:, :k], -null[:, k]
+    length = np.linalg.norm(n, axis=1)
+    n, b = n / length[:, None], b / length
+    s = Vr @ n.T - b
+    tol = _FACET_TOL * (1.0 + float(np.abs(Vr).max()))
+    below, above, on = (s <= tol).all(axis=0), (s >= -tol).all(axis=0), np.abs(s) <= tol
+    masks = np.vstack([on[:, below].T, on[:, above].T])
+    return np.vstack([n[below], -n[above]]), np.concatenate([b[below], -b[above]]), masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,45 +317,73 @@ class Hull:
     grids and projects onto its inflations (the radius is an argument).
 
     The screen's two-sided bounds on the distance to [A,B] decide most
-    rows of a batch without a projection.  For every row x, each affinely
-    independent subset S of at most k + 1 distinct vertices ``V`` (k the
-    hull's affine dimension) gives a point of the
-    hull: the clipped, renormalized affine weights of x in S.  The nearest
-    of these points, y, bounds d(x, [A,B]) from above by ||x - y||, and
-    the support function in the direction u = (x - y) / ||x - y|| bounds
-    it from below by <u, x> - max_v <u, v>.  The subset whose relative
-    interior holds the nearest point of the hull reproduces that point, so
-    both bounds meet the distance up to rounding; a margin of 1e-12 per
-    unit of coordinate scale, far above rounding, separates the rows they
-    settle from the band left to the exact projection.
+    rows of a batch without a projection.  Once per hull, in the frame of
+    its affine hull (dimension k), it finds the facet planes
+    (``_facet_planes``) and keeps the boundary faces: the affinely
+    independent subsets of at most k distinct vertices ``V`` that lie on
+    one facet plane.  A row whose projection y onto the affine hull meets
+    every facet inequality lies over the hull, and y is its nearest point;
+    any other row x gets the nearest y of the hull points that its clipped,
+    renormalized affine weights give in each boundary face.  Either y
+    bounds d(x, [A,B]) from above by ||x - y||, and the support function
+    in the direction u = (x - y) / ||x - y|| bounds it from below by
+    <u, x> - max_v <u, v>.  The nearest point of the hull is that
+    projection or lies in the relative interior of a boundary face, which
+    then reproduces it, so both bounds meet the distance up to rounding; a
+    margin of 1e-12 per unit of coordinate scale, far above rounding,
+    separates the rows they settle from the band left to the exact
+    projection.
     """
 
     A: Polytope
     B: Polytope
     V: np.ndarray = field(init=False, repr=False)  # distinct vertices, first seen first
+    center: np.ndarray = field(init=False, repr=False)  # a point of the affine hull
+    basis: np.ndarray = field(init=False, repr=False)  # (k, n) orthonormal rows spanning it
+    normals: np.ndarray = field(init=False, repr=False)  # (facets, n) outward facet normals
+    offsets: np.ndarray = field(init=False, repr=False)  # inside: normals @ y <= offsets
+    corners: np.ndarray = field(init=False, repr=False)  # vertices on some facet
     faces: list = field(init=False, repr=False)  # (origin, pinv of edges, vertices) per size
-    width: int = field(init=False, repr=False)  # candidate hull points per row
+    width: int = field(init=False, repr=False)  # candidate hull points per outside row
     scale: float = field(init=False, repr=False)  # 1 + the largest vertex coordinate
 
     def __post_init__(self):
         V = hull_vertex_matrix(self.A, self.B)
         V = V[np.sort(np.unique(V, axis=0, return_index=True)[1])]
         center, vt, k = affine_frame(V)
-        Vr = (V - center) @ vt[:k].T
+        basis = vt[:k]
+        Vr = (V - center) @ basis.T
+        normals, offsets, on = np.zeros((0, V.shape[1])), np.zeros(0), np.zeros((0, len(V)), bool)
+        if k:
+            frame_normals, frame_offsets, on = _facet_planes(Vr)
+            normals = frame_normals @ basis
+            offsets = frame_offsets + normals @ center
         faces = []
-        for size in range(2, k + 2):
-            S = independent_subsets(Vr, size)[0]
-            edges = V[S[:, 1:]] - V[S[:, :1]]
-            faces.append((V[S[:, 0]], np.linalg.pinv(edges), V[S]))
+        for size in range(2, k + 1):
+            subsets = set()
+            for mask in on:
+                idx = np.flatnonzero(mask)
+                if len(idx) >= size:
+                    subsets.update(map(tuple, idx[independent_subsets(Vr[idx], size)[0]]))
+            if subsets:
+                S = np.array(sorted(subsets))
+                edges = V[S[:, 1:]] - V[S[:, :1]]
+                faces.append((V[S[:, 0]], np.linalg.pinv(edges), V[S]))
+        corners = V[on.any(axis=0)]
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "width", len(V) + sum(len(f[0]) for f in faces))
+        object.__setattr__(self, "width", len(corners) + sum(len(f[0]) for f in faces))
         object.__setattr__(self, "scale", 1.0 + float(np.abs(V).max()))
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
         """The nearest, for each row, of the hull points its affine weights
-        give in the vertices and in every independent subset."""
-        cands = [np.broadcast_to(self.V, (len(X),) + self.V.shape)]
+        give in the boundary vertices and in every boundary face."""
+        cands = [np.broadcast_to(self.corners, (len(X),) + self.corners.shape)]
         for origin, pinv, verts in self.faces:
             T = np.einsum("rpn,pnk->rpk", X[:, None, :] - origin, pinv)
             W = np.concatenate([1.0 - T.sum(axis=2, keepdims=True), T], axis=2)
@@ -342,10 +397,12 @@ class Hull:
 
     def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on d(x, [A,B]) for the rows x of X."""
-        rows = max(1, _SCREEN_CHUNK // (self.width * (X.shape[1] + 1)))
-        Y = np.empty_like(X)
-        for i in range(0, len(X), rows):
-            Y[i : i + rows] = self._nearest(X[i : i + rows])
+        n, k = X.shape[1], len(self.basis)
+        Y = X.copy() if k == n else self.center + ((X - self.center) @ self.basis.T) @ self.basis
+        out = np.flatnonzero((self.normals @ Y.T > self.offsets[:, None]).any(axis=0))
+        rows = max(1, _SCREEN_CHUNK // (max(1, self.width) * (n + 1)))
+        for i in range(0, len(out), rows):
+            Y[out[i : i + rows]] = self._nearest(X[out[i : i + rows]])
         diff = X - Y
         upper = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         u = diff / np.where(upper > 0.0, upper, 1.0)[:, None]

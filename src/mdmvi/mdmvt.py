@@ -56,6 +56,8 @@ from .tent import TentSpec, psi_on_grid
 
 INTERIOR_TOL = 1e-9  # C's membership tolerance, and xi's least margin inside it
 _BOUNDARY_CAP = 400  # boundary samples kept
+MAX_DIM = 3  # the checker's direction nets are written for n <= 3
+GRID_ROWS_MAX = 1 << 20  # rows of one box grid, resolution ** n; 302 ** 2 is the largest use
 
 
 class SpecFormatError(ValueError):
@@ -68,6 +70,16 @@ class SpecInvariantError(ValueError):
 
 class CertificateSearchError(RuntimeError):
     """The pipeline's candidate failed a check, or no candidate was found."""
+
+
+def check_grid_rows(resolution: int, dim: int, name: str = "resolution") -> None:
+    """Refuse, before any array is built, a box grid of more than
+    ``GRID_ROWS_MAX`` rows."""
+    if resolution**dim > GRID_ROWS_MAX:
+        raise SpecFormatError(
+            f"{name} {resolution} in {dim}-D gives {resolution}**{dim} grid rows, "
+            f"more than {GRID_ROWS_MAX}"
+        )
 
 
 def _json_int(data: dict, key: str, default: int) -> int:
@@ -96,6 +108,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.A.dim != self.B.dim or self.A.dim != self.f.dim:
             raise SpecFormatError("dimensions of f, A and B must agree")
+        if self.A.dim > MAX_DIM:
+            raise SpecFormatError(f"dimension must be at most {MAX_DIM}, got {self.A.dim}")
         if not np.isfinite([self.delta, self.mu, self.s, self.epsilon]).all():
             raise SpecFormatError("delta, mu, s and epsilon must be finite")
         if not self.delta > 0:
@@ -104,6 +118,7 @@ class ProblemSpec:
             raise SpecInvariantError("epsilon must be positive")
         if self.resolution < 2:
             raise SpecFormatError("resolution must be at least 2")
+        check_grid_rows(self.resolution, self.A.dim)
         if self.seed < 0:
             raise SpecFormatError("seed must be nonnegative")
 
@@ -593,12 +608,14 @@ def verify_certificate(
     infimum over [A,B], and the claimed r must match the one over A within
     a grid step times the largest subgradient norm on that grid's rows.
     f is read once per grid row, and at xi.  Raises SpecFormatError when
-    xi or p is not a finite point of the spec's dimension, and
-    SpecInvariantError when f is +inf on every row of a grid.
+    xi or p is not a finite point of the spec's dimension or the grid would
+    exceed ``GRID_ROWS_MAX`` rows, and SpecInvariantError when f is +inf on
+    every row of a grid.
     """
     from .oracles import grid_inf as oracle_grid_inf
 
     res = ps.resolution if resolution is None else resolution
+    check_grid_rows(res, ps.A.dim)
     report: dict = {}
     try:
         xi = as_point(cert.xi, ps.A.dim)

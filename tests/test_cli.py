@@ -236,3 +236,72 @@ def test_bad_arguments_exit_2_before_the_pipeline(workdir, capsys, monkeypatch, 
     assert run_command(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# linear f in 4-D, A = {0}, B = {2 e1}: the dimension is refused before any work
+SPEC_4D = {
+    "function": {"id": "linear", "params": {"a": [1.0, 0.0, 0.0, 0.0], "b": 0.0}},
+    "A": [[0.0, 0.0, 0.0, 0.0]],
+    "B": [[2.0, 0.0, 0.0, 0.0]],
+    "delta": 0.5,
+    "mu": -1.0,
+    "s": 0.9,
+    "epsilon": 0.1,
+    "resolution": 7,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "spec4d.json"],
+        ["verify", "cert.json", "spec4d.json"],
+        ["selftest", "spec4d.json"],
+        ["eval-psi", "spec4d.json", "--out", "psi.csv"],
+        ["eval-phi", "spec4d.json", "--out", "phi.csv"],
+    ],
+)
+def test_four_dimensional_spec_exits_2(workdir, capsys, argv):
+    (workdir / "spec4d.json").write_text(json.dumps(SPEC_4D))
+    cert = json.loads((ROOT / "benchmarks" / "fixtures" / "plane_2d.cert.json").read_text())
+    cert.update(xi=[1.0, 0.0, 0.0, 0.0], p=[1.0, 0.0, 0.0, 0.0])
+    (workdir / "cert.json").write_text(json.dumps(cert))
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "at most 3" in err[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "big.json"],
+        ["certificate", "plane_2d.json", "--resolution", "100000"],
+        ["verify", "cert.json", "plane_2d.json", "--resolution", "100000"],
+        ["selftest", "plane_2d.json", "--resolution", "100000"],
+        ["eval-psi", "plane_2d.json", "--grid", "100000", "--out", "psi.csv"],
+        ["eval-phi", "plane_2d.json", "--grid", "100000", "--out", "phi.csv"],
+    ],
+)
+def test_grid_over_the_row_budget_exits_2_before_any_array(
+    workdir, capsys, monkeypatch, problems_dir, argv
+):
+    import numpy as np
+
+    import mdmvi.cli as cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    for name in ("run", "choose_params", "verify_certificate", "sample_set"):
+        monkeypatch.setattr(cli, name, no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    data = json.loads((problems_dir / "plane_2d.json").read_text())
+    (workdir / "plane_2d.json").write_text(json.dumps(data))
+    (workdir / "big.json").write_text(json.dumps(dict(data, resolution=100_000)))
+    shutil.copy(ROOT / "benchmarks" / "fixtures" / "plane_2d.cert.json", workdir / "cert.json")
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "grid rows" in err[0]

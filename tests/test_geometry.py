@@ -17,6 +17,7 @@ from mdmvi import (
 from mdmvi.geometry import (
     Hull,
     _direction_net,
+    affine_frame,
     as_point,
     hull_vertex_matrix,
     rank_points,
@@ -342,7 +343,15 @@ def test_within_equals_the_projection_comparison(seed, dim, m_a, m_b, flat, shar
     rows += list(V)
     rows += list(origin + 2.0 * rng.normal(size=(6, dim)))
     rows += list(origin + 2.0 * rng.normal(size=(3, len(span))) @ span)
-    for x0 in list(rows[-9:]):
+    _assert_within_is_the_projection_comparison(A, B, rows, rows[-9:], radius)
+
+
+def _assert_within_is_the_projection_comparison(A, B, rows, rays, radius):
+    """``Hull(A, B).within`` at ``radius`` decides the rows, and for each
+    row of ``rays`` off the hull the points at the radius and 1e-12 either
+    side along the ray from its nearest hull point, as ``dist_to_hull``."""
+    rows = list(rows)
+    for x0 in list(rays):
         d, y, _ = dist_to_hull(x0, A, B)
         if d > 1e-6:
             for target in (radius - 1e-12, radius, radius + 1e-12):
@@ -351,6 +360,81 @@ def test_within_equals_the_projection_comparison(seed, dim, m_a, m_b, flat, shar
     X = np.array(rows)
     want = [dist_to_hull(x, A, B).d <= radius for x in X]
     assert Hull(A, B).within(X, radius).tolist() == want
+
+
+def _circle(m, shift):
+    ang = np.random.default_rng(m).uniform(0.0, 2 * np.pi, m)
+    return 0.3 * np.stack([np.cos(ang), np.sin(ang)], axis=1) + [shift, 0.0]
+
+
+_CUBE = np.array(list(np.ndindex(2, 2, 2)), dtype=float)
+_TILT = np.array([[1.0, 0.2, -0.3], [0.1, 0.8, 0.5]])  # a plane in 3-D
+DEGENERATE_HULLS = {
+    # every facet holds four coplanar vertices
+    "unit_cube": (_CUBE[_CUBE[:, 2] == 0], _CUBE[_CUBE[:, 2] == 1]),
+    # three collinear vertices on the lower edge
+    "collinear_edge_2d": ([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.3, 0.8]]),
+    "circle16_2d": (_circle(16, 0.0), _circle(16, 2.0)),
+    "flat_in_3d": (
+        np.array([[0.0, 0.0], [1.0, 0.0]]) @ _TILT + 0.1,
+        np.array([[0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]) @ _TILT + 0.1,
+    ),
+    "one_vertex": ([[0.2, -0.1]], [[0.2, -0.1]]),
+    "shared_vertices": ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    # (0.25, -3e-10) lies 3e-10 below the lower edge: the lines through any
+    # two of the three lower vertices hold all three within the facet tolerance
+    "near_collinear_edge_2d": ([[0.0, 0.0], [0.25, -3e-10]], [[1.0, 0.0], [0.5, 1.0]]),
+    # the lower face folds 1e-9 along the diagonal from (0, 0) to (1, 1)
+    "near_coplanar_face_3d": ([[0, 0, 0], [1, 0, 0], [1, 1, -1e-9]], [[0, 1, 0], [0.5, 0.5, 1]]),
+}
+# rows in the sliver between a true lower facet and the plane through the
+# first vertices, which holds all the lower vertices within the tolerance
+EXTRA_ROWS = {
+    "near_collinear_edge_2d": [[0.9, -9e-10], [0.6, -5e-10], [0.9, -3e-10]],
+    "near_coplanar_face_3d": [[0.05, 0.95, -8e-10], [0.15, 0.85, -6e-10], [0.1, 0.9, -6e-10]],
+}
+
+
+@pytest.mark.parametrize("radius", [0.0, 2.5e-10, 1e-9, 0.05, 0.5])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_HULLS))
+def test_within_is_the_projection_comparison_on_degenerate_facets(name, radius):
+    """Coplanar, collinear and nearly collinear boundary vertices, many
+    vertices, a flat hull in 3-D, a single vertex and shared vertices:
+    inside rows, vertices, midpoints and outside rows, off the hull's span
+    and on it, with rows at the radius and 1e-12 either side of it."""
+    A, B = (Polytope(np.array(v, dtype=float)) for v in DEGENERATE_HULLS[name])
+    V = hull_vertex_matrix(A, B)
+    rng = np.random.default_rng(len(V))
+    rows = list(rng.dirichlet(np.ones(len(V)), size=8) @ V) + list(V)
+    rows += list(0.5 * (V[:-1] + V[1:])) + EXTRA_ROWS.get(name, [])
+    center, vt, k = affine_frame(V)
+    outside = center + 1.5 * rng.normal(size=(12, V.shape[1]))
+    outside = np.vstack([outside, center + (outside - center) @ vt[:k].T @ vt[:k]])  # on the span
+    _assert_within_is_the_projection_comparison(A, B, rows + list(outside), outside, radius)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_facet_planes_hold_every_facet_of_qhull(seed, dim):
+    """Cross-check against scipy's Qhull, where it is installed (skipped
+    without it): each facet plane of the hull of random points, or of a
+    cube, is among ``Hull``'s planes, so the inside test is bounded by
+    every facet.  Random points are never nearly coplanar; the degenerate
+    cases above cover those without scipy."""
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(seed)
+    V = _CUBE[:, :dim] if seed == 0 else rng.normal(size=(int(rng.integers(dim + 1, 12)), dim))
+    hull = Hull(Polytope(V[: len(V) // 2]), Polytope(V[len(V) // 2 :]))
+    for eq in spatial.ConvexHull(hull.V).equations:  # eq[:-1] @ x + eq[-1] <= 0 inside
+        gap = np.abs(hull.normals - eq[:-1]).max(axis=1) + np.abs(hull.offsets + eq[-1])
+        assert gap.min() < 1e-9
+
+
+def test_screen_width_grows_with_the_boundary_not_the_subsets():
+    """32 points in the plane: the rows are scored against the boundary's
+    vertices and edges, not against every vertex subset (5,488 points)."""
+    hull = Hull(Polytope(_circle(16, 0.0)), Polytope(_circle(16, 2.0)))
+    assert hull.width < 200
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

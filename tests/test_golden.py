@@ -5,8 +5,10 @@ the benchmark fixtures, byte for byte.
 it (JSON with sorted keys, as ``scripts/run_suite.py`` writes it), and
 ``tests/golden/verify_<name>_r<resolution>`` the report of
 ``verify_certificate`` on ``benchmarks/fixtures/<name>.cert.json`` (``.json``)
-and the output of ``mdmvi verify`` (``.txt``).  A change that keeps the
-pipeline's and the verifier's results must reproduce every byte.
+and the output of ``mdmvi verify`` (``.txt``).
+``tests/golden/stress_circle8_2d.cert.json`` is the certificate of
+``tests/specs/circle8_2d.json``, a hull of 16 vertices.  A change that
+keeps the pipeline's and the verifier's results must reproduce every byte.
 """
 
 import json
@@ -18,6 +20,7 @@ from test_descent import BUNDLED
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -25,6 +28,14 @@ def test_run_reproduces_the_golden_certificate(name, suite_results):
     cert = suite_results[name]["cert"]
     text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert text == (GOLDEN / f"cert_{name}.json").read_text()
+
+
+def test_run_reproduces_the_many_vertex_certificate():
+    from mdmvi import ProblemSpec, run
+
+    cert = run(ProblemSpec.from_json_file(SPECS / "circle8_2d.json"))
+    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "stress_circle8_2d.cert.json").read_text()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
