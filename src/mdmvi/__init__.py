@@ -65,15 +65,12 @@ from .ekeland import (  # noqa: E402
     evp_verify,
     fuzzy_pair,
 )
-from .mdmvt import (  # noqa: E402
+from .check import (  # noqa: E402
     Certificate,
-    CertificateSearchError,
     PipelineParams,
     ProblemSpec,
     SpecFormatError,
     SpecInvariantError,
-    choose_params,
-    restrict_f,
-    run,
     verify_certificate,
 )
+from .mdmvt import CertificateSearchError, choose_params, restrict_f, run  # noqa: E402

@@ -20,17 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdmvt import (
+from .check import (
     Certificate,
-    CertificateSearchError,
     ProblemSpec,
     SpecFormatError,
     SpecInvariantError,
     check_grid_rows,
-    choose_params,
-    run,
     verify_certificate,
 )
+from .mdmvt import CertificateSearchError, choose_params, run
 from .ekeland import DescentError
 from .supconv import PhiEvalError, SupConvSpec, phi_on_grid, sample_table
 from .tent import TentSpec, psi_on_grid
@@ -100,8 +98,6 @@ def _build_supconv(ps: ProblemSpec) -> SupConvSpec:
 
 
 def _cmd_eval(args, inflate: bool) -> int:
-    if args.grid < 2:
-        raise SpecFormatError("grid must be at least 2")
     ps = _load_spec(args.spec, args)
     check_grid_rows(args.grid, ps.A.dim, "grid")
     sc = _build_supconv(ps)
@@ -123,10 +119,15 @@ def bundled_problems() -> list[str]:
     return sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _selftest_problem(path: str, args) -> list[str]:
+# the typed errors of a run, which exit 1; SpecFormatError exits 2
+_RUN_ERRORS = (SpecInvariantError, CertificateSearchError, PhiEvalError, DescentError)
+
+
+def _selftest_problem(path: str, args, failures: list[str]) -> None:
+    """Append to ``failures`` what the invariant battery finds on one
+    problem; a typed error of a stage (``_RUN_ERRORS``) ends it early."""
     from .oracles import psi_brute
 
-    failures = []
     ps = _load_spec(path, args)
     sc = _build_supconv(ps)
     t = sc.tent
@@ -158,24 +159,23 @@ def _selftest_problem(path: str, args) -> list[str]:
     if np.max(conc) > 1e-6:
         failures.append(f"concavity violation {np.max(conc):.3e}")
 
-    try:
-        cert = run(ps)
-    except (CertificateSearchError, SpecInvariantError) as exc:
-        failures.append(f"pipeline failed: {exc}")
-        return failures
+    cert = run(ps)
     valid, report = verify_certificate(cert, ps)
     if not valid:
         failures.append(f"certificate invalid: {_failed_checks(report)}")
     if cert.diagnostics["boundary_margin"] <= 0:
         failures.append("boundary decay margin not positive")
-    return failures
 
 
 def _cmd_selftest(args) -> int:
     paths = args.problems or bundled_problems()
     any_fail = False
     for path in paths:
-        failures = _selftest_problem(path, args)
+        failures = []
+        try:
+            _selftest_problem(path, args, failures)
+        except _RUN_ERRORS as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
         name = Path(path).stem
         if failures:
             any_fail = True

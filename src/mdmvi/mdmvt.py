@@ -1,27 +1,25 @@
-"""End-to-end pipeline for the multidirectional mean value inequality.
+"""The search for a certificate of the multidirectional mean value inequality.
 
-Given a function f and polytopes A, B with level parameters, the pipeline
-picks the tent and smoothing parameters, restricts f to the inflated hull
-C, minimizes g = f1 - phi_K, extracts a nearly-cancelling pair, and
-assembles a certificate (xi, p) for the three conclusion inequalities:
+Given a problem spec (``check.ProblemSpec``): a function f and polytopes
+A, B with level parameters, the pipeline picks the tent and smoothing
+parameters, restricts f to the inflated hull C, minimizes g = f1 - phi_K,
+extracts a nearly-cancelling pair, and assembles a ``check.Certificate``
+(xi, p) for the three inequalities that ``check`` states.
 
-    value_localization:   f(xi) < inf over [A,B] of f + |r - s| + eps
-    subgradient_norm:     ||p|| < (max(r, s) - mu) / delta + eps
-    mean_value_increment: inf_B p - inf_A p > s - r
-
-Certificates are recheckable by ``verify_certificate`` using only the
-brute-force oracles and polytope geometry.
+This module holds the search only.  What a spec and a certificate are, and
+how a certificate is checked, is ``check``'s; its ``verify_certificate``
+is bound here too, the name under which the benchmark times it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__ as _version
+from .check import Certificate, PipelineParams, ProblemSpec, SpecInvariantError, _check
+from .check import _lipschitz_estimate
+from .check import verify_certificate  # noqa: F401  (the benchmark times it under this name)
 from .ekeland import (
     EVP_TOL,
     RESIDUAL_FACTOR,
@@ -31,216 +29,18 @@ from .ekeland import (
     fuzzy_pair,
     g_table,
 )
-from .functions import (
-    TestFunction,
-    _json_numbers,
-    _on_rows,
-    f_eval,
-    f_subgrad,
-    f_values,
-    make_function,
-)
-from .geometry import (
-    Hull,
-    Polytope,
-    as_point,
-    dist_to_hull,
-    inf_linear,
-    rank_points,
-    row_norms,
-    _direction_net,
-)
+from .functions import TestFunction, _on_rows, f_eval, f_values
+from .geometry import Hull, Polytope, _direction_net, dist_to_hull, inf_linear, rank_points
 from .simplex_optim import golden_max
 from .supconv import GAP_TOL, LevelSets, SupConvSpec, level_sets, phi_eval, phi_on_grid
 from .tent import TentSpec, psi_on_grid
 
 INTERIOR_TOL = 1e-9  # C's membership tolerance, and xi's least margin inside it
 _BOUNDARY_CAP = 400  # boundary samples kept
-MAX_DIM = 3  # the checker's direction nets are written for n <= 3
-GRID_ROWS_MAX = 1 << 20  # rows of one box grid, resolution ** n; 302 ** 2 is the largest use
-
-
-class SpecFormatError(ValueError):
-    """The problem description is malformed (missing or ill-typed fields)."""
-
-
-class SpecInvariantError(ValueError):
-    """The problem violates a hypothesis needed by the construction."""
 
 
 class CertificateSearchError(RuntimeError):
     """The pipeline's candidate failed a check, or no candidate was found."""
-
-
-def check_grid_rows(resolution: int, dim: int, name: str = "resolution") -> None:
-    """Refuse, before any array is built, a box grid of more than
-    ``GRID_ROWS_MAX`` rows."""
-    if resolution**dim > GRID_ROWS_MAX:
-        raise SpecFormatError(
-            f"{name} {resolution} in {dim}-D gives {resolution}**{dim} grid rows, "
-            f"more than {GRID_ROWS_MAX}"
-        )
-
-
-def _json_int(data: dict, key: str, default: int) -> int:
-    """data[key], or default when absent; anything but a JSON integer (a
-    float, a bool, a string) is refused rather than truncated."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
-@dataclass(frozen=True, eq=False)
-class ProblemSpec:
-    """A concrete certificate problem: function, sets, and parameters."""
-
-    f: TestFunction
-    A: Polytope
-    B: Polytope
-    delta: float
-    mu: float
-    s: float
-    epsilon: float
-    resolution: int = 201
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.A.dim != self.B.dim or self.A.dim != self.f.dim:
-            raise SpecFormatError("dimensions of f, A and B must agree")
-        if self.A.dim > MAX_DIM:
-            raise SpecFormatError(f"dimension must be at most {MAX_DIM}, got {self.A.dim}")
-        if not np.isfinite([self.delta, self.mu, self.s, self.epsilon]).all():
-            raise SpecFormatError("delta, mu, s and epsilon must be finite")
-        if not self.delta > 0:
-            raise SpecInvariantError("delta must be positive")
-        if not self.epsilon > 0:
-            raise SpecInvariantError("epsilon must be positive")
-        if self.resolution < 2:
-            raise SpecFormatError("resolution must be at least 2")
-        check_grid_rows(self.resolution, self.A.dim)
-        if self.seed < 0:
-            raise SpecFormatError("seed must be nonnegative")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProblemSpec":
-        try:
-            fun = make_function(data["function"]["id"], data["function"]["params"])
-            return cls(
-                f=fun,
-                A=Polytope.from_json(_json_numbers(data, "A")),
-                B=Polytope.from_json(_json_numbers(data, "B")),
-                delta=float(_json_numbers(data, "delta")),
-                mu=float(_json_numbers(data, "mu")),
-                s=float(_json_numbers(data, "s")),
-                epsilon=float(_json_numbers(data, "epsilon")),
-                resolution=_json_int(data, "resolution", 201),
-                seed=_json_int(data, "seed", 0),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SpecInvariantError):
-                raise
-            raise SpecFormatError(f"malformed problem spec: {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path) -> "ProblemSpec":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "function": {"id": self.f.fid, "params": self.f.params},
-            "A": self.A.to_json(),
-            "B": self.B.to_json(),
-            "delta": self.delta,
-            "mu": self.mu,
-            "s": self.s,
-            "epsilon": self.epsilon,
-            "resolution": self.resolution,
-            "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class PipelineParams:
-    r: float
-    s1: float
-    delta1: float
-    K: float
-
-
-class InequalityCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    slack: float  # positive means the strict inequality holds
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
-
-
-def _check(lhs: float, rhs: float) -> InequalityCheck:
-    """lhs < rhs, with its slack rhs - lhs."""
-    return InequalityCheck(lhs, rhs, float(rhs - lhs))
-
-
-@dataclass(frozen=True, eq=False)
-class Certificate:
-    xi: np.ndarray
-    p: np.ndarray
-    checks: dict  # name -> InequalityCheck
-    params: PipelineParams
-    diagnostics: dict
-    tolerances: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": _version,
-            "xi": [float(v) for v in self.xi],
-            "p": [float(v) for v in self.p],
-            "params": {
-                "r": self.params.r,
-                "s1": self.params.s1,
-                "delta1": self.params.delta1,
-                "K": self.params.K,
-            },
-            "checks": {k: v.to_json() for k, v in sorted(self.checks.items())},
-            "diagnostics": self.diagnostics,
-            "tolerances": self.tolerances,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        try:
-            checks = {
-                k: InequalityCheck(v["lhs"], v["rhs"], v["slack"])
-                for k, v in data["checks"].items()
-            }
-            pp = data["params"]
-            return cls(
-                xi=as_point(_json_numbers(data, "xi")),
-                p=as_point(_json_numbers(data, "p")),
-                checks=checks,
-                params=PipelineParams(
-                    *(float(_json_numbers(pp, k)) for k in ("r", "s1", "delta1", "K"))
-                ),
-                diagnostics=data.get("diagnostics", {}),
-                tolerances=data.get("tolerances", {}),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError(f"malformed certificate: {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path) -> "Certificate":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
 
 
 class _InfEstimate(NamedTuple):
@@ -407,14 +207,6 @@ def boundary_samples(hull: Hull, delta: float, hull_pts: np.ndarray) -> np.ndarr
             f"boundary samples: no candidate lies at distance {delta} from the hull"
         )
     return kept[on][:_BOUNDARY_CAP]
-
-
-def _lipschitz_estimate(f: TestFunction, pts: np.ndarray, fvals: np.ndarray) -> float:
-    """Largest subgradient norm at the points where f, ``fvals`` there, is
-    finite; at least 1.  One batched call gives every representative (see
-    ``row_norms`` for the norms' bits)."""
-    G = f.subgrad_rows(pts[np.isfinite(fvals)])
-    return float(np.fmax.reduce(row_norms(G), axis=None, initial=1.0))
 
 
 def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
@@ -597,65 +389,3 @@ def run(ps: ProblemSpec) -> Certificate:
         tolerances=tolerances,
     )
 
-
-def verify_certificate(
-    cert: Certificate, ps: ProblemSpec, resolution: int | None = None
-) -> tuple[bool, dict]:
-    """Independent recheck of a certificate from oracles and geometry only.
-
-    Recomputes membership of xi, subgradient membership of p, and the
-    three inequalities; the value localization uses the brute-force grid
-    infimum over [A,B], and the claimed r must match the one over A within
-    a grid step times the largest subgradient norm on that grid's rows.
-    f is read once per grid row, and at xi.  Raises SpecFormatError when
-    xi or p is not a finite point of the spec's dimension or the grid would
-    exceed ``GRID_ROWS_MAX`` rows, and SpecInvariantError when f is +inf on
-    every row of a grid.
-    """
-    from .oracles import grid_inf as oracle_grid_inf
-
-    res = ps.resolution if resolution is None else resolution
-    check_grid_rows(res, ps.A.dim)
-    report: dict = {}
-    try:
-        xi = as_point(cert.xi, ps.A.dim)
-        p = as_point(cert.p, ps.A.dim)
-    except ValueError as exc:
-        raise SpecFormatError(f"certificate does not fit the spec: {exc}") from exc
-    r, s = cert.params.r, ps.s
-
-    d = dist_to_hull(xi, ps.A, ps.B).d
-    report["xi_membership"] = {"distance": d, "delta": ps.delta, "ok": d < ps.delta}
-
-    fx = f_eval(ps.f, xi)
-    reps = f_subgrad(ps.f, xi)
-    gap = min((float(np.linalg.norm(p - g)) for g in reps), default=np.inf)
-    report["subgradient_membership"] = {"distance": gap, "ok": gap <= 1e-8}
-
-    def oracle_inf(B: Polytope, name: str):
-        try:
-            return oracle_grid_inf(ps.f, ps.A, B, 0.0, res)
-        except ValueError as exc:
-            raise SpecInvariantError(f"oracle inf over {name}: {exc}") from exc
-
-    ginf_a = oracle_inf(ps.A, "A")
-    r_err = ginf_a.step * _lipschitz_estimate(ps.f, ginf_a.pts, ginf_a.vals) + 1e-9
-    report["level_r"] = {
-        "claimed": r,
-        "oracle": ginf_a.value,
-        "tolerance": r_err,
-        "ok": r <= ginf_a.value + 1e-9 and r >= ginf_a.value - r_err,
-    }
-
-    ginf_hull = oracle_inf(ps.B, "[A,B]")
-    for name, lhs, rhs in (
-        ("value_localization", fx, ginf_hull.value + abs(r - s) + ps.epsilon),
-        ("subgradient_norm", float(np.linalg.norm(p)),
-         (max(r, s) - ps.mu) / ps.delta + ps.epsilon),
-        ("mean_value_increment", s - r, inf_linear(p, ps.B) - inf_linear(p, ps.A)),
-    ):
-        report[name] = dict(_check(lhs, rhs).to_json(), ok=lhs < rhs)
-
-    valid = all(section["ok"] for section in report.values())
-    report["valid"] = valid
-    return valid, report

@@ -1,5 +1,5 @@
 """The full-grid ``grid_inf`` that the coarse-to-fine screen in
-``mdmvi.oracles`` replaced, kept as the reference that screen is tested
+``mdmvi.check`` replaced, kept as the reference that screen is tested
 against.
 
 It builds the whole box grid, scores every point's support gap against the
@@ -10,9 +10,9 @@ attains the minimum of f; the rows and f's values there come back with it.
 
 import numpy as np
 
+from mdmvi.check import GridInf, _sphere_net
 from mdmvi.functions import TestFunction, f_values
 from mdmvi.geometry import Polytope
-from mdmvi.oracles import GridInf, _sphere_net
 
 
 def box_grid(lo: np.ndarray, hi: np.ndarray, resolution: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import mdmvi.functions as functions
 import mdmvi.geometry as geometry
 from mdmvi import ProblemSpec, verify_certificate
 from mdmvi.geometry import sample_set
-from mdmvi.oracles import grid_inf
+from mdmvi.check import grid_inf
 
 
 def _count_everywhere(monkeypatch, home, name):

@@ -144,6 +144,19 @@ def test_selftest_canonical(workdir, capsys):
     assert "ok   canonical_1d" in capsys.readouterr().out
 
 
+def test_selftest_reports_a_typed_failure_and_goes_on(workdir, capsys, problems_dir):
+    # s = 100 lies above every value of f over the inflated B
+    data = json.loads((problems_dir / "quadratic_1d.json").read_text())
+    (workdir / "quadratic_1d.json").write_text(json.dumps(dict(data, s=100.0)))
+    shutil.copy(problems_dir / "l2_norm_1d.json", workdir / "l2_norm_1d.json")
+    argv = ["selftest", "canonical_1d.json", "quadratic_1d.json", "l2_norm_1d.json"]
+    assert run_command(argv + ["--resolution", "101"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["ok   canonical_1d", "FAIL quadratic_1d", "ok   l2_norm_1d"]
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].strip().startswith("SpecInvariantError: s must lie strictly")
+
+
 def test_bad_subcommand_exits_2(capsys):
     assert run_command(["frobnicate"]) == 2
 

@@ -94,7 +94,7 @@ class TestMinimizeG:
         # the point must land within 1e-5 (plus grid error) of an
         # independent exhaustive scan of g
         from mdmvi import TestFunction
-        from mdmvi.oracles import grid_inf
+        from mdmvi.check import grid_inf
 
         f1 = restrict_f(linear([1.0]), seg_a, seg_b, 0.5)
         pt = minimize_g(f1, canonical_smoothing, seg_a, seg_b, 0.5, 201, seed=0)

@@ -1,4 +1,4 @@
-"""The batched ``mdmvt._lipschitz_estimate`` against the per-point loop it
+"""The batched ``check._lipschitz_estimate`` against the per-point loop it
 replaced (``lipschitz_reference.py``)."""
 
 import json
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mdmvi.mdmvt as mdmvt
+import mdmvi.check as check
 from mdmvi import (
     Certificate,
     Polytope,
@@ -22,8 +22,7 @@ from mdmvi import (
     verify_certificate,
 )
 from mdmvi.functions import f_values
-from mdmvi.mdmvt import _lipschitz_estimate
-from mdmvi.oracles import grid_inf
+from mdmvi.check import _lipschitz_estimate, grid_inf
 
 from lipschitz_reference import lipschitz_estimate
 
@@ -96,13 +95,13 @@ def test_verifier_reads_one_subgradient_set(monkeypatch):
     ps = ProblemSpec.from_json_file(ROOT / "src" / "mdmvi" / "problems" / "plane_2d.json")
     cert = Certificate.from_json_file(ROOT / "benchmarks" / "fixtures" / "plane_2d.cert.json")
     calls = []
-    real = mdmvt.f_subgrad
+    real = check.f_subgrad
 
     def spy(f, x):
         calls.append(np.asarray(x, dtype=float).copy())
         return real(f, x)
 
-    monkeypatch.setattr(mdmvt, "f_subgrad", spy)
+    monkeypatch.setattr(check, "f_subgrad", spy)
     valid, _ = verify_certificate(cert, ps, resolution=301)
     assert valid
     assert len(calls) == 1 and np.array_equal(calls[0], cert.xi)

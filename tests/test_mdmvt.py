@@ -17,12 +17,8 @@ from mdmvi import (
     run,
     verify_certificate,
 )
-from mdmvi.mdmvt import (
-    Certificate,
-    SpecFormatError,
-    _estimate_inf,
-    boundary_samples,
-)
+from mdmvi.check import Certificate, SpecFormatError
+from mdmvi.mdmvt import _estimate_inf, boundary_samples
 from mdmvi.ekeland import EvpReport
 from mdmvi.geometry import Hull, sample_set
 from mdmvi.supconv import phi_on_grid

@@ -15,19 +15,10 @@ from mdmvi import (
     quadratic,
     verify_certificate,
 )
-from mdmvi import oracles
+from mdmvi import check
+from mdmvi.check import _grid_axes, _max_margin, _screen, _sphere_net, _support, grid_inf
 from mdmvi.cli import run_command
-from mdmvi.oracles import (
-    _grid_axes,
-    _hull_support_gap,
-    _max_margin,
-    _screen,
-    _sphere_net,
-    _support,
-    grid_inf,
-    phi_brute,
-    psi_brute,
-)
+from mdmvi.oracles import _hull_support_gap, phi_brute, psi_brute
 
 from grid_inf_reference import box_grid, reference_grid_inf
 
@@ -258,13 +249,13 @@ def test_screen_scores_few_rows_on_plane_2d(monkeypatch, problems_dir):
     # interior of the rectangle in a few boxes
     ps = ProblemSpec.from_json_file(problems_dir / "plane_2d.json")
     rows = []
-    real = oracles._max_margin
+    real = check._max_margin
 
     def counting(pts, support, dirs):
         rows.append(len(pts))
         return real(pts, support, dirs)
 
-    monkeypatch.setattr(oracles, "_max_margin", counting)
+    monkeypatch.setattr(check, "_max_margin", counting)
     grid_inf(ps.f, ps.A, ps.B, 0.0, 301)
     assert 0 < sum(rows) < 5000
 

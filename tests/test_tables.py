@@ -20,7 +20,7 @@ import mdmvi.mdmvt as mdmvt
 import mdmvi.supconv as supconv
 from mdmvi import Certificate, ProblemSpec, linear, run, verify_certificate
 from mdmvi.geometry import sample_set
-from mdmvi.oracles import grid_inf
+from mdmvi.check import grid_inf
 
 RES = 41
 ROOT = Path(__file__).resolve().parents[1]
