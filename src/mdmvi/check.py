@@ -8,11 +8,13 @@ inequalities:
     subgradient_norm:     ||p|| < (max(r, s) - mu) / delta + eps
     mean_value_increment: inf_B p - inf_A p > s - r
 
-``verify_certificate`` rechecks them from f's row oracles, the polytopes'
-geometry and a brute-force grid oracle (``grid_inf``), not from anything
-the search (``mdmvt``) computed.  This module imports only the standard
-library, numpy, ``functions`` and ``geometry``, so that it can be audited
-apart from the search that made the certificate.
+``inequalities`` states them once.  The search (``mdmvt.run``) evaluates
+them at its own estimate of the infimum over [A,B]; ``verify_certificate``
+rechecks them from f's row oracles, the polytopes' geometry and a
+brute-force grid oracle (``grid_inf``), not from anything the search
+computed.  This module imports only the standard library, numpy,
+``functions`` and ``geometry``, so that it can be audited apart from the
+search that made the certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .functions import TestFunction, _json_numbers, f_eval, f_subgrad, f_values, make_function
-from .geometry import Polytope, as_point, dist_to_hull, inf_linear, row_norms
+from .geometry import Polytope, as_point, box_axes, dist_to_hull, inf_linear, row_norms, sphere_net
 
 MAX_DIM = 3  # the checker's direction nets are written for n <= 3
 GRID_ROWS_MAX = 1 << 20  # rows of one box grid, resolution ** n; 302 ** 2 is the largest use
@@ -152,9 +154,23 @@ class InequalityCheck(NamedTuple):
         return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
 
 
-def _check(lhs: float, rhs: float) -> InequalityCheck:
-    """lhs < rhs, with its slack rhs - lhs."""
-    return InequalityCheck(lhs, rhs, float(rhs - lhs))
+def inequalities(
+    ps: ProblemSpec, r: float, fx: float, p: np.ndarray, inf_hull: float
+) -> dict[str, InequalityCheck]:
+    """The three inequalities of the claim, each lhs < rhs with its slack
+    rhs - lhs, at the level r, the value fx = f(xi) and the subgradient p,
+    with ``inf_hull`` for the infimum of f over [A,B]: the search's
+    estimate when it assembles a certificate, the grid oracle's value when
+    the checker rechecks one."""
+    return {
+        name: InequalityCheck(lhs, rhs, float(rhs - lhs))
+        for name, lhs, rhs in (
+            ("value_localization", fx, inf_hull + abs(r - ps.s) + ps.epsilon),
+            ("subgradient_norm", float(np.linalg.norm(p)),
+             (max(r, ps.s) - ps.mu) / ps.delta + ps.epsilon),
+            ("mean_value_increment", ps.s - r, inf_linear(p, ps.B) - inf_linear(p, ps.A)),
+        )
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,31 +243,6 @@ class GridInf:
     step: float
     pts: np.ndarray
     vals: np.ndarray
-
-
-def _sphere_net(n: int, count: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        ang = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    i = np.arange(count, dtype=float)
-    golden = (1 + 5**0.5) / 2
-    theta = np.arccos(np.clip(1 - 2 * (i + 0.5) / count, -1.0, 1.0))
-    phi = 2 * np.pi * i / golden
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-        axis=1,
-    )
-
-
-def _grid_axes(lo: np.ndarray, hi: np.ndarray, resolution: int) -> list[np.ndarray]:
-    """Box-grid coordinates along each axis; an axis whose span is at most
-    1e-12 holds its midpoint alone."""
-    return [
-        np.array([0.5 * (a + b)]) if b - a <= 1e-12 else np.linspace(a, b, resolution)
-        for a, b in zip(lo, hi)
-    ]
 
 
 def _support(A: Polytope, B: Polytope, dirs: np.ndarray) -> np.ndarray:
@@ -366,16 +357,9 @@ def grid_inf(
     of a full-grid evaluation.  They, in C order, then the vertices, are
     the rows, and the first row attaining the minimum of f over them is
     the argmin.  Raises SpecInvariantError when f is +inf on every row."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     V = np.vstack([A.vertices, B.vertices])
-    lo = V.min(axis=0) - delta
-    hi = V.max(axis=0) + delta
-    axes = _grid_axes(lo, hi, resolution)
-    spans = hi - lo
-    step = float(np.max(spans / (resolution - 1))) if np.any(spans > 1e-12) else 0.0
-
-    dirs = _sphere_net(V.shape[1], 512 if V.shape[1] == 2 else 2048)
+    axes, step = box_axes(V.min(axis=0) - delta, V.max(axis=0) + delta, resolution)
+    dirs = sphere_net(V.shape[1], 512 if V.shape[1] == 2 else 2048)
     index = _screen(axes, _support(A, B, dirs), dirs, delta + step + 1e-12).nonzero()
     pts = np.vstack([np.stack([a[i] for a, i in zip(axes, index)], axis=1), V])
 
@@ -408,7 +392,7 @@ def verify_certificate(
         p = as_point(cert.p, ps.A.dim)
     except ValueError as exc:
         raise SpecFormatError(f"certificate does not fit the spec: {exc}") from exc
-    r, s = cert.params.r, ps.s
+    r = cert.params.r
 
     d = dist_to_hull(xi, ps.A, ps.B).d
     report["xi_membership"] = {"distance": d, "delta": ps.delta, "ok": d < ps.delta}
@@ -434,13 +418,8 @@ def verify_certificate(
     }
 
     ginf_hull = oracle_inf(ps.B, "[A,B]")
-    for name, lhs, rhs in (
-        ("value_localization", fx, ginf_hull.value + abs(r - s) + ps.epsilon),
-        ("subgradient_norm", float(np.linalg.norm(p)),
-         (max(r, s) - ps.mu) / ps.delta + ps.epsilon),
-        ("mean_value_increment", s - r, inf_linear(p, ps.B) - inf_linear(p, ps.A)),
-    ):
-        report[name] = dict(_check(lhs, rhs).to_json(), ok=lhs < rhs)
+    for name, chk in inequalities(ps, r, fx, p, ginf_hull.value).items():
+        report[name] = dict(chk.to_json(), ok=chk.lhs < chk.rhs)
 
     valid = all(section["ok"] for section in report.values())
     report["valid"] = valid

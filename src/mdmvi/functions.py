@@ -5,10 +5,10 @@ A ``TestFunction`` is its two row oracles and nothing else: ``rows``
 maps an (m, n) array of points to their m values, and ``subgrad_rows``
 to an (m, k, n) array of subgradient representatives, NaN rows standing
 for those a point lacks.  One point is one row of a batch.  Every sum is
-written term by term, so a point gets the same bits alone (``f_eval``,
-``f_subgrad``) or in a batch (``f_values``, ``f_subgrads``).  A
-restricted member reads its values and interior points from one exact
-batched hull screen of its domain.
+written term by term (``geometry.row_dot``), so a point gets the same bits
+alone (``f_eval``, ``f_subgrad``) or in a batch (``f_values``,
+``f_subgrads``).  A restricted member reads its values and interior points
+from one exact batched hull screen of its domain.
 
 Subdifferentials are exposed as finite representative sets: extreme points
 for the convex members (active-piece gradients of a max-affine, the unit
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Hull, Polytope, as_point, as_rows
+from .geometry import Hull, Polytope, as_point, as_rows, row_dot
 
 _ACTIVE_TOL = 1e-9
 
@@ -81,23 +81,14 @@ def _on_rows(rows, X: np.ndarray, keep: np.ndarray, fill: float) -> np.ndarray:
     return out
 
 
-def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """<x, y> for each row x of X and the matching row y of Y (or one
-    vector Y), summed term by term, so each row rounds as it does alone."""
-    out = X[:, 0] * Y[..., 0]
-    for j in range(1, X.shape[1]):
-        out = out + X[:, j] * Y[..., j]
-    return out
-
-
 def _mat_rows(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """x @ Q for each row x of X, term by term."""
-    return np.stack([_row_dot(X, Q[:, j]) for j in range(Q.shape[1])], axis=1)
+    return np.stack([row_dot(X, Q[:, j]) for j in range(Q.shape[1])], axis=1)
 
 
 def _quad_rows(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """x @ Q @ x for each row x of X, as (x @ Q) @ x, term by term."""
-    return _row_dot(_mat_rows(X, Q), X)
+    return row_dot(_mat_rows(X, Q), X)
 
 
 def linear(a, b: float = 0.0) -> TestFunction:
@@ -108,7 +99,7 @@ def linear(a, b: float = 0.0) -> TestFunction:
         fid="linear",
         params={"a": a.tolist(), "b": b},
         dim=a.size,
-        rows=lambda X: _row_dot(X, a) + b,
+        rows=lambda X: row_dot(X, a) + b,
         subgrad_rows=lambda X: np.broadcast_to(a, (len(X), 1, a.size)),
     )
 
@@ -126,7 +117,7 @@ def quadratic(Q, a) -> TestFunction:
         fid="quadratic",
         params={"Q": Q.tolist(), "a": a.tolist()},
         dim=a.size,
-        rows=lambda X: 0.5 * _quad_rows(X, Q) + _row_dot(X, a),
+        rows=lambda X: 0.5 * _quad_rows(X, Q) + row_dot(X, a),
         subgrad_rows=lambda X: (_mat_rows(X, Q) + a)[:, None, :],
     )
 
@@ -137,7 +128,7 @@ def l2_norm(x0) -> TestFunction:
 
     def rows(X):
         D = X - x0
-        return np.sqrt(_row_dot(D, D))
+        return np.sqrt(row_dot(D, D))
 
     unit = np.kron(np.eye(n), [[1.0], [-1.0]])  # at the center: e_0, -e_0, e_1, ...
 
@@ -164,7 +155,7 @@ def max_affine(slopes, offsets) -> TestFunction:
         raise ValueError("one offset per affine piece")
 
     def pieces(X):
-        return np.stack([_row_dot(X, piece) for piece in S], axis=1) + b
+        return np.stack([row_dot(X, piece) for piece in S], axis=1) + b
 
     def subgrad(X):
         vals = pieces(X)
@@ -189,10 +180,10 @@ def sin_quadratic(c: float, w, Q, a) -> TestFunction:
     Q = 0.5 * (Q + Q.T)
 
     def rows(X):
-        return c * np.sin(_row_dot(X, w)) + 0.5 * _quad_rows(X, Q) + _row_dot(X, a)
+        return c * np.sin(row_dot(X, w)) + 0.5 * _quad_rows(X, Q) + row_dot(X, a)
 
     def subgrad(X):
-        return ((c * np.cos(_row_dot(X, w)))[:, None] * w + _mat_rows(X, Q) + a)[:, None]
+        return ((c * np.cos(row_dot(X, w)))[:, None] * w + _mat_rows(X, Q) + a)[:, None]
 
     return TestFunction(
         fid="sin_quadratic",

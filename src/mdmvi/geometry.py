@@ -1,5 +1,7 @@
 """Vertex-represented polytopes, the joint hull of two of them, inflations,
-distances, and linear-functional infima.
+distances, and linear-functional infima; with the primitives the search
+and the checker share: the box grid's axes (``box_axes``), the direction
+nets (``sphere_net``) and the term-by-term row sum (``row_dot``).
 
 Every operation is a pure function of its inputs; constructed objects are
 treated as immutable, so everything here is safe to call concurrently.
@@ -61,6 +63,31 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     ``np.linalg.norm`` takes for a single vector, so a row's norm has the
     same bits as that row's own ``np.linalg.norm``."""
     return np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0, 0]
+
+
+def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<x, y> over the last axis, for each row x of X and the matching row
+    y of Y (or one vector Y), summed term by term, so each row rounds as
+    it does alone."""
+    out = X[..., 0] * Y[..., 0]
+    for j in range(1, X.shape[-1]):
+        out += X[..., j] * Y[..., j]
+    return out
+
+
+def box_axes(lo: np.ndarray, hi: np.ndarray, resolution: int) -> tuple[list[np.ndarray], float]:
+    """The axes of the box grid over [lo, hi], ``resolution`` points each,
+    and its step, the largest spacing along them (0 when every axis is a
+    point).  An axis whose span is at most 1e-12 holds its midpoint alone."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    axes = [
+        np.array([0.5 * (a + b)]) if b - a <= 1e-12 else np.linspace(a, b, resolution)
+        for a, b in zip(lo, hi)
+    ]
+    spans = hi - lo
+    step = float(np.max(spans / (resolution - 1))) if np.any(spans > 1e-12) else 0.0
+    return axes, step
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,30 +162,33 @@ def hull_vertex_matrix(A: Polytope, B: Polytope) -> np.ndarray:
     return np.vstack([A.vertices, B.vertices])
 
 
-def _direction_net(n: int) -> np.ndarray:
-    """Deterministic unit-direction net used only for cheap bounds."""
+def sphere_net(n: int, count: int) -> np.ndarray:
+    """Deterministic unit directions for n <= 3: both signs in 1-D,
+    ``count`` equally spaced angles in 2-D, and ``count`` points of a
+    Fibonacci spiral in 3-D."""
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if n == 2:
-        ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        ang = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    combos = np.array(
-        [c for c in np.ndindex(*([3] * n)) if any(v != 1 for v in c)], dtype=float
-    )
-    dirs = combos - 1.0
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    if n != 3:
-        return dirs
-    k = 128
-    i = np.arange(k, dtype=float)
+    i = np.arange(count, dtype=float)
     golden = (1 + 5**0.5) / 2
-    theta = np.arccos(1 - 2 * (i + 0.5) / k)
+    theta = np.arccos(np.clip(1 - 2 * (i + 0.5) / count, -1.0, 1.0))
     phi = 2 * np.pi * i / golden
-    sphere = np.stack(
+    return np.stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
         axis=1,
     )
-    return np.vstack([dirs, sphere])
+
+
+def _direction_net(n: int) -> np.ndarray:
+    """Deterministic unit-direction net used only for cheap bounds: in 3-D,
+    the 26 normalized cube directions and 128 spiral points."""
+    if n <= 2:
+        return sphere_net(n, 64)
+    cube = np.array([c for c in np.ndindex(3, 3, 3) if c != (1, 1, 1)], dtype=float) - 1.0
+    cube /= np.linalg.norm(cube, axis=1, keepdims=True)
+    return np.vstack([cube, sphere_net(3, 128)])
 
 
 def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
@@ -410,10 +440,10 @@ class Hull:
         return np.maximum(lower, 0.0), upper
 
     def within(self, X, radius) -> np.ndarray:
-        """Exactly ``[dist_to_hull(x, A, B).d <= radius for x in X]``, or
-        one such row per entry when ``radius`` is an array of radii.  The
-        bounds are computed once; the projection runs only on the rows
-        that some radius leaves undecided."""
+        """Whether d(x, [A,B]) <= radius for each row x of X, or one such
+        row per entry when ``radius`` is an array of radii.  The bounds,
+        computed once, settle the rows clear of every radius, where they
+        can be more exact than ``dist_to_hull``, which decides the band."""
         X = as_rows(X, self.V.shape[1])
         radius = np.asarray(radius, dtype=float)
         R = radius.reshape(-1, 1)
@@ -433,22 +463,10 @@ class Hull:
         dropped, decided exactly by ``within``; all vertices of A and B are
         appended.  Identical inputs give identical output arrays.
         """
-        if resolution < 2:
-            raise ValueError("resolution must be at least 2")
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         V = hull_vertex_matrix(self.A, self.B)
-        lo = V.min(axis=0) - delta
-        hi = V.max(axis=0) + delta
-
-        axes = []
-        step = 0.0
-        for a, b in zip(lo, hi):
-            if b - a <= 1e-12:
-                axes.append(np.array([0.5 * (a + b)]))
-            else:
-                axes.append(np.linspace(a, b, resolution))
-                step = max(step, (b - a) / (resolution - 1))
+        axes, step = box_axes(V.min(axis=0) - delta, V.max(axis=0) + delta, resolution)
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         pts = pts[self.within(pts, delta + step + 1e-12)]

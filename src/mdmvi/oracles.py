@@ -3,7 +3,7 @@ never used inside the pipeline or by the checker.
 
 Deliberately independent of the analytic modules: tent and smoothing
 values come from dense parameter grids, and hull membership from support
-functions over a direction net (``check._sphere_net``), with no
+functions over a direction net (``geometry.sphere_net``), with no
 projection kernel.  Agreement with the fast modules is then evidence
 rather than tautology.  ``grid_inf`` is ``check``'s, bound here too, the
 name under which the benchmark counts it.
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .check import _max_margin, _sphere_net, _support
+from .check import _max_margin, _support
 from .check import grid_inf  # noqa: F401  (the benchmark counts it under this name)
-from .geometry import Polytope, as_point
+from .geometry import Polytope, as_point, sphere_net
 from .supconv import SupConvSpec
 from .tent import TentSpec
 
@@ -48,7 +48,7 @@ def psi_brute(x, t: TentSpec, resolution: int) -> float:
     # grid step of slack admits the nearest grid lam to any feasible one
     feas_tol = 0.5 * (1.0 / resolution) * diam + 1e-12
 
-    dirs = _sphere_net(t.dim, 2048 if t.dim >= 2 else 2)
+    dirs = sphere_net(t.dim, 2048 if t.dim >= 2 else 2)
     hA = np.max(t.A.vertices @ dirs.T, axis=0)
     hB = np.max(t.B.vertices @ dirs.T, axis=0)
     # support of lam A + (1-lam) B separates across the Minkowski sum

@@ -25,8 +25,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import as_point
-from .tent import _CHUNK, TentSpec, psi_on_grid
+from .geometry import as_point, row_dot
+from .tent import _CHUNK, TentSpec, _grid_rows, psi_on_grid
 
 GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
 _GAP_RAISE = max(100.0 * GAP_TOL, 1e-4)  # a larger certified gap is refused
@@ -163,14 +163,6 @@ class _Rows(NamedTuple):
     gap: np.ndarray
 
 
-def _dot(P: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row-wise <P_i, X_i>, term by term."""
-    out = P[..., 0] * X[..., 0]
-    for j in range(1, X.shape[-1]):
-        out += P[..., j] * X[..., j]
-    return out
-
-
 def _dual_value(P: np.ndarray, X: np.ndarray, sc: SupConvSpec) -> np.ndarray:
     """Upper bounds on phi_K at the rows of X, one per row of P; each is
     valid when that row has norm at most K."""
@@ -178,18 +170,18 @@ def _dual_value(P: np.ndarray, X: np.ndarray, sc: SupConvSpec) -> np.ndarray:
     lift = sc.tent.levels - P[:, :1] * V[:, 0]
     for j in range(1, V.shape[1]):
         lift -= P[:, j : j + 1] * V[:, j]
-    return _dot(P, X) + lift.max(axis=1)
+    return row_dot(P, X) + lift.max(axis=1)
 
 
 def _clip(P: np.ndarray, K: float) -> np.ndarray:
     """The rows of P scaled into the ball of radius K."""
-    return P * (K / np.maximum(np.sqrt(_dot(P, P)), K))[:, None]
+    return P * (K / np.maximum(np.sqrt(row_dot(P, P)), K))[:, None]
 
 
 def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """Every face's candidate for every row of X, and the best of them,
-    certified.  Sums run term by term, so a row gets the same bits alone
-    or in a batch."""
+    certified.  Sums run term by term (as ``geometry.row_dot`` does), so a
+    row gets the same bits alone or in a batch."""
     fc, K = sc.faces, sc.K
     g, n = X.shape
     D = X[:, None, :] - fc.origin  # (g, F, n)
@@ -197,7 +189,7 @@ def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     for i in range(1, n):
         P += D[:, :, i : i + 1] * fc.lin[:, i]
     e = P[:, :, :n]  # coordinates off the face
-    h = np.sqrt(_dot(e, e))
+    h = np.sqrt(row_dot(e, e))
     tau = h / fc.root  # y* = x0 + tau grad
     W = P[:, :, n:-1] + tau[:, :, None] * fc.tilt  # weights of y*, less e0
     ok = (W >= fc.floor).all(axis=2)  # false where root is NaN
@@ -293,24 +285,17 @@ def phi_value(x, sc: SupConvSpec) -> float:
     return phi_eval(x, sc).value
 
 
-def _grid_rows(sc: SupConvSpec, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float).reshape(-1, sc.dim)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("grid points must be finite")
-    return pts
-
-
 def phi_on_grid(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:
     """The smoothing on the rows of ``pts``, batched; each value equals
     ``phi_eval``'s, bit for bit."""
-    return _evaluate(sc, _grid_rows(sc, pts)).value
+    return _evaluate(sc, _grid_rows(sc.dim, pts)).value
 
 
 def phi_rows(sc: SupConvSpec, pts: np.ndarray) -> np.ndarray:
     """The smoothing on the rows of ``pts`` as ``phi_on_grid`` gives it,
     but NaN, not PhiEvalError, on each row whose certified gap is above
     1e-4: the caller raises (``phi_eval`` there) if it reads that row."""
-    return _kernel_rows(sc, _grid_rows(sc, pts)).value
+    return _kernel_rows(sc, _grid_rows(sc.dim, pts)).value
 
 
 def _fd_stencils(Y: np.ndarray) -> np.ndarray:
@@ -352,7 +337,7 @@ def phi_supergradients(
     the first row is read, but a row is refused (PhiEvalError) or checked
     only when the caller reads it: rows past its last read never raise.
     """
-    Y = _grid_rows(sc, Y)
+    Y = _grid_rows(sc.dim, Y)
     S = _fd_stencils(Y)
     out = _kernel_rows(sc, S.reshape(-1, sc.dim))
     pts = np.asarray(grid, dtype=float)

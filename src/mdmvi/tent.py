@@ -24,6 +24,7 @@ from .geometry import (
     as_point,
     independent_subsets,
     inf_linear,
+    row_dot,
 )
 
 DEFAULT_CHECK_TOL = 1e-7
@@ -154,7 +155,8 @@ def _locate(F: _Facets, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     off the hull), its normalized barycentric weights clipped at zero, and
     the tent value they give.
 
-    Sums run term by term, so a row gets the same bits alone or in a batch.
+    Sums run term by term (as ``geometry.row_dot`` does), so a row gets
+    the same bits alone or in a batch.
     """
     g, n = X.shape
     P, k1 = F.verts.shape
@@ -165,10 +167,7 @@ def _locate(F: _Facets, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     inside = (W + F.slack).min(axis=2) >= 0.0
     if Y.shape[1] > P * k1:
         R = Y[:, P * k1 :]
-        off = R[:, 0] * R[:, 0]
-        for j in range(1, R.shape[1]):
-            off = off + R[:, j] * R[:, j]
-        inside &= (off <= _FEAS_TOL**2)[:, None]
+        inside &= (row_dot(R, R) <= _FEAS_TOL**2)[:, None]
     piece = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
     w = np.maximum(W[np.arange(g), piece], 0.0)
     lev = F.levels[piece]
@@ -206,11 +205,17 @@ def psi_value(x, t: TentSpec) -> float:
     return psi_eval(x, t).value
 
 
-def psi_on_grid(t: TentSpec, pts: np.ndarray) -> np.ndarray:
-    """Tent values on the rows of ``pts``, batched; each equals ``psi_eval``."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, t.dim)
+def _grid_rows(dim: int, pts) -> np.ndarray:
+    """``pts`` as rows of ``dim`` coordinates, refused unless finite."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, dim)
     if not np.all(np.isfinite(pts)):
         raise ValueError("grid points must be finite")
+    return pts
+
+
+def psi_on_grid(t: TentSpec, pts: np.ndarray) -> np.ndarray:
+    """Tent values on the rows of ``pts``, batched; each equals ``psi_eval``."""
+    pts = _grid_rows(t.dim, pts)
     out = np.empty(len(pts))
     rows = max(1, _CHUNK // t.facets.shift.size)
     for i in range(0, len(pts), rows):

@@ -10,9 +10,9 @@ attains the minimum of f; the rows and f's values there come back with it.
 
 import numpy as np
 
-from mdmvi.check import GridInf, _sphere_net
+from mdmvi.check import GridInf
 from mdmvi.functions import TestFunction, f_values
-from mdmvi.geometry import Polytope
+from mdmvi.geometry import Polytope, sphere_net
 
 
 def box_grid(lo: np.ndarray, hi: np.ndarray, resolution: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def reference_grid_inf(
     spans = hi - lo
     step = float(np.max(spans / (resolution - 1))) if np.any(spans > 1e-12) else 0.0
 
-    dirs = _sphere_net(V.shape[1], 512 if V.shape[1] == 2 else 2048)
+    dirs = sphere_net(V.shape[1], 512 if V.shape[1] == 2 else 2048)
     gaps = hull_support_gap(pts, A, B, dirs)
     pts = np.vstack([pts[gaps <= delta + step + 1e-12], V])
 

@@ -16,6 +16,7 @@ from mdmvi.check import (
     SpecInvariantError,
     verify_certificate,
 )
+from mdmvi.functions import f_eval
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECK = ROOT / "src" / "mdmvi" / "check.py"
@@ -75,6 +76,19 @@ def test_the_benchmark_names_bind_the_checker():
     assert oracles.grid_inf is check.grid_inf
 
 
+@pytest.mark.parametrize(
+    "golden", sorted((ROOT / "tests" / "golden").glob("cert_*.json")), ids=lambda p: p.stem
+)
+def test_a_certificates_checks_are_the_checkers_statement(golden, problems_dir):
+    # the search's checks are the checker's inequalities at the search's
+    # own estimate of the infimum over [A,B]
+    cert = Certificate.from_json_file(golden)
+    ps = ProblemSpec.from_json_file(problems_dir / f"{golden.stem.removeprefix('cert_')}.json")
+    inf_hull = cert.diagnostics["inf_estimates"]["inf_hull"]
+    got = check.inequalities(ps, cert.params.r, f_eval(ps.f, cert.xi), cert.p, inf_hull)
+    assert got == cert.checks
+
+
 @pytest.fixture(scope="module")
 def canonical(problems_dir):
     ps = ProblemSpec.from_json_file(problems_dir / "canonical_1d.json")
@@ -97,7 +111,7 @@ def test_a_defect_in_the_grid_oracle_is_not_called_a_broken_hypothesis(canonical
     # a direction net of the wrong width is the checker's own defect: its
     # error surfaces as it is
     cert, ps = canonical
-    monkeypatch.setattr(check, "_sphere_net", lambda n, count: np.ones((4, n + 1)))
+    monkeypatch.setattr(check, "sphere_net", lambda n, count: np.ones((4, n + 1)))
     with pytest.raises(ValueError, match="matmul") as info:
         verify_certificate(cert, ps, resolution=101)
     assert not isinstance(info.value, SpecInvariantError)

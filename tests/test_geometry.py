@@ -463,6 +463,27 @@ def test_within_decides_several_radii_at_once(seed, dim, m_a, m_b, flat):
     assert got.tolist() == [[d <= r for d in dists] for r in radii]
 
 
+# a segment of length 1e-9 under a wide B: x is 3e-10 below its midpoint
+TINY_A, TINY_B = Polytope([[0.0, 0.0], [1e-9, 0.0]]), Polytope([[1.0, 1.0], [-1.0, 1.0]])
+TINY_X = np.array([5e-10, -3e-10])
+
+
+def test_within_settles_a_row_clear_of_the_band_from_its_bounds():
+    # both bounds read the exact distance 3e-10, so 4e-10 holds x without
+    # a projection
+    assert Hull(TINY_A, TINY_B).within([TINY_X], 4e-10).tolist() == [True]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="dist_to_hull stops once no vertex improves ||z||^2 by 1e-14 of the "
+    "largest squared vertex distance (about 2 here), far above d^2 = 9e-20: "
+    "it reads 5.657e-10, not the exact 3e-10",
+)
+def test_dist_to_hull_is_exact_at_tiny_distances():
+    assert dist_to_hull(TINY_X, TINY_A, TINY_B).d == pytest.approx(3e-10, rel=1e-6)
+
+
 def _sample_set_by_points(A, B, delta, resolution):
     """``sample_set`` as it was before the batched screen: vertex distances
     and the support-function bound over the direction net, with one

@@ -16,8 +16,9 @@ from mdmvi import (
     verify_certificate,
 )
 from mdmvi import check
-from mdmvi.check import _grid_axes, _max_margin, _screen, _sphere_net, _support, grid_inf
+from mdmvi.check import _max_margin, _screen, _support, grid_inf
 from mdmvi.cli import run_command
+from mdmvi.geometry import box_axes, sphere_net
 from mdmvi.oracles import _hull_support_gap, phi_brute, psi_brute
 
 from grid_inf_reference import box_grid, reference_grid_inf
@@ -119,7 +120,7 @@ def test_chunked_support_gap_equals_the_one_shot_expression(a, b, resolution, co
     A, B = Polytope(a), Polytope(b)
     V = np.vstack([A.vertices, B.vertices])
     pts = box_grid(V.min(axis=0) - 0.5, V.max(axis=0) + 0.5, resolution)
-    dirs = _sphere_net(A.dim, count)
+    dirs = sphere_net(A.dim, count)
     support = np.maximum(np.max(A.vertices @ dirs.T, axis=0), np.max(B.vertices @ dirs.T, axis=0))
     one_shot = np.maximum(np.max(pts @ dirs.T - support[None, :], axis=1), 0.0)
     assert len(pts) > 4096
@@ -129,7 +130,7 @@ def test_chunked_support_gap_equals_the_one_shot_expression(a, b, resolution, co
 def test_a_lone_row_gets_the_bits_it_gets_in_a_batch():
     rng = np.random.default_rng(3)
     for n, count in ((1, 2), (2, 512), (3, 2048)):
-        dirs = _sphere_net(n, count)
+        dirs = sphere_net(n, count)
         pts = rng.normal(size=(50, n)) * 30.0
         support = rng.normal(size=count)
         batch = _max_margin(pts, support, dirs)
@@ -146,8 +147,8 @@ def _full_grid(A, B, delta, resolution):
     lo, hi = V.min(axis=0) - delta, V.max(axis=0) + delta
     spans = hi - lo
     step = float(np.max(spans / (resolution - 1))) if np.any(spans > 1e-12) else 0.0
-    dirs = _sphere_net(A.dim, 512 if A.dim == 2 else 2048)
-    axes = _grid_axes(lo, hi, resolution)
+    dirs = sphere_net(A.dim, 512 if A.dim == 2 else 2048)
+    axes = box_axes(lo, hi, resolution)[0]
     return axes, box_grid(lo, hi, resolution), dirs, delta + step + 1e-12
 
 
@@ -228,9 +229,9 @@ def test_screen_decides_gaps_next_to_the_threshold_exactly():
     # and columns of points share one gap, so thresholds at, and within
     # 1e-13 of, a gap value put many points on either side of the cut
     A, B = Polytope([[0.0, 0.0], [0.0, 1.0]]), Polytope([[2.0, 0.0], [2.0, 1.0]])
-    axes = _grid_axes(np.array([-0.7, -0.45]), np.array([2.6, 1.35]), 67)
+    axes = box_axes(np.array([-0.7, -0.45]), np.array([2.6, 1.35]), 67)[0]
     pts = box_grid(np.array([-0.7, -0.45]), np.array([2.6, 1.35]), 67)
-    dirs = _sphere_net(2, 512)
+    dirs = sphere_net(2, 512)
     support = _support(A, B, dirs)
     gaps = _hull_support_gap(pts, A, B, dirs)
     levels, counts = np.unique(gaps[(gaps > 0.05) & (gaps < 0.6)], return_counts=True)
