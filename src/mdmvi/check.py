@@ -201,6 +201,8 @@ class Certificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
         try:
+            if not isinstance(data["checks"], dict):
+                raise TypeError("checks is not a JSON object")
             checks = {
                 k: InequalityCheck(v["lhs"], v["rhs"], v["slack"])
                 for k, v in data["checks"].items()

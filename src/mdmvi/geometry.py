@@ -343,8 +343,8 @@ def _facet_planes(Vr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Hull:
-    """The joint hull [A,B], built once per vertex set, that screens,
-    grids and projects onto its inflations (the radius is an argument).
+    """The joint hull [A,B], built once per vertex set, that screens and
+    grids its inflations (the radius is an argument).
 
     The screen's two-sided bounds on the distance to [A,B] decide most
     rows of a batch without a projection.  Once per hull, in the frame of
@@ -475,13 +475,6 @@ class Hull:
         if len(extra):
             pts = np.vstack([pts, extra])
         return pts
-
-    def project(self, x: np.ndarray, delta: float) -> np.ndarray:
-        """The nearest point to x of the delta-inflated hull."""
-        d, y, _ = dist_to_hull(x, self.A, self.B)
-        if d <= delta or d < 1e-15:
-            return x
-        return y + (delta / d) * (x - y)
 
 
 def sample_set(A: Polytope, B: Polytope, delta: float, resolution: int) -> np.ndarray:

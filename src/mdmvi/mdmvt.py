@@ -30,8 +30,7 @@ from .ekeland import (
     g_table,
 )
 from .functions import TestFunction, _on_rows, f_eval, f_values
-from .geometry import Hull, Polytope, _direction_net, dist_to_hull, rank_points
-from .simplex_optim import golden_max
+from .geometry import Hull, Polytope, _direction_net, box_axes, dist_to_hull, rank_points
 from .supconv import GAP_TOL, LevelSets, SupConvSpec, level_sets, phi_eval, phi_on_grid
 from .tent import TentSpec, psi_on_grid
 
@@ -56,8 +55,10 @@ def _estimate_inf(
     f: TestFunction, hull: Hull, delta: float, resolution: int,
     pts: np.ndarray | None = None, vals: np.ndarray | None = None, *, name: str,
 ) -> _InfEstimate:
-    """Grid minimum of f over the delta-inflated ``hull``, refined by projected
-    line searches from the best grid point.  Exact for singleton regions.
+    """Grid minimum of f over the delta-inflated ``hull``, with the grid
+    step; exact for singleton regions.  The estimate proves no bound; the
+    checks that read it carry floors of step times f's Lipschitz estimate,
+    sized for a grid minimum's error.
 
     ``pts``, the region's grid, and ``vals``, f there, are computed when
     the caller does not already have them.  ``name`` names the estimate in
@@ -73,31 +74,8 @@ def _estimate_inf(
             f"estimate {name}: f is +inf at all {len(pts)} points of its grid"
         )
     idx = ranked[0]
-    x = pts[idx].copy()
-    fx = float(vals[idx])
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    step = float(spans.max() / (resolution - 1)) if np.any(spans > 1e-12) else 0.0
-    span = float(np.linalg.norm(spans)) + delta
-    if span == 0.0:
-        return _InfEstimate(fx, x, step)  # a single point: nothing to search
-
-    dirs = np.eye(hull.A.dim)
-    for _ in range(12):
-        improved = False
-        for d in dirs:
-            def along(t: float) -> float:
-                z = hull.project(x + t * d, delta)
-                v = f_eval(f, z)
-                return -v if np.isfinite(v) else -1e30
-
-            t, neg = golden_max(along, -span, span, xtol=1e-11 * max(span, 1.0))
-            if -neg < fx - 1e-14:
-                x = hull.project(x + t * d, delta)
-                fx = -neg
-                improved = True
-        if not improved:
-            break
-    return _InfEstimate(fx, x, step)
+    step = box_axes(hull.V.min(axis=0) - delta, hull.V.max(axis=0) + delta, resolution)[1]
+    return _InfEstimate(float(vals[idx]), pts[idx].copy(), step)
 
 
 def choose_params(ps: ProblemSpec) -> PipelineParams:

@@ -1,10 +1,10 @@
 """Frank-Wolfe with away steps over the joint vertex simplex, golden-section
 line maxima, and a dense two-phase simplex LP solver.
 
-All are fully deterministic.  The pipeline uses only ``golden_max``, in
-the projected line searches of ``mdmvt._estimate_inf``: the tent and the
-smoothing are closed forms, tested against ``solve_lp`` and
-``maximize_concave``.  Bland's rule guarantees simplex termination.
+All are fully deterministic.  The pipeline uses none of them: the tent
+and the smoothing are closed forms, tested against ``solve_lp`` and
+``maximize_concave``, and each infimum estimate is a grid minimum.
+Bland's rule guarantees simplex termination.
 """
 
 from __future__ import annotations

@@ -92,7 +92,8 @@ class TestVerifyCommand:
         "field, value",
         [("xi", [0.1, 0.2]), ("p", [1.0, 0.0, 0.0]), ("xi", [float("nan")]),
          ("p", [float("inf")]), ("xi", ["a"]), ("xi", [[0.1]]), ("xi", ["0.1"]),
-         ("p", [True]), ("params", {"r": "0.0", "s1": 0.0, "delta1": 0.5, "K": 1.0})],
+         ("p", [True]), ("params", {"r": "0.0", "s1": 0.0, "delta1": 0.5, "K": 1.0}),
+         ("checks", []), ("checks", "abc")],
     )
     def test_malformed_certificate_exits_2(self, workdir, capsys, field, value):
         run_command(["certificate", "canonical_1d.json", "--out", "cert.json"])

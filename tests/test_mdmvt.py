@@ -20,7 +20,8 @@ from mdmvi import (
 from mdmvi.check import Certificate, SpecFormatError
 from mdmvi.mdmvt import _estimate_inf, boundary_samples
 from mdmvi.ekeland import EvpReport
-from mdmvi.geometry import Hull, sample_set
+from mdmvi.functions import f_values
+from mdmvi.geometry import Hull, rank_points, sample_set
 from mdmvi.supconv import phi_on_grid
 
 from test_multivertex import MULTIVERTEX_2D
@@ -316,6 +317,22 @@ class TestEstimatesAndBoundary:
         )
         # min of x^2/2 - 1.2 x over [0.5, 1.5] sits at 1.2
         assert est.value == pytest.approx(0.5 * 1.44 - 1.44, abs=1e-8)
+
+    def test_estimate_is_the_grid_minimum(self, problems_dir):
+        """The estimate is the lowest finite f on its grid, at the row
+        ``rank_points`` ranks first, with nothing below it: on
+        ``sin_quadratic_1d``'s inflated B the grid minimum is not f's
+        minimum, so a search off the grid would move it."""
+        ps = ProblemSpec.from_json_file(problems_dir / "sin_quadratic_1d.json")
+        hull = Hull(ps.B, ps.B)
+        est = _estimate_inf(ps.f, hull, 0.5, 801, name="inf_B_inflated")
+        pts = hull.grid(0.5, 801)
+        vals = f_values(ps.f, pts)
+        best = rank_points(vals, pts)[0]
+        assert est.value == np.min(vals[np.isfinite(vals)]) == vals[best]
+        assert np.array_equal(est.argmin, pts[best])
+        assert est.value == -0.01524422714968976
+        assert est.step == 1.0 / 800
 
     def test_boundary_samples_sit_on_boundary(self, seg_a, seg_b):
         from mdmvi import dist_to_hull
