@@ -31,6 +31,7 @@ from .geometry import Polytope, as_point, box_axes, dist_to_hull, inf_linear, ro
 
 MAX_DIM = 3  # the checker's direction nets are written for n <= 3
 GRID_ROWS_MAX = 1 << 20  # rows of one box grid, resolution ** n; 302 ** 2 is the largest use
+INEQUALITIES = ("value_localization", "subgradient_norm", "mean_value_increment")
 
 
 class SpecFormatError(ValueError):
@@ -162,14 +163,14 @@ def inequalities(
     with ``inf_hull`` for the infimum of f over [A,B]: the search's
     estimate when it assembles a certificate, the grid oracle's value when
     the checker rechecks one."""
+    sides = (
+        (fx, inf_hull + abs(r - ps.s) + ps.epsilon),
+        (float(np.linalg.norm(p)), (max(r, ps.s) - ps.mu) / ps.delta + ps.epsilon),
+        (ps.s - r, inf_linear(p, ps.B) - inf_linear(p, ps.A)),
+    )
     return {
         name: InequalityCheck(lhs, rhs, float(rhs - lhs))
-        for name, lhs, rhs in (
-            ("value_localization", fx, inf_hull + abs(r - ps.s) + ps.epsilon),
-            ("subgradient_norm", float(np.linalg.norm(p)),
-             (max(r, ps.s) - ps.mu) / ps.delta + ps.epsilon),
-            ("mean_value_increment", ps.s - r, inf_linear(p, ps.B) - inf_linear(p, ps.A)),
-        )
+        for name, (lhs, rhs) in zip(INEQUALITIES, sides)
     }
 
 
@@ -203,8 +204,10 @@ class Certificate:
         try:
             if not isinstance(data["checks"], dict):
                 raise TypeError("checks is not a JSON object")
+            if sorted(data["checks"]) != sorted(INEQUALITIES):
+                raise TypeError(f"checks must name exactly {', '.join(INEQUALITIES)}")
             checks = {
-                k: InequalityCheck(v["lhs"], v["rhs"], v["slack"])
+                k: InequalityCheck(*(float(_json_numbers(v, x)) for x in ("lhs", "rhs", "slack")))
                 for k, v in data["checks"].items()
             }
             pp = data["params"]

@@ -181,16 +181,6 @@ def sphere_net(n: int, count: int) -> np.ndarray:
     )
 
 
-def _direction_net(n: int) -> np.ndarray:
-    """Deterministic unit-direction net used only for cheap bounds: in 3-D,
-    the 26 normalized cube directions and 128 spiral points."""
-    if n <= 2:
-        return sphere_net(n, 64)
-    cube = np.array([c for c in np.ndindex(3, 3, 3) if c != (1, 1, 1)], dtype=float) - 1.0
-    cube /= np.linalg.norm(cube, axis=1, keepdims=True)
-    return np.vstack([cube, sphere_net(3, 128)])
-
-
 def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     """Weights, summing to one, of the least-norm point of the affine hull
     of the rows of Q, from the KKT system of that problem."""
@@ -439,22 +429,18 @@ class Hull:
         lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self.V.T, axis=1)
         return np.maximum(lower, 0.0), upper
 
-    def within(self, X, radius) -> np.ndarray:
-        """Whether d(x, [A,B]) <= radius for each row x of X, or one such
-        row per entry when ``radius`` is an array of radii.  The bounds,
-        computed once, settle the rows clear of every radius, where they
-        can be more exact than ``dist_to_hull``, which decides the band."""
+    def within(self, X, radius: float) -> np.ndarray:
+        """Whether d(x, [A,B]) <= radius for each row x of X.  The bounds
+        settle the rows clear of the radius, where they can be more exact
+        than ``dist_to_hull``, which decides the band."""
         X = as_rows(X, self.V.shape[1])
-        radius = np.asarray(radius, dtype=float)
-        R = radius.reshape(-1, 1)
         lower, upper = self._bounds(X)
         margin = _SCREEN_MARGIN * (self.scale + np.abs(X).max(axis=1))
-        inside = upper <= R - margin
-        band = ~inside & (lower <= R + margin)
-        for i in np.nonzero(band.any(axis=0))[0]:
-            d = dist_to_hull(X[i], self.A, self.B).d
-            inside[:, i] |= band[:, i] & (d <= R[:, 0])
-        return inside.reshape(radius.shape + (len(X),))
+        inside = upper <= radius - margin
+        band = ~inside & (lower <= radius + margin)
+        for i in np.flatnonzero(band):
+            inside[i] = dist_to_hull(X[i], self.A, self.B).d <= radius
+        return inside
 
     def grid(self, delta: float, resolution: int) -> np.ndarray:
         """Deterministic axis-aligned grid covering the delta-inflated hull.

@@ -30,12 +30,11 @@ from .ekeland import (
     g_table,
 )
 from .functions import TestFunction, _on_rows, f_eval, f_values
-from .geometry import Hull, Polytope, _direction_net, box_axes, dist_to_hull, rank_points
-from .supconv import GAP_TOL, LevelSets, SupConvSpec, level_sets, phi_eval, phi_on_grid
+from .geometry import Hull, Polytope, box_axes, dist_to_hull, rank_points
+from .supconv import GAP_TOL, SupConvSpec, level_sets, phi_eval
 from .tent import TentSpec, psi_on_grid
 
 INTERIOR_TOL = 1e-9  # C's membership tolerance, and xi's least margin inside it
-_BOUNDARY_CAP = 400  # boundary samples kept
 
 
 class CertificateSearchError(RuntimeError):
@@ -153,70 +152,16 @@ def _restrict_to(f: TestFunction, hull: Hull, delta: float) -> TestFunction:
     )
 
 
-def boundary_samples(hull: Hull, delta: float, hull_pts: np.ndarray) -> np.ndarray:
-    """Deterministic points on the boundary of C, the delta-inflated
-    ``hull``, built by pushing hull samples outward by delta and keeping
-    those at distance delta +- 1e-9.
-
-    The seeds are a stride of ``hull_pts``, about 50 points of a grid of
-    the hull, plus every vertex of A and B: a vertex pushed by delta along
-    its normal cone is at distance exactly delta, while no grid point need
-    lie on a slanted edge.  Candidates are ranked by a support-function
-    lower bound on their distance, highest first, and cut off below delta
-    by a margin; the hull's screen decides the rest at once, the first
-    ``_BOUNDARY_CAP`` kept.
-    """
-    stride = max(1, len(hull_pts) // 50)
-    seeds = hull_pts[::stride]
-    fresh = ~(seeds[None] == hull.V[:, None]).all(axis=2).any(axis=1)
-    seeds = np.vstack([seeds, hull.V[fresh]])
-    dirs = _direction_net(hull.A.dim)
-    cands = (seeds[:, None, :] + delta * dirs[None, :, :]).reshape(-1, hull.A.dim)
-
-    support = np.max(hull.V @ dirs.T, axis=0)
-    lower = np.max(cands @ dirs.T - support[None, :], axis=1)
-    order = np.argsort(-lower, kind="stable")
-    kept = cands[order[lower[order] >= delta - max(0.05 * delta, 1e-6)]]
-    outer, inner = hull.within(kept, np.array(_c_radii(delta)))
-    on = outer & ~inner
-    if not on.any():
-        raise CertificateSearchError(
-            f"boundary samples: no candidate lies at distance {delta} from the hull"
-        )
-    return kept[on][:_BOUNDARY_CAP]
-
-
-def _bisect_disjoint(levels: LevelSets, c_hi: float) -> float | None:
-    """Largest dyadic-bisection c in (0, c_hi] with disjoint level sets.
-
-    Disjointness is monotone (both sets shrink as c drops), so bisection
-    on the threshold applies; None after 60 steps means failure even for
-    tiny c.
-    """
-    if levels.disjoint(c_hi):
-        return c_hi
-    lo, hi = 0.0, c_hi  # lo: last known disjoint (0 in the limit), hi: not
-    found = None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0:
-            break
-        if levels.disjoint(mid):
-            found = mid
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * c_hi:
-            break
-    return found
-
-
 def run(ps: ProblemSpec) -> Certificate:
     """Execute the full pipeline and return its certificate.
 
     The C grid and the hull grid are each evaluated once, into tables that
     every later stage reads.  One descent gives the Ekeland point u, and
-    one pair search around it gives the candidate (xi, p).  Raises
+    one pair search around it gives the candidate (xi, p).  Two quantities
+    are closed forms, not searches: the smoothing's margin below mu on the
+    boundary of C, K (delta - delta1) from its Lipschitz envelope, and the
+    level-set separation c, the least of |r - s1| and the largest c at
+    which the level sets at y are disjoint (``LevelSets.threshold``).  Raises
     CertificateSearchError naming every check the candidate fails, or
     wrapping the pair search's failure, and SpecInvariantError when the
     problem data breaks a hypothesis (including a positive grid infimum
@@ -243,10 +188,10 @@ def run(ps: ProblemSpec) -> Certificate:
     tent = TentSpec(A, B, r, s1)
     sc = SupConvSpec(tent, K)
 
-    bpts = boundary_samples(hull, delta, hull_grid)
-    b_phi = phi_on_grid(sc, bpts)
-    b_margins = ps.mu - b_phi
-    boundary_margin = float(b_margins.min())
+    # phi_K is the Pasch-Hausdorff envelope of the tent, so phi_K(x) <=
+    # max psi - K d(x, [A,B]) = max(r, s1) - K delta on the boundary of C;
+    # the margin below mu there is K (delta - delta1) > 0, up to rounding
+    boundary_margin = ps.mu - (max(r, s1) - K * delta)
     if boundary_margin <= 0:
         raise SpecInvariantError(
             f"smoothing fails to drop below mu on the boundary of C "
@@ -266,8 +211,6 @@ def run(ps: ProblemSpec) -> Certificate:
         raise SpecInvariantError(
             f"grid infimum of g is {grid_inf_g:.3e} > 0; r is misestimated"
         )
-    # boundary samples lie in C, where f1 is f
-    boundary_g = float(np.min(f_values(ps.f, bpts) - b_phi))
 
     ek = descend_g(c_table, f1, sc, delta, seed=ps.seed)
 
@@ -295,8 +238,8 @@ def run(ps: ProblemSpec) -> Certificate:
         failures.append("xi is not interior to C")
 
     levels = level_sets(pair.y, sc, s1, hull_grid, psi_on_grid(tent, hull_grid))
-    c_n = _bisect_disjoint(levels, abs(r - s1))
-    if c_n is None:
+    c_n = min(abs(r - s1), levels.threshold)
+    if not c_n > 0:
         failures.append("level sets could not be separated at y")
 
     checks = inequalities(ps, r, f_eval(ps.f, xi), p, inf_hull.value)
@@ -324,7 +267,6 @@ def run(ps: ProblemSpec) -> Certificate:
         "interior_margin": float(interior_margin),
         "level_separation_c": float(c_n),
         "boundary_margin": boundary_margin,
-        "boundary_g_inf": boundary_g,
         "grid_inf_g": grid_inf_g,
         "evp_worst": evp.worst,
         "eps_bar": float(eps_bar),

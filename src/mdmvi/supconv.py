@@ -412,17 +412,19 @@ class LevelSets(NamedTuple):
     score is psi(z) - K ||z - ybar|| and level_dist is |s_anchor - psi(z)|;
     points off the hull score -inf and lie at distance +inf.  Both strict
     inequalities carry ``LEVEL_MARGIN``, so membership is decided
-    generously and a reported disjointness is conservative.
+    generously and a reported disjointness is conservative.  A grid point
+    z lies in both sets exactly when
+
+        c > max(phi_bar - score(z), level_dist(z)) - LEVEL_MARGIN,
+
+    so the sets are disjoint exactly for c up to ``threshold``, the least
+    right-hand side over the grid (+inf when no point is on the hull).
     """
 
-    phi_bar: float
-    score: np.ndarray
-    level_dist: np.ndarray
+    threshold: float
 
     def disjoint(self, c: float) -> bool:
-        in_u = self.score > self.phi_bar - c - LEVEL_MARGIN
-        in_v = self.level_dist < c + LEVEL_MARGIN
-        return not bool(np.any(in_u & in_v))
+        return bool(c <= self.threshold)
 
 
 def level_sets(
@@ -437,7 +439,8 @@ def level_sets(
         finite, psis - sc.K * np.linalg.norm(pts - ybar, axis=1), -np.inf
     )
     level_dist = np.where(finite, np.abs(s_anchor - psis), np.inf)
-    return LevelSets(phi_bar, score, level_dist)
+    meet = np.maximum(phi_bar - score, level_dist)
+    return LevelSets(float(np.min(meet, initial=np.inf)) - LEVEL_MARGIN)
 
 
 def uv_disjoint(ybar, c: float, sc: SupConvSpec, s_anchor: float, grid) -> bool:

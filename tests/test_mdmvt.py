@@ -17,13 +17,14 @@ from mdmvi import (
     run,
     verify_certificate,
 )
-from mdmvi.check import Certificate, SpecFormatError
-from mdmvi.mdmvt import _estimate_inf, boundary_samples
+from mdmvi.check import Certificate, PipelineParams, SpecFormatError
+from mdmvi.mdmvt import _estimate_inf
 from mdmvi.ekeland import EvpReport
 from mdmvi.functions import f_values
 from mdmvi.geometry import Hull, rank_points, sample_set
 from mdmvi.supconv import phi_on_grid
 
+from boundary_reference import reference_boundary_samples
 from test_multivertex import MULTIVERTEX_2D
 
 
@@ -120,10 +121,6 @@ class TestRunCanonical:
     def test_grid_infimum_of_g_nonpositive(self, result):
         _, cert = result
         assert cert.diagnostics["grid_inf_g"] <= 1e-6
-
-    def test_boundary_g_positive(self, result):
-        _, cert = result
-        assert cert.diagnostics["boundary_g_inf"] > 0.0
 
     def test_s1_tightens_level_gap(self, result):
         ps, cert = result
@@ -337,30 +334,29 @@ class TestEstimatesAndBoundary:
     def test_boundary_samples_sit_on_boundary(self, seg_a, seg_b):
         from mdmvi import dist_to_hull
 
-        pts = boundary_samples(Hull(seg_a, seg_b), 0.5, sample_set(seg_a, seg_b, 0.0, 41))
+        pts = reference_boundary_samples(seg_a, seg_b, 0.5, sample_set(seg_a, seg_b, 0.0, 41))
         assert len(pts) >= 2
         for x in pts:
             assert dist_to_hull(x, seg_a, seg_b).d == pytest.approx(0.5, abs=1e-9)
 
-    def test_no_boundary_sample_is_a_typed_error(self, seg_a, seg_b, monkeypatch):
-        """When no candidate lands at distance delta the search stage says
-        so with a CertificateSearchError, not a bare RuntimeError."""
-        from mdmvi.mdmvt import CertificateSearchError
+    def test_boundary_decay_failure_is_a_typed_error(self, monkeypatch):
+        """With K halved, K delta1 < max(r, s1) - mu, so the closed-form
+        margin on the boundary of C is not positive and ``run`` says so
+        with a SpecInvariantError."""
+        real = mdmvt._choose_params
 
-        real = Hull.within
+        def halved(*args):
+            params = real(*args)
+            return PipelineParams(params.r, params.s1, params.delta1, 0.5 * params.K)
 
-        def too_far(self, X, radius):  # every distance one unit larger
-            return real(self, X, radius - 1.0)
-
-        hull, hull_pts = Hull(seg_a, seg_b), sample_set(seg_a, seg_b, 0.0, 41)
-        monkeypatch.setattr(Hull, "within", too_far)
-        with pytest.raises(CertificateSearchError, match="boundary samples"):
-            boundary_samples(hull, 0.5, hull_pts)
+        monkeypatch.setattr(mdmvt, "_choose_params", halved)
+        with pytest.raises(SpecInvariantError, match="smoothing fails to drop below mu"):
+            run(make_spec())
 
     def test_boundary_decay_strict_for_pipeline_K(self):
         ps = make_spec(resolution=201)
         params = choose_params(ps)
         sc = SupConvSpec(TentSpec(ps.A, ps.B, params.r, params.s1), params.K)
-        pts = boundary_samples(Hull(ps.A, ps.B), ps.delta, sample_set(ps.A, ps.B, 0.0, 201))
+        pts = reference_boundary_samples(ps.A, ps.B, ps.delta, sample_set(ps.A, ps.B, 0.0, 201))
         margins = ps.mu - phi_on_grid(sc, pts)
         assert margins.min() > 0.0

@@ -1,6 +1,7 @@
-"""Membership in C, on its boundary, and in the domain of a restricted
-member: every decision reads one ``Hull`` screen per set, and each agrees
-with the exact per-point rule it replaced."""
+"""Membership in C and in the domain of a restricted member: every
+decision reads one ``Hull`` screen per set, and each agrees with the exact
+per-point rule it replaced.  On the boundary of C, the smoothing's
+closed-form margin below mu holds at reference points there."""
 
 import json
 from pathlib import Path
@@ -8,19 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mdmvi.mdmvt as mdmvt
 from mdmvi import Polytope, ProblemSpec, f_subgrad, linear, quadratic, restrict_f, restricted
 from mdmvi.functions import f_values
 from mdmvi.geometry import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
-    Hull,
     classify_point,
     dist_to_hull,
     sample_set,
 )
-from mdmvi.mdmvt import boundary_samples
+from mdmvi.mdmvt import choose_params
+from mdmvi.supconv import SupConvSpec, phi_on_grid
+from mdmvi.tent import TentSpec
 
 from boundary_reference import reference_boundary_samples
 from test_multivertex import MULTIVERTEX_2D
@@ -45,35 +46,33 @@ SPECS["multivertex_2d"] = MULTIVERTEX_2D
 SPECS["pair_3d"] = json.loads((ROOT / "benchmarks" / "specs" / "pair_3d.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_boundary_samples_match_the_per_candidate_search(name, monkeypatch):
-    ps = ProblemSpec.from_json_dict(SPECS[name])
+BOUNDARY_SPECS = dict(
+    SPECS, circle8_2d=json.loads((ROOT / "tests" / "specs" / "circle8_2d.json").read_text())
+)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SPECS))
+def test_closed_form_boundary_margin_at_the_reference_samples(name):
+    """``run``'s boundary decay margin mu - (max(r, s1) - K delta) bounds
+    mu - phi_K at every reference point of the boundary of C, is attained
+    there within rounding, and f stays above phi_K there."""
+    ps = ProblemSpec.from_json_dict(BOUNDARY_SPECS[name])
+    params = choose_params(ps)
+    r, s1, K = params.r, params.s1, params.K
+    sc = SupConvSpec(TentSpec(ps.A, ps.B, r, s1), K)
     hull_pts = sample_set(ps.A, ps.B, 0.0, ps.resolution)  # run's hull grid
-    want = reference_boundary_samples(ps.A, ps.B, ps.delta, hull_pts)
-    hull = Hull(ps.A, ps.B)
-    projections = []
-    real = mdmvt.dist_to_hull
-    monkeypatch.setattr(mdmvt, "dist_to_hull", lambda *a: projections.append(a) or real(*a))
-    got = boundary_samples(hull, ps.delta, hull_pts)
-    assert len(want) > 0
-    assert np.array_equal(got, want)
-    assert projections == []
-
-
-@pytest.mark.parametrize("name", ["plane_2d", "multivertex_2d", "pair_3d"])
-def test_boundary_samples_bound_their_candidates_once(name, monkeypatch):
-    ps = ProblemSpec.from_json_dict(SPECS[name])
-    hull, hull_pts = Hull(ps.A, ps.B), sample_set(ps.A, ps.B, 0.0, ps.resolution)
-    calls = []
-    real = Hull._bounds
-
-    def spy(self, X):
-        calls.append(len(X))
-        return real(self, X)
-
-    monkeypatch.setattr(Hull, "_bounds", spy)
-    boundary_samples(hull, ps.delta, hull_pts)
-    assert len(calls) == 1
+    pts = reference_boundary_samples(ps.A, ps.B, ps.delta, hull_pts)
+    assert len(pts) > 0
+    phi = phi_on_grid(sc, pts)
+    closed = ps.mu - (max(r, s1) - K * ps.delta)
+    tol = 1e-12 * (1.0 + abs(ps.mu) + K * ps.delta)
+    margins = ps.mu - phi
+    assert closed > 0.0
+    assert margins.min() >= closed - tol
+    assert abs(margins.min() - closed) <= tol
+    f = f_values(ps.f, pts)
+    finite = np.isfinite(f)
+    assert (f[finite] - phi[finite] > 0.0).all()
 
 
 def _near_the_boundary(A: Polytope, B: Polytope, delta: float, rng) -> np.ndarray:

@@ -20,6 +20,7 @@ from mdmvi.oracles import phi_brute
 from mdmvi.supconv import (
     NoAttainingPointError,
     PhiEvalError,
+    level_sets,
     phi_on_grid,
     phi_value,
     sample_table,
@@ -308,6 +309,14 @@ class TestUVDisjoint:
                 for z, v in zip(grid, psis)
             )
             assert uv_disjoint(ybar, c, sc, s_anchor, grid) == (not meet)
+
+    def test_disjoint_up_to_the_threshold_and_not_beyond(self, unit_tent):
+        sc = SupConvSpec(unit_tent, 2.0)
+        grid, ybar, s_anchor = grid_1d(-0.2, 1.2, 141), np.array([0.3]), 1.0
+        c = level_sets(ybar, sc, s_anchor, grid, psi_on_grid(unit_tent, grid)).threshold
+        assert 0.0 < c < np.inf
+        assert uv_disjoint(ybar, c, sc, s_anchor, grid)
+        assert not uv_disjoint(ybar, np.nextafter(c, np.inf), sc, s_anchor, grid)
 
     def test_rejects_nonpositive_c(self, unit_tent):
         sc = SupConvSpec(unit_tent, 2.0)

@@ -17,11 +17,11 @@ from mdmvi import (
     tent_increment_bound_check,
     verify_certificate,
 )
-from mdmvi.geometry import Hull, sample_set
-from mdmvi.mdmvt import boundary_samples
+from mdmvi.geometry import sample_set
 from mdmvi.oracles import psi_brute
 from mdmvi.tent import psi_on_grid, psi_value
 
+from boundary_reference import reference_boundary_samples
 from conftest import grid_1d
 
 
@@ -287,12 +287,12 @@ def test_shifted_point_pair_certifies():
 
 def test_boundary_samples_on_a_rotated_hull():
     """No grid point lies on a slanted edge, so the vertices seed the
-    boundary of the inflated hull."""
+    reference points on the boundary of the inflated hull."""
     c, s = np.cos(0.3), np.sin(0.3)
     R = np.array([[c, -s], [s, c]])
     A = Polytope(np.array([[0.0, 0.0], [0.0, 1.0]]) @ R.T)
     B = Polytope(np.array([[2.0, 0.0], [2.0, 1.0]]) @ R.T)
-    pts = boundary_samples(Hull(A, B), 0.5, sample_set(A, B, 0.0, 41))
+    pts = reference_boundary_samples(A, B, 0.5, sample_set(A, B, 0.0, 41))
     assert len(pts) > 0
     for z in pts:
         assert dist_to_hull(z, A, B).d == pytest.approx(0.5, abs=1e-9)
