@@ -1,7 +1,8 @@
 """Vertex-represented polytopes, the joint hull of two of them, inflations,
 distances, and linear-functional infima; with the primitives the search
 and the checker share: the box grid's axes (``box_axes``), the direction
-nets (``sphere_net``) and the term-by-term row sum (``row_dot``).
+nets (``sphere_net``) and the term-by-term row sums (``row_dot`` over the
+last axis, ``coord_dot`` over the first).
 
 Every operation is a pure function of its inputs; constructed objects are
 treated as immutable, so everything here is safe to call concurrently.
@@ -73,6 +74,24 @@ def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     for j in range(1, X.shape[-1]):
         out += X[..., j] * Y[..., j]
     return out
+
+
+def coord_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """<x, y> over the first axis, for arrays laid out coordinates first
+    and rows last, summed term by term as ``row_dot`` sums over the last
+    axis, so each row rounds as it does alone; past the first axis, X and
+    Y broadcast."""
+    out = X[0] * Y[0]
+    for j in range(1, len(X)):
+        out += X[j] * Y[j]
+    return out
+
+
+def _rows_last(a: np.ndarray) -> np.ndarray:
+    """A table with one entry (a face, a vertex) per index of its first
+    axis, laid out (..., entries, 1): coordinates outer, and a trailing
+    axis that broadcasts against rows."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1)[..., None])
 
 
 def box_axes(lo: np.ndarray, hi: np.ndarray, resolution: int) -> tuple[list[np.ndarray], float]:
@@ -300,6 +319,15 @@ def independent_subsets(Vr: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarr
     return subsets[regular], M[regular]
 
 
+def _lane_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``coord_dot`` summed as numpy's einsum sums an axis that is
+    contiguous in both operands: its sum-of-products loop runs on two-lane
+    vectors, so the even-indexed and the odd-indexed terms each add up in
+    turn, and then the two lanes."""
+    even = coord_dot(X[0::2], Y[0::2])
+    return even + coord_dot(X[1::2], Y[1::2]) if len(X) > 1 else even
+
+
 _SCREEN_MARGIN = 1e-12  # per unit of coordinate scale, far above rounding
 _SCREEN_CHUNK = 1 << 16  # entries of each batched face projection
 _FACET_TOL = 1e-9  # per unit of the frame's scale; loose, so no facet is missed
@@ -353,6 +381,14 @@ class Hull:
     margin of 1e-12 per unit of coordinate scale, far above rounding,
     separates the rows they settle from the band left to the exact
     projection.
+
+    The boundary-face tables are built once, coordinates and faces outer
+    and a trailing row axis of length 1: ``corners`` (n, c, 1) holds the
+    vertices on some facet, and ``faces`` holds, per face size s, the
+    faces' origins (n, p, 1), the pseudo-inverses of their edge matrices
+    (n, s-1, p, 1) and their vertices (s, n, p, 1).  So the projection
+    (``_nearest``) works on (coordinates, faces, rows) arrays, whose
+    elementwise loops run over contiguous rows.
     """
 
     A: Polytope
@@ -362,7 +398,7 @@ class Hull:
     basis: np.ndarray = field(init=False, repr=False)  # (k, n) orthonormal rows spanning it
     normals: np.ndarray = field(init=False, repr=False)  # (facets, n) outward facet normals
     offsets: np.ndarray = field(init=False, repr=False)  # inside: normals @ y <= offsets
-    corners: np.ndarray = field(init=False, repr=False)  # vertices on some facet
+    corners: np.ndarray = field(init=False, repr=False)  # (n, c, 1) vertices on some facet
     faces: list = field(init=False, repr=False)  # (origin, pinv of edges, vertices) per size
     width: int = field(init=False, repr=False)  # candidate hull points per outside row
     scale: float = field(init=False, repr=False)  # 1 + the largest vertex coordinate
@@ -388,8 +424,16 @@ class Hull:
             if subsets:
                 S = np.array(sorted(subsets))
                 edges = V[S[:, 1:]] - V[S[:, :1]]
-                faces.append((V[S[:, 0]], np.linalg.pinv(edges), V[S]))
-        corners = V[on.any(axis=0)]
+                faces.append(
+                    (
+                        _rows_last(V[S[:, 0]]),
+                        _rows_last(np.linalg.pinv(edges)),
+                        # + 0.0 turns -0.0 into 0.0, so no weighted sum of the
+                        # vertices is -0.0 (nor is einsum's, which starts at 0.0)
+                        _rows_last(V[S] + 0.0),
+                    )
+                )
+        corners = _rows_last(V[on.any(axis=0)])
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "basis", basis)
@@ -397,23 +441,31 @@ class Hull:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "width", len(corners) + sum(len(f[0]) for f in faces))
+        object.__setattr__(self, "width", corners.shape[1] + sum(f[0].shape[1] for f in faces))
         object.__setattr__(self, "scale", 1.0 + float(np.abs(V).max()))
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
         """The nearest, for each row, of the hull points its affine weights
-        give in the boundary vertices and in every boundary face."""
-        cands = [np.broadcast_to(self.corners, (len(X),) + self.corners.shape)]
+        give in the boundary vertices and in every boundary face.  The work
+        runs on (coordinates, faces, rows) arrays, rows innermost.  Each
+        sum over the coordinates rounds as ``np.einsum`` rounds it on
+        (rows, faces, coordinates) arrays: in two lanes (``_lane_dot``)
+        where the summed axis is contiguous in both of einsum's operands,
+        an edge's weights and the squared distances, and in turn
+        (``coord_dot``) elsewhere."""
+        Xt = np.ascontiguousarray(X.T)[:, None, :]  # (n, 1, rows)
+        cands = [np.broadcast_to(self.corners, self.corners.shape[:2] + (len(X),))]
         for origin, pinv, verts in self.faces:
-            T = np.einsum("rpn,pnk->rpk", X[:, None, :] - origin, pinv)
-            W = np.concatenate([1.0 - T.sum(axis=2, keepdims=True), T], axis=2)
+            D = (Xt - origin)[:, None]  # (n, 1, p, rows)
+            T = (_lane_dot if pinv.shape[1] == 1 else coord_dot)(D, pinv)  # (size-1, p, rows)
+            W = np.concatenate([1.0 - T.sum(axis=0, keepdims=True), T])
             W = np.maximum(W, 0.0)
-            W /= W.sum(axis=2, keepdims=True)
-            cands.append(np.einsum("rpj,pjn->rpn", W, verts))
-        Y = np.concatenate(cands, axis=1)
-        D = X[:, None, :] - Y
-        best = np.einsum("rpn,rpn->rp", D, D).argmin(axis=1)
-        return Y[np.arange(len(X)), best]
+            W /= W.sum(axis=0)
+            cands.append(coord_dot(W[:, None], verts))
+        Y = np.concatenate(cands, axis=1)  # (n, candidates, rows)
+        D = Xt - Y
+        best = _lane_dot(D, D).argmin(axis=0)
+        return Y[:, best, np.arange(len(X))].T
 
     def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on d(x, [A,B]) for the rows x of X."""
@@ -432,14 +484,18 @@ class Hull:
     def within(self, X, radius: float) -> np.ndarray:
         """Whether d(x, [A,B]) <= radius for each row x of X.  The bounds
         settle the rows clear of the radius, where they can be more exact
-        than ``dist_to_hull``, which decides the band."""
+        than ``dist_to_hull``, which decides the band; a band row equal to
+        a vertex of the hull is at distance exactly 0 and needs neither."""
         X = as_rows(X, self.V.shape[1])
         lower, upper = self._bounds(X)
         margin = _SCREEN_MARGIN * (self.scale + np.abs(X).max(axis=1))
         inside = upper <= radius - margin
         band = ~inside & (lower <= radius + margin)
         for i in np.flatnonzero(band):
-            inside[i] = dist_to_hull(X[i], self.A, self.B).d <= radius
+            if radius >= 0 and (X[i] == self.V).all(axis=1).any():
+                inside[i] = True
+            else:
+                inside[i] = dist_to_hull(X[i], self.A, self.B).d <= radius
         return inside
 
     def grid(self, delta: float, resolution: int) -> np.ndarray:

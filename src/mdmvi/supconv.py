@@ -15,6 +15,13 @@ the largest is phi_K(x), certified by the conic dual bound
 tight at the cone gradient at y*, or at the facet slope where y* = x.
 Supergradients come from the attaining point (cone formula) with a
 finite-difference fallback, both verified a posteriori on a grid.
+
+The kernel runs on (coordinates, faces, rows) arrays, from face tables
+that ``SupConvSpec`` lays out once with the rows last (``_Faces``): each
+elementwise numpy loop then runs over a contiguous axis of rows, not over
+the two to six coordinates of one row and face.  Every sum over the
+coordinates is still taken term by term, in order, so the layout moves
+no bit.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import as_point, row_dot
+from .geometry import _rows_last, as_point, coord_dot
 from .tent import _CHUNK, TentSpec, _grid_rows, psi_on_grid
 
 GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
@@ -50,32 +57,41 @@ class NoAttainingPointError(RuntimeError):
 
 
 class _Faces(NamedTuple):
-    """Every face of the tent's kept simplices, once each, for one K.
+    """Every face of the tent's kept simplices, once each, for one K, laid
+    out for the kernel: each per-face table has the face axis next to last
+    and a trailing row axis of length 1, so that the kernel's per-(face,
+    row) arrays keep their rows innermost and contiguous, and a table
+    indexed by the kernel's best faces, ``t[..., face, 0]``, has one
+    column per row.
 
     Face j has the vertices ``verts[j]`` (padded with -1), the first its
-    origin.  The rows of perp[j] are an orthonormal basis of the
+    origin.  The rows perp[:, :, j] are an orthonormal basis of the
     complement of its direction space (zero rows pad it; a ``full`` face
-    has none), and grad[j] is the gradient of the levels' interpolant,
-    level[j] at the origin.  For d = x - origin[j], ``d @ lin[j]`` holds
-    x's coordinates in that basis, the change of the barycentric weights
-    from the origin to x's projection, and the interpolant's rise to it.
-    ``tilt`` is the change of the weights along grad; a weight below
-    ``floor`` is more than 1e-9 outside the face.  ``root`` is sqrt(K^2 -
-    ||grad||^2), NaN where ||grad|| >= K, and ``slope`` the plane gradient
-    of the first kept simplex holding the face, scaled into the K-ball.
+    has none), and grad[:, j] is the gradient of the levels' interpolant,
+    level[j] at the origin.  For d = x - origin[:, j], the sum over i of
+    d_i lin[i, :, j] holds x's coordinates in that basis, the change of
+    the barycentric weights from the origin to x's projection, and the
+    interpolant's rise to it.  ``tilt`` is the change of the weights along
+    grad; a weight below ``floor`` is more than 1e-9 outside the face.
+    ``root`` is sqrt(K^2 - ||grad||^2), NaN where ||grad|| >= K, and
+    ``slope`` the plane gradient of the first kept simplex holding the
+    face, scaled into the K-ball.  ``V`` and ``levels`` are the tent's
+    vertices and levels, as the conic dual bound reads them.
     """
 
     verts: np.ndarray  # (F, k+1)
-    origin: np.ndarray  # (F, n)
-    perp: np.ndarray  # (F, n, n)
-    grad: np.ndarray  # (F, n)
-    level: np.ndarray  # (F,)
-    lin: np.ndarray  # (F, n, n + k+1 + 1)
-    tilt: np.ndarray  # (F, k+1)
-    floor: np.ndarray  # (F, k+1)
-    root: np.ndarray  # (F,)
-    full: np.ndarray  # (F,)
-    slope: np.ndarray  # (F, n)
+    origin: np.ndarray  # (n, F, 1)
+    perp: np.ndarray  # (n, n, F, 1)
+    grad: np.ndarray  # (n, F, 1)
+    level: np.ndarray  # (F, 1)
+    lin: np.ndarray  # (n, n + k+1 + 1, F, 1)
+    tilt: np.ndarray  # (k+1, F, 1)
+    floor: np.ndarray  # (k+1, F, 1)
+    root: np.ndarray  # (F, 1)
+    full: np.ndarray  # (F, 1)
+    slope: np.ndarray  # (n, F, 1)
+    V: np.ndarray  # (n, vertices, 1)
+    levels: np.ndarray  # (vertices, 1)
 
 
 def _faces(t: TentSpec, K: float) -> _Faces:
@@ -109,16 +125,18 @@ def _faces(t: TentSpec, K: float) -> _Faces:
     gnorm = np.linalg.norm(grad, axis=1)
     return _Faces(
         verts=verts,
-        origin=V[verts[:, 0]],
-        perp=perp,
-        grad=grad,
-        level=levels[verts[:, 0]],
-        lin=np.concatenate([perp.transpose(0, 2, 1), bary, grad[:, :, None]], axis=2),
-        tilt=np.einsum("fi,fic->fc", grad, bary),
-        floor=-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k1)[0],
-        root=np.sqrt(np.where(gnorm < K, K * K - gnorm * gnorm, np.nan)),
-        full=(verts >= 0).sum(axis=1) > n,
-        slope=_clip(kept.slope[[owner[f] for f in faces]], K),
+        origin=_rows_last(V[verts[:, 0]]),
+        perp=_rows_last(perp),
+        grad=_rows_last(grad),
+        level=_rows_last(levels[verts[:, 0]]),
+        lin=_rows_last(np.concatenate([perp.transpose(0, 2, 1), bary, grad[:, :, None]], axis=2)),
+        tilt=_rows_last(np.einsum("fi,fic->fc", grad, bary)),
+        floor=_rows_last(-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k1)[0]),
+        root=_rows_last(np.sqrt(np.where(gnorm < K, K * K - gnorm * gnorm, np.nan))),
+        full=_rows_last((verts >= 0).sum(axis=1) > n),
+        slope=_clip(_rows_last(kept.slope[[owner[f] for f in faces]]), K),
+        V=_rows_last(V),
+        levels=_rows_last(levels),
     )
 
 
@@ -164,70 +182,74 @@ class _Rows(NamedTuple):
 
 
 def _dual_value(P: np.ndarray, X: np.ndarray, sc: SupConvSpec) -> np.ndarray:
-    """Upper bounds on phi_K at the rows of X, one per row of P; each is
-    valid when that row has norm at most K."""
-    V = sc.tent.V
-    lift = sc.tent.levels - P[:, :1] * V[:, 0]
-    for j in range(1, V.shape[1]):
-        lift -= P[:, j : j + 1] * V[:, j]
-    return row_dot(P, X) + lift.max(axis=1)
+    """Upper bounds on phi_K at the columns of X (n, g), one per column of
+    P; each is valid when that column has norm at most K."""
+    V = sc.faces.V
+    lift = sc.faces.levels - P[0] * V[0]  # (vertices, g)
+    for j in range(1, len(V)):
+        lift -= P[j] * V[j]
+    return coord_dot(P, X) + lift.max(axis=0)
 
 
 def _clip(P: np.ndarray, K: float) -> np.ndarray:
-    """The rows of P scaled into the ball of radius K."""
-    return P * (K / np.maximum(np.sqrt(row_dot(P, P)), K))[:, None]
+    """The columns of P (n, ...) scaled into the ball of radius K."""
+    return P * (K / np.maximum(np.sqrt(coord_dot(P, P)), K))
 
 
 def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """Every face's candidate for every row of X, and the best of them,
-    certified.  Sums run term by term (as ``geometry.row_dot`` does), so a
-    row gets the same bits alone or in a batch."""
+    certified.  The work runs on (coordinates, faces, rows) arrays, rows
+    innermost, and each sum runs term by term over the coordinates
+    (``geometry.coord_dot``), so a row gets the same bits alone or in a
+    batch."""
     fc, K = sc.faces, sc.K
     g, n = X.shape
-    D = X[:, None, :] - fc.origin  # (g, F, n)
-    P = D[:, :, :1] * fc.lin[:, 0]
+    Xt = np.ascontiguousarray(X.T)  # (n, g)
+    D = Xt[:, None, :] - fc.origin  # (n, F, g)
+    P = D[0] * fc.lin[0]
     for i in range(1, n):
-        P += D[:, :, i : i + 1] * fc.lin[:, i]
-    e = P[:, :, :n]  # coordinates off the face
-    h = np.sqrt(row_dot(e, e))
+        P += D[i] * fc.lin[i]
+    e = P[:n]  # coordinates off the face
+    h = np.sqrt(coord_dot(e, e))
     tau = h / fc.root  # y* = x0 + tau grad
-    W = P[:, :, n:-1] + tau[:, :, None] * fc.tilt  # weights of y*, less e0
-    ok = (W >= fc.floor).all(axis=2)  # false where root is NaN
-    val = np.where(ok, fc.level + P[:, :, -1] - h * fc.root, -np.inf)
+    W = P[n:-1] + tau * fc.tilt  # weights of y*, less e0
+    ok = (W >= fc.floor).all(axis=0)  # false where root is NaN
+    val = np.where(ok, fc.level + P[-1] - h * fc.root, -np.inf)
 
     rows = np.arange(g)
-    face = val.argmax(axis=1)
-    value, e, h, tau = val[rows, face], e[rows, face], h[rows, face], tau[rows, face]
-    U, grad = fc.perp[face], fc.grad[face]
-    r = e[:, :1] * U[:, 0]  # x - x0, in the complement to rounding
+    face = val.argmax(axis=0)
+    value, e, h, tau = val[face, rows], e[:, face, rows], h[face, rows], tau[face, rows]
+    U, grad = fc.perp[:, :, face, 0], fc.grad[:, face, 0]
+    r = e[0] * U[0]  # x - x0, in the complement to rounding
     for j in range(1, n):
-        r += e[:, j : j + 1] * U[:, j]
-    y = fc.origin[face] + (D[rows, face] - r) + tau[:, None] * grad
+        r += e[j] * U[j]
+    y = fc.origin[:, face, 0] + (D[:, face, rows] - r) + tau * grad
 
     # duals: the cone gradient at y*, -K (x - y*) / ||x - y*||, which is
     # grad - root (x - x0) / h, read from the residual without the
     # cancellation in x - y*; and the facet slope, exact where y* = x
     away = h > 0.0
-    cone = grad - (fc.root[face] / np.where(away, h, 1.0))[:, None] * r
+    cone = grad - (fc.root[face, 0] / np.where(away, h, 1.0)) * r
     upper = np.minimum(
-        np.where(away, _dual_value(_clip(cone, K), X, sc), np.inf),
-        _dual_value(fc.slope[face], X, sc),
+        np.where(away, _dual_value(_clip(cone, K), Xt, sc), np.inf),
+        _dual_value(fc.slope[:, face, 0], Xt, sc),
     )
     # on the boundary of the hull, where y* = x and the facet slope is
     # steeper than K, the exact dual is a supergradient with a normal part
     for i in np.nonzero(upper - value > _GAP_EXACT)[0]:
         p = _least_supergradient(sc, X[i], value[i])
-        upper[i : i + 1] = np.minimum(upper[i : i + 1], _dual_value(p, X[i : i + 1], sc))
-    Y = np.where(fc.full[face][:, None], X, y)  # x itself where y* = x exactly
-    return _Rows(value, Y, np.maximum(upper - value, 0.0))
+        upper[i : i + 1] = np.minimum(upper[i : i + 1], _dual_value(p, Xt[:, i : i + 1], sc))
+    Y = np.where(fc.full[face, 0], Xt, y)  # x itself where y* = x exactly
+    return _Rows(value, np.ascontiguousarray(Y.T), np.maximum(upper - value, 0.0))
 
 
 def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.ndarray:
     """The least-norm p with value + <p, v_i - x> >= level_i at every
-    vertex (to a relative 1e-9), as one row clipped to norm K.  Where
-    value = psi(x) that is the least-norm supergradient of the tent at x,
-    an exact dual whenever phi_K(x) = psi(x).  It is the least-norm
-    solution of at most n active constraints, so every such set is tried."""
+    vertex (to a relative 1e-9), clipped to norm K, as the one column
+    (n, 1) that ``_dual_value`` reads.  Where value = psi(x) that is the
+    least-norm supergradient of the tent at x, an exact dual whenever
+    phi_K(x) = psi(x).  It is the least-norm solution of at most n active
+    constraints, so every such set is tried."""
     A, b = sc.tent.V - x, sc.tent.levels - value
     slack = 1e-9 * (1.0 + np.abs(b).max() + np.linalg.norm(A, axis=1).max())
     P = [np.zeros((1, len(x)))]
@@ -236,7 +258,7 @@ def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.nda
         P.append((np.linalg.pinv(A[J]) @ b[J][..., None])[..., 0])
     P = np.vstack(P)  # the first row, 0, is the fallback when none is feasible
     norms = np.where((P @ A.T >= b - slack).all(axis=1), np.linalg.norm(P, axis=1), np.inf)
-    return _clip(P[[np.argmin(norms)]], sc.K)
+    return _clip(P[np.argmin(norms)][:, None], sc.K)
 
 
 def _kernel_rows(sc: SupConvSpec, X: np.ndarray) -> _Rows:

@@ -474,6 +474,21 @@ def test_within_settles_a_row_clear_of_the_band_from_its_bounds():
     assert Hull(TINY_A, TINY_B).within([TINY_X], 4e-10).tolist() == [True]
 
 
+def test_a_band_row_equal_to_a_vertex_is_inside_without_a_projection(monkeypatch):
+    # a one-vertex hull grids at radius 1e-12, inside the screen's margin,
+    # so its own vertex is a band row; it lies at distance exactly 0
+    import mdmvi.geometry as geometry
+
+    calls = []
+    real = geometry.dist_to_hull
+    monkeypatch.setattr(geometry, "dist_to_hull", lambda *a: calls.append(a) or real(*a))
+    P = Polytope([[0.4, -0.2]])
+    pts = Hull(P, P).grid(0.0, 41)
+    assert calls == []
+    assert pts.tobytes() == np.array([[0.4, -0.2]]).tobytes()
+    assert Hull(P, P).within([[0.4, -0.2]], -1e-300).tolist() == [False]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="dist_to_hull stops once no vertex improves ||z||^2 by 1e-14 of the "
