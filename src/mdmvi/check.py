@@ -32,6 +32,7 @@ from .geometry import Polytope, as_point, box_axes, dist_to_hull, inf_linear, ro
 MAX_DIM = 3  # the checker's direction nets are written for n <= 3
 GRID_ROWS_MAX = 1 << 20  # rows of one box grid, resolution ** n; 302 ** 2 is the largest use
 INEQUALITIES = ("value_localization", "subgradient_norm", "mean_value_increment")
+STATED_TOL = 1e-9  # a stated lhs, rhs or slack may differ from the checker's by this, relative
 
 
 class SpecFormatError(ValueError):
@@ -375,6 +376,25 @@ def grid_inf(
     return GridInf(float(vals[best]), pts[best].copy(), step, pts, vals)
 
 
+def _stated_differs(stated: InequalityCheck, recomputed: InequalityCheck, rhs: bool) -> list[str]:
+    """The fields of a stated inequality that differ, by more than
+    ``STATED_TOL`` times the larger of 1 and their magnitudes, from what
+    the checker computes itself: the lhs, the rhs when ``rhs`` is true,
+    and the slack, which must be the stated rhs - lhs.  The value
+    localization's rhs is not compared: it holds the search's estimate of
+    the infimum over [A,B], which the checker does not recompute."""
+    pairs = {
+        "lhs": (stated.lhs, recomputed.lhs),
+        "rhs": (stated.rhs, recomputed.rhs if rhs else stated.rhs),
+        "slack": (stated.slack, stated.rhs - stated.lhs),
+    }
+    return [
+        key
+        for key, (a, b) in pairs.items()
+        if not (a == b or abs(a - b) <= STATED_TOL * max(1.0, abs(a), abs(b)))
+    ]
+
+
 def verify_certificate(
     cert: Certificate, ps: ProblemSpec, resolution: int | None = None
 ) -> tuple[bool, dict]:
@@ -384,10 +404,14 @@ def verify_certificate(
     three inequalities; the value localization uses the brute-force grid
     infimum over [A,B], and the claimed r must match the one over A within
     a grid step times the largest subgradient norm on that grid's rows.
-    f is read once per grid row, and at xi.  Raises SpecFormatError when
-    xi or p is not a finite point of the spec's dimension or the grid would
-    have fewer than 2 points per axis or more than ``GRID_ROWS_MAX`` rows,
-    and SpecInvariantError when f is +inf on every row of a grid.
+    The inequalities the certificate states must agree with the recomputed
+    ones (``_stated_differs``); where one does not, its section fails and
+    gets a ``stated`` entry: the stated lhs, rhs and slack, and the fields
+    that differ.  f is read once per grid row, and at xi.  Raises
+    SpecFormatError when xi or p is not a finite point of the spec's
+    dimension or the grid would have fewer than 2 points per axis or more
+    than ``GRID_ROWS_MAX`` rows, and SpecInvariantError when f is +inf on
+    every row of a grid.
     """
     res = ps.resolution if resolution is None else resolution
     check_grid_rows(res, ps.A.dim)
@@ -425,6 +449,10 @@ def verify_certificate(
     ginf_hull = oracle_inf(ps.B, "[A,B]")
     for name, chk in inequalities(ps, r, fx, p, ginf_hull.value).items():
         report[name] = dict(chk.to_json(), ok=chk.lhs < chk.rhs)
+        stated = cert.checks[name]
+        differs = _stated_differs(stated, chk, name != "value_localization")
+        if differs:
+            report[name].update(ok=False, stated=dict(stated.to_json(), differs=differs))
 
     valid = all(section["ok"] for section in report.values())
     report["valid"] = valid

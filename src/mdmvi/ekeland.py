@@ -30,6 +30,7 @@ from .supconv import (
     phi_eval,
     phi_on_grid,
     phi_rows,
+    phi_supergradient,
     phi_supergradients,
 )
 
@@ -90,12 +91,19 @@ def g_table(f1: TestFunction, sc: SupConvSpec, pts) -> GTable:
     return GTable(pts, fvals, phis, gvals)
 
 
+def _row_keys(X: np.ndarray) -> list[bytes]:
+    """The bytes of each row of X, as ``x.tobytes()`` gives them, read
+    from one view of X's rows as single byte strings."""
+    X = np.ascontiguousarray(X, dtype=float)
+    return X.view(np.dtype((np.void, X.itemsize * X.shape[1])))[:, 0].tolist()
+
+
 def _g_rows(Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec) -> np.ndarray:
     """g on the rows of Z.  Rows found in ``memo`` (point bytes -> g) are
     read from it; the others, each distinct row once, are evaluated in one
     batch and added to it.  g is NaN on a row whose smoothing is refused
-    (see ``phi_rows``)."""
-    keys = [z.tobytes() for z in Z]
+    (see ``phi_rows``).  The keys are the rows' bytes (``_row_keys``)."""
+    keys = _row_keys(Z)
     fresh = dict.fromkeys(k for k in keys if k not in memo)
     if fresh:
         F = np.frombuffer(b"".join(fresh), dtype=float).reshape(-1, Z.shape[1])
@@ -153,7 +161,7 @@ def descend_g(
     stencil = np.vstack([dirs, -np.array(dirs)])
     span = float(np.linalg.norm(grid.max(axis=0) - grid.min(axis=0))) + delta
     h_min = 1e-10 * max(span, 1.0)
-    memo = {z.tobytes(): float(v) for z, v in zip(grid, gvals)}
+    memo = dict(zip(_row_keys(grid), gvals.tolist()))
 
     # every start keeps its own x, g(x), h and count of steps taken
     x, fx = grid[seeds], gvals[seeds].astype(float)
@@ -168,21 +176,22 @@ def descend_g(
         vals = np.full(Z.shape[:3], np.inf)
         vals[use] = _g_rows(Z[use].reshape(-1, dim), memo, f1, sc).reshape(-1, len(stencil))
         refused = np.isnan(vals)
-        k = np.argmin(vals, axis=2)
-        best = np.take_along_axis(vals, k[:, :, None], axis=2)[:, :, 0]
+        bad = refused.any(axis=2)
         # a move, or a read of a refused row, ends the replay
-        stop = use & ((best < fx[live, None]) | refused.any(axis=2))
-        for i, s in enumerate(live):
-            j = int(np.argmax(stop[i])) if stop[i].any() else int(use[i].sum()) - 1
+        stop = use & ((vals.min(axis=2) < fx[live, None]) | bad)
+        scales = zip(stop.tolist(), use.sum(axis=1).tolist(), bad.tolist(), H.tolist())
+        for i, (s, (ends, n_use, fail, Hi)) in enumerate(zip(live.tolist(), scales)):
+            j = ends.index(True) if True in ends else n_use - 1
             steps[s] += j + 1
-            if refused[i, j].any():
+            if fail[j]:
                 if halt is None or (steps[s], s) < halt[:2]:
                     halt = (steps[s], s, Z[i, j, np.argmax(refused[i, j])])
                 h[s] = 0.0
-            elif stop[i, j]:
-                x[s], fx[s], h[s] = Z[i, j, k[i, j]], best[i, j], H[i, j] * 2
+            elif ends[j]:
+                k = np.argmin(vals[i, j])
+                x[s], fx[s], h[s] = Z[i, j, k], vals[i, j, k], Hi[j] * 2
             else:
-                h[s] = H[i, j] / 2
+                h[s] = Hi[j] / 2
         live = live[h[live] >= h_min]
         if halt is not None:  # a start short of the halt's step may halt sooner
             live = live[steps[live] < halt[0]]
@@ -223,17 +232,13 @@ def evp_check(table: GTable, u, gu: float, eps: float) -> EvpReport:
     return EvpReport(worst >= -EVP_TOL, worst)
 
 
-def _perturbation_offsets(n: int, radius: float) -> list[np.ndarray]:
-    offsets = [np.zeros(n)]
-    signs = [
-        np.array(c, dtype=float) - 1.0
-        for c in itertools.product(range(3), repeat=n)
-        if any(v != 1 for v in c)
-    ]
-    for rho in (radius / 8, radius / 4, radius / 2, radius):
-        for s in signs:
-            offsets.append(rho * s / np.linalg.norm(s))
-    return offsets
+def _perturbation_offsets(n: int, radius: float) -> np.ndarray:
+    """The pair search's pattern of y - u, as (offsets, n) rows: 0, then
+    the 3^n - 1 nonzero sign vectors s of {-1, 0, 1}^n, in product order,
+    as rho s / ||s|| at rho = radius / 8, / 4, / 2 and radius."""
+    signs = np.array([c for c in itertools.product((-1.0, 0.0, 1.0), repeat=n) if any(c)])
+    rho = np.array([radius / 8, radius / 4, radius / 2, radius])[:, None, None]
+    return np.vstack([np.zeros(n), (rho * signs / row_norms(signs)[:, None]).reshape(-1, n)])
 
 
 def fuzzy_pair(
@@ -255,55 +260,72 @@ def fuzzy_pair(
     ``grid``; ``grid_phi``, the smoothing there, serves every check when
     the caller already has it.
 
-    The search is batched: one kernel batch for every y of the pattern
-    and its difference stencil (``phi_supergradients``), and one
-    ``f_subgrads`` batch for every candidate x, each distinct point once.  The walk then visits the pattern in order and
-    stops at the first y whose best pair has residual at most 1e-12, so
-    only the y it visits can raise PhiEvalError, as one call per y did.
+    The search is batched: one ``phi_supergradients`` call gives the
+    checked supergradient at every y of the pattern, one ``f_subgrads``
+    batch f's representatives at every candidate x, each distinct point
+    once, and one batched dot every residual and separation.  The walk
+    then visits the pattern in order, keeping the least residual plus
+    separation by more than 1e-15, and stops at the first y whose best
+    pair has residual at most 1e-12, so only a y it visits can raise
+    PhiEvalError, as one call per y did.
     """
     if not (np.isfinite(search_radius) and search_radius > 0):
         raise ValueError("search_radius must be positive and finite")
     base = as_point(u.u, f.dim)
     offsets = _perturbation_offsets(f.dim, search_radius)
-    Y = base + np.array(offsets)
+    Y = base + offsets
     # u is a candidate x for every y, and is y itself at the zero offset
-    subgrads = _subgrads_by_point(f, np.vstack([base, Y]))
-    best: FuzzyPair | None = None
-    best_score = np.inf
-    for off, y, sg in zip(offsets, Y, phi_supergradients(Y, sc, grid, grid_phi)):
-        if sg is None:
-            continue
-        q = -sg.p
-        for x in [y] if not off.any() else [y, base]:
-            for p in subgrads[x.tobytes()]:
-                residual = float(np.linalg.norm(p + q))
-                separation = float(np.linalg.norm(x - y))
-                score = residual + separation
-                if score < best_score - 1e-15:
-                    best_score = score
-                    best = FuzzyPair(
-                        x=x.copy(),
-                        p=p.copy(),
-                        y=y.copy(),
-                        q=q.copy(),
-                        residual=residual,
-                        separation=separation,
-                    )
-        if best is not None and best.residual <= 1e-12:
+    subgrads = _subgrads_by_row(f, np.vstack([base, Y]))
+    sg = phi_supergradients(Y, sc, grid, grid_phi)
+    Q = -sg.p
+    # every candidate (y's index, x = u, p) in the walk's order: x = y, then x = u
+    cands = [
+        (i, at_u, p)
+        for i, (ok, moved) in enumerate(zip(sg.ok.tolist(), offsets.any(axis=1).tolist()))
+        if ok
+        for at_u in ((False, True) if moved else (False,))
+        for p in subgrads[0 if at_u else 1 + i]
+    ]
+    I = [c[0] for c in cands]
+    P = np.array([c[2] for c in cands], dtype=float).reshape(-1, f.dim)
+    residuals = row_norms(P + Q[I]).tolist()
+    to_u = row_norms(base - Y).tolist()
+
+    best, best_score = None, np.inf
+    for _, group in itertools.groupby(range(len(cands)), key=I.__getitem__):
+        for c in group:
+            score = residuals[c] + (to_u[I[c]] if cands[c][1] else 0.0)
+            if score < best_score - 1e-15:
+                best, best_score = c, score
+        if best is not None and residuals[best] <= 1e-12:
             break
-    if best is None or best.residual > RESIDUAL_FACTOR * u.eps:
-        got = "none" if best is None else f"{best.residual:.3e}"
+    else:
+        if sg.refused < len(Y):
+            phi_supergradient(Y[sg.refused], sc, grid, grid_phi)  # refused alone too: raises
+            raise AssertionError("a refused smoothing value was certified alone")
+    if best is None or residuals[best] > RESIDUAL_FACTOR * u.eps:
+        got = "none" if best is None else f"{residuals[best]:.3e}"
         raise FuzzyPairError(
             f"no pair with residual <= {RESIDUAL_FACTOR * u.eps:.3e} near "
             f"{base.tolist()} (best {got})"
         )
-    return best
+    i, at_u, p = cands[best]
+    return FuzzyPair(
+        x=(base if at_u else Y[i]).copy(),
+        p=p.copy(),
+        y=Y[i].copy(),
+        q=Q[i].copy(),
+        residual=residuals[best],
+        separation=to_u[i] if at_u else 0.0,
+    )
 
 
-def _subgrads_by_point(f: TestFunction, X: np.ndarray) -> dict[bytes, list[np.ndarray]]:
-    """f's subgradient representatives at each distinct row of X, by its
-    bytes, from one batch; a ``TestFunction`` gives none outside its
+def _subgrads_by_row(f: TestFunction, X: np.ndarray) -> list[list[np.ndarray]]:
+    """f's subgradient representatives at each row of X, from one batch
+    of its distinct rows; a ``TestFunction`` gives none outside its
     domain."""
-    keys = list(dict.fromkeys(x.tobytes() for x in X))
-    U = np.frombuffer(b"".join(keys), dtype=float).reshape(-1, X.shape[1])
-    return dict(zip(keys, f_subgrads(f, U)))
+    keys = _row_keys(X)
+    distinct = list(dict.fromkeys(keys))
+    U = np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, X.shape[1])
+    by_key = dict(zip(distinct, f_subgrads(f, U)))
+    return [by_key[k] for k in keys]

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _rows_last, as_point, coord_dot
+from .geometry import _rows_last, as_point, coord_dot, row_dot, row_norms
 from .tent import _CHUNK, TentSpec, _grid_rows, psi_on_grid
 
 GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
@@ -338,65 +338,97 @@ def phi_supergradient(
     the attaining point a centered finite difference is used instead.
     Either is accepted only if the superdifferential inequality holds to
     ``SUPER_TOL`` on the verification grid, whose smoothing values
-    ``grid_phi`` are computed when the caller does not already have them.
-    x and its difference stencil are evaluated in one batch, each with the
-    bits it gets alone.
+    ``grid_phi`` (one per grid row) are computed when the caller does not
+    already have them.  x and its difference stencil are evaluated in one
+    batch, each with the bits it gets alone.
     """
     x = as_point(x, sc.dim)
+    pts = _check_grid_phi(grid, grid_phi)
     out = _evaluate(sc, _fd_stencils(x[None, :])[0])
-    pts = np.asarray(grid, dtype=float)
     vals = phi_on_grid(sc, pts) if grid_phi is None else grid_phi
-    return _checked_supergradient(sc, x, out, pts, vals)
+    sg = _checked_supergradients(sc, x[None, :], out, pts, vals)
+    mode = "fallback" if sg.fallback[0] else "cone-formula"
+    if not sg.ok[0]:
+        raise SupergradientError(
+            f"supergradient check failed at {x.tolist()} (mode {mode}, "
+            f"violation {sg.worst[0]:.3e}); perturb x away from the kink"
+        )
+    return Supergradient(sg.p[0], mode)
+
+
+class Supergradients(NamedTuple):
+    """``phi_supergradient`` at the rows of Y before the first refused one,
+    as arrays: row i's p, and whether its grid check accepts it."""
+
+    p: np.ndarray  # (refused, dim)
+    ok: np.ndarray  # (refused,) the grid check's largest violation is <= SUPER_TOL
+    fallback: np.ndarray  # (refused,) p is the finite difference's
+    worst: np.ndarray  # (refused,) the grid check's largest violation
+    refused: int  # the first row whose smoothing is refused; len(Y) if none
 
 
 def phi_supergradients(
     Y, sc: SupConvSpec, grid: np.ndarray, grid_phi: np.ndarray | None = None
-) -> Iterator[Supergradient | None]:
-    """``phi_supergradient`` at each row of Y in turn, None where its grid
-    check fails, bit for bit, errors included.
+) -> Supergradients:
+    """``phi_supergradient`` at every row of Y up to the first whose
+    difference stencil the kernel refuses, from one kernel batch of every
+    row and its stencil and one grid check of them all.
 
-    Every row and its difference stencil go through one kernel batch when
-    the first row is read, but a row is refused (PhiEvalError) or checked
-    only when the caller reads it: rows past its last read never raise.
+    Each p has the bits ``phi_supergradient`` gives it.  No row is refused
+    here: the caller raises (``phi_supergradient`` at that row does) when
+    it reads row ``refused``, and the rows past it are neither checked nor
+    returned.  The grid's smoothing values are computed only when some
+    row is checked and ``grid_phi`` is None.
     """
     Y = _grid_rows(sc.dim, Y)
+    pts = _check_grid_phi(grid, grid_phi)
     S = _fd_stencils(Y)
     out = _kernel_rows(sc, S.reshape(-1, sc.dim))
+    k = S.shape[1]
+    bad = np.isnan(out.value).reshape(len(Y), k).any(axis=1)
+    refused = int(bad.argmax()) if bad.any() else len(Y)
+    vals = phi_on_grid(sc, pts) if grid_phi is None and refused else grid_phi
+    head = _Rows(*(a[: refused * k] for a in out))
+    return _checked_supergradients(sc, Y[:refused], head, pts, vals)._replace(refused=refused)
+
+
+def _check_grid_phi(grid, grid_phi) -> np.ndarray:
+    """The grid as a float array; ValueError unless ``grid_phi`` is None or
+    holds one value per grid row."""
     pts = np.asarray(grid, dtype=float)
-    vals, k = grid_phi, S.shape[1]
-    for i, y in enumerate(Y):
-        rows = _refuse(S[i], _Rows(*(a[i * k : (i + 1) * k] for a in out)))
-        if vals is None:
-            vals = phi_on_grid(sc, pts)
-        try:
-            sg = _checked_supergradient(sc, y, rows, pts, vals)
-        except SupergradientError:
-            sg = None
-        yield sg
-
-
-def _checked_supergradient(
-    sc: SupConvSpec, x: np.ndarray, out: _Rows, pts: np.ndarray, vals: np.ndarray
-) -> Supergradient:
-    """The supergradient at x from the kernel's rows of x's difference
-    stencil (``_fd_stencils``), checked on the grid ``pts`` whose
-    smoothing values are ``vals`` (see ``phi_supergradient``)."""
-    value = float(out.value[0])
-    sep = float(np.linalg.norm(x - out.argmax[0]))
-    if sep > SEP_TOL:
-        p = -sc.K * (x - out.argmax[0]) / sep
-        mode = "cone-formula"
-    else:
-        p = (out.value[1 : sc.dim + 1] - out.value[sc.dim + 1 :]) / (2 * FD_STEP)
-        mode = "fallback"
-
-    worst = float(np.max(vals - value - (pts - x) @ p))
-    if worst > SUPER_TOL:
-        raise SupergradientError(
-            f"supergradient check failed at {x.tolist()} (mode {mode}, "
-            f"violation {worst:.3e}); perturb x away from the kink"
+    if grid_phi is not None and np.shape(grid_phi) != (len(pts),):
+        raise ValueError(
+            f"grid_phi has shape {np.shape(grid_phi)}, not one value per grid row ({len(pts)},)"
         )
-    return Supergradient(p, mode)
+    return pts
+
+
+def _checked_supergradients(
+    sc: SupConvSpec, Y: np.ndarray, out: _Rows, pts: np.ndarray, vals: np.ndarray
+) -> Supergradients:
+    """The supergradient at each row y of Y from the kernel's rows of y's
+    difference stencil (``_fd_stencils``, the stencils one after another
+    in ``out``), and the largest violation of its superdifferential
+    inequality on the grid ``pts``, whose smoothing values are ``vals``
+    (see ``phi_supergradient``).  The check is one matrix product, in row
+    blocks of at most ``_CHUNK`` entries:
+
+        worst = max over the grid of (vals - <p, pts>) - value + <p, y>.
+    """
+    n, k = sc.dim, 2 * sc.dim + 1
+    V = out.value.reshape(-1, k)
+    value, Z = V[:, 0], out.argmax[::k]
+    sep = row_norms(Y - Z)
+    P = (V[:, 1 : n + 1] - V[:, n + 1 :]) / (2 * FD_STEP)
+    cone = sep > SEP_TOL
+    P[cone] = -sc.K * (Y[cone] - Z[cone]) / sep[cone, None]
+
+    yp, worst = row_dot(Y, P), np.empty(len(P))
+    rows = max(1, _CHUNK // max(len(pts), 1))
+    for i in range(0, len(P), rows):
+        b = slice(i, i + rows)
+        worst[b] = (vals - P[b] @ pts.T).max(axis=1) - value[b] + yp[b]
+    return Supergradients(P, ~(worst > SUPER_TOL), ~cone, worst, len(Y))
 
 
 def superdiff_transfer_check(p, x, sc: SupConvSpec, eps: float, grid) -> bool:

@@ -126,3 +126,53 @@ def test_f_infinite_on_every_oracle_row_is_a_broken_hypothesis(canonical):
     }
     with pytest.raises(SpecInvariantError, match="oracle inf over A: f is [+]inf"):
         verify_certificate(cert, ProblemSpec.from_json_dict(data), resolution=101)
+
+
+def _with_stated(cert: Certificate, name: str, **fields) -> Certificate:
+    """``cert`` with some fields of one stated inequality replaced."""
+    data = cert.to_json_dict()
+    data["checks"][name].update(fields)
+    return Certificate.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "name, fields, differs",
+    [
+        ("value_localization", {"lhs": -5.0, "slack": 1e9}, ["lhs", "slack"]),
+        ("value_localization", {"slack": 1e9}, ["slack"]),
+        ("subgradient_norm", {"lhs": 0.5, "slack": 1.6}, ["lhs"]),
+        ("subgradient_norm", {"rhs": 9.0, "slack": 8.0}, ["rhs"]),
+        ("mean_value_increment", {"lhs": 0.1}, ["lhs", "slack"]),
+        ("mean_value_increment", {"rhs": 1.0 + 1e-6}, ["rhs", "slack"]),
+    ],
+)
+def test_a_stated_inequality_the_checker_does_not_recompute_fails(canonical, name, fields, differs):
+    cert, ps = canonical
+    valid, report = verify_certificate(_with_stated(cert, name, **fields), ps)
+    assert not valid and not report[name]["ok"]
+    stated = report[name]["stated"]
+    assert stated["differs"] == differs
+    assert all(stated[k] == v for k, v in fields.items())
+    # the recomputed values are reported as before, and no other section moves
+    honest = verify_certificate(cert, ps)[1]
+    assert {k: v for k, v in report[name].items() if k not in ("ok", "stated")} == {
+        k: v for k, v in honest[name].items() if k != "ok"
+    }
+    assert {k: v for k, v in report.items() if k not in (name, "valid")} == {
+        k: v for k, v in honest.items() if k not in (name, "valid")
+    }
+
+
+def test_stated_values_agree_within_the_stated_tolerance(canonical):
+    cert, ps = canonical
+    lhs = cert.checks["mean_value_increment"].lhs  # 0.4 on canonical_1d
+    near, far = lhs * (1 + check.STATED_TOL / 2), lhs * (1 + 4 * check.STATED_TOL)
+    report = verify_certificate(_with_stated(cert, "mean_value_increment", lhs=near), ps)[1]
+    assert report["mean_value_increment"]["ok"] and "stated" not in report["mean_value_increment"]
+    report = verify_certificate(_with_stated(cert, "mean_value_increment", lhs=far), ps)[1]
+    assert report["mean_value_increment"]["stated"]["differs"] == ["lhs", "slack"]
+
+
+def test_an_honest_report_carries_no_stated_entry(canonical):
+    valid, report = verify_certificate(*canonical)
+    assert valid and not any("stated" in v for v in report.values() if isinstance(v, dict))

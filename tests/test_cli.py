@@ -89,6 +89,20 @@ class TestVerifyCommand:
         assert "mean_value_increment" in captured.out
         assert "INVALID" in captured.err
 
+    def test_false_stated_checks_fail(self, workdir, capsys):
+        # a value localization stated as lhs -5, slack 1e9 used to verify
+        run_command(["certificate", "canonical_1d.json", "--out", "cert.json"])
+        data = json.loads((workdir / "cert.json").read_text())
+        data["checks"]["value_localization"].update(lhs=-5.0, slack=1e9)
+        (workdir / "cert.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_command(["verify", "cert.json", "canonical_1d.json"]) == 1
+        captured = capsys.readouterr()
+        line = next(s for s in captured.out.splitlines() if "value_localization" in s)
+        assert line.startswith("  FAIL value_localization:")
+        assert '"stated": {"differs": ["lhs", "slack"], "lhs": -5.0' in line
+        assert "INVALID" in captured.err
+
     @pytest.mark.parametrize(
         "field, value",
         [("xi", [0.1, 0.2]), ("p", [1.0, 0.0, 0.0]), ("xi", [float("nan")]),

@@ -38,6 +38,8 @@ BUNDLED = (
 VALLEY_SEED = 150510646
 
 PAIR_3D = Path(__file__).resolve().parents[1] / "benchmarks" / "specs" / "pair_3d.json"
+# eight points per side on a sphere: a 3-D hull of many vertices
+SPHERE8_3D = Path(__file__).resolve().parent / "specs" / "sphere8_3d.json"
 
 
 class _Stop(Exception):
@@ -103,15 +105,22 @@ def test_same_bits_as_compass_reference_on_pair_3d():
     _same_bits_as_compass_reference(ProblemSpec.from_json_file(PAIR_3D))
 
 
+def test_same_bits_as_compass_reference_on_sphere8_3d():
+    _same_bits_as_compass_reference(ProblemSpec.from_json_file(SPHERE8_3D))
+
+
 @pytest.mark.parametrize("seed", [1, VALLEY_SEED])
 def test_same_bits_as_compass_reference_on_multivertex_2d(seed):
     _same_bits_as_compass_reference(ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=seed)))
 
 
 def _case(name: str) -> ProblemSpec:
-    """A bundled problem by name, ``pair_3d``, or ``multivertex_2d@<seed>``."""
+    """A bundled problem by name, ``pair_3d``, ``sphere8_3d`` or
+    ``multivertex_2d@<seed>``."""
     if name == "pair_3d":
         return ProblemSpec.from_json_file(PAIR_3D)
+    if name == "sphere8_3d":
+        return ProblemSpec.from_json_file(SPHERE8_3D)
     if name.startswith("multivertex_2d@"):
         return ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=int(name.split("@")[1])))
     return ProblemSpec.from_json_file(

@@ -7,8 +7,11 @@ it (JSON with sorted keys, as ``scripts/run_suite.py`` writes it), and
 ``verify_certificate`` on ``benchmarks/fixtures/<name>.cert.json`` (``.json``)
 and the output of ``mdmvi verify`` (``.txt``).
 ``tests/golden/stress_circle8_2d.cert.json`` is the certificate of
-``tests/specs/circle8_2d.json``, a hull of 16 vertices.  A change that
-keeps the pipeline's and the verifier's results must reproduce every byte.
+``tests/specs/circle8_2d.json``, a hull of 16 vertices, and
+``tests/golden/stress_sphere8_3d.cert.json`` that of
+``tests/specs/sphere8_3d.json``, 8 points per side on a sphere in 3-D.  A
+change that keeps the pipeline's and the verifier's results must
+reproduce every byte.
 """
 
 import json
@@ -36,6 +39,14 @@ def test_run_reproduces_the_many_vertex_certificate():
     cert = run(ProblemSpec.from_json_file(SPECS / "circle8_2d.json"))
     text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert text == (GOLDEN / "stress_circle8_2d.cert.json").read_text()
+
+
+def test_run_reproduces_the_many_vertex_certificate_in_3d():
+    from mdmvi import ProblemSpec, run
+
+    cert = run(ProblemSpec.from_json_file(SPECS / "sphere8_3d.json"))
+    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "stress_sphere8_3d.cert.json").read_text()
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -13,10 +13,15 @@ from mdmvi import Polytope, SupConvSpec, TentSpec, linear, restrict_f
 from mdmvi.supconv import PhiEvalError, _fd_stencils
 
 from helpers import force_gap
-from pair_reference import reference_pair
+from pair_reference import perturbation_offsets, reference_pair
 from test_descent import BUNDLED, VALLEY_SEED, _case
 
-CASES = BUNDLED + ("pair_3d", "multivertex_2d@1", f"multivertex_2d@{VALLEY_SEED}")
+CASES = BUNDLED + (
+    "pair_3d",
+    "sphere8_3d",
+    "multivertex_2d@1",
+    f"multivertex_2d@{VALLEY_SEED}",
+)
 
 
 class _Stop(Exception):
@@ -62,6 +67,18 @@ def _stencils(args, kwargs) -> list[list[bytes]]:
     return [[z.tobytes() for z in S] for S in _fd_stencils(Y)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_offsets_are_the_listed_pattern(n):
+    # rho * s / ||s||, in that order, row for row as the list computed it
+    radii = np.geomspace(1e-9, 1e3, 60).tolist() + [1 / 3, 0.05, 0.0125]
+    radii += np.random.default_rng(n).uniform(0.0, 1.0, 40).tolist()
+    for radius in radii:
+        got = ekeland._perturbation_offsets(n, radius)
+        want = perturbation_offsets(n, radius)
+        assert got.shape == (len(want), n) == (1 + 4 * (3**n - 1), n)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_same_pair_as_reference(name):
     args, kwargs = pair_inputs(name)
@@ -74,7 +91,7 @@ def test_same_pair_as_reference_without_grid_values(name):
     _same_outcome(args, dict(kwargs, grid_phi=None))
 
 
-@pytest.mark.parametrize("name", ["max_affine_1d", "plane_2d", "multivertex_2d@1"])
+@pytest.mark.parametrize("name", ["max_affine_1d", "plane_2d", "multivertex_2d@1", "sphere8_3d"])
 def test_a_refused_row_raises_where_the_walk_reads_it(name, monkeypatch):
     args, kwargs = pair_inputs(name)
     stencils = _stencils(args, kwargs)

@@ -22,6 +22,7 @@ from mdmvi.supconv import (
     PhiEvalError,
     level_sets,
     phi_on_grid,
+    phi_supergradients,
     phi_value,
     sample_table,
 )
@@ -256,6 +257,38 @@ class TestPhiSupergradient:
         monkeypatch.setattr(supconv, "SUPER_TOL", -1.0)
         with pytest.raises(SupergradientError):
             phi_supergradient([0.5], sc, grid=grid_1d(-1, 2, 61))
+
+    @pytest.mark.parametrize("shape", [(1,), (60,), (62,), (61, 1)])
+    def test_grid_values_must_be_one_per_grid_row(self, unit_tent, shape):
+        # one value used to broadcast over the grid and pass the check
+        sc = SupConvSpec(unit_tent, 2.0)
+        grid, wrong = grid_1d(-1, 2, 61), np.full(shape, -100.0)
+        with pytest.raises(ValueError, match="grid_phi"):
+            phi_supergradient([0.5], sc, grid=grid, grid_phi=wrong)
+        with pytest.raises(ValueError, match="grid_phi"):
+            phi_supergradients([[0.5], [2.0]], sc, grid=grid, grid_phi=wrong)
+
+    def test_batch_gives_each_rows_supergradient(self, unit_tent, monkeypatch):
+        # the batch's p and acceptance are phi_supergradient's at each row,
+        # bit for bit, across both modes and a refused check
+        import mdmvi.supconv as supconv
+
+        sc = SupConvSpec(unit_tent, 2.0)
+        grid = grid_1d(-1, 2, 61)
+        Y = np.array([[-0.7], [0.5], [0.25], [1.6], [2.0], [1.0 + 1e-7]])
+        for tol in (supconv.SUPER_TOL, 0.2, -1.0):
+            monkeypatch.setattr(supconv, "SUPER_TOL", tol)
+            sg = phi_supergradients(Y, sc, grid=grid)
+            assert sg.refused == len(Y) and len(sg.p) == len(Y)
+            for y, p, ok, fallback in zip(Y, sg.p, sg.ok, sg.fallback):
+                try:
+                    one = phi_supergradient(y, sc, grid=grid)
+                except SupergradientError:
+                    assert not ok
+                    continue
+                assert ok and p.tobytes() == one.p.tobytes()
+                assert fallback == (one.mode == "fallback")
+            assert sg.fallback.any() and not sg.fallback.all()
 
 
 class TestTransferCheck:
