@@ -401,9 +401,13 @@ def verify_certificate(
     """Independent recheck of a certificate from oracles and geometry only.
 
     Recomputes membership of xi, subgradient membership of p, and the
-    three inequalities; the value localization uses the brute-force grid
-    infimum over [A,B], and the claimed r must match the one over A within
-    a grid step times the largest subgradient norm on that grid's rows.
+    three inequalities at g, the subgradient representative of f at xi
+    nearest p (the first on ties), so that a p near a member cannot carry
+    an inequality that is false at the member; where f has none at xi, g
+    is p and the membership fails.  The value localization uses the
+    brute-force grid infimum over [A,B], and the claimed r must match the
+    one over A within a grid step times the largest subgradient norm on
+    that grid's rows.
     The inequalities the certificate states must agree with the recomputed
     ones (``_stated_differs``); where one does not, its section fails and
     gets a ``stated`` entry: the stated lhs, rhs and slack, and the fields
@@ -428,8 +432,11 @@ def verify_certificate(
 
     fx = f_eval(ps.f, xi)
     reps = f_subgrad(ps.f, xi)
-    gap = min((float(np.linalg.norm(p - g)) for g in reps), default=np.inf)
+    gaps = [float(np.linalg.norm(p - g)) for g in reps]
+    gap = min(gaps, default=np.inf)
     report["subgradient_membership"] = {"distance": gap, "ok": gap <= 1e-8}
+    # the inequalities hold for a member of the subdifferential, not for p
+    g = reps[gaps.index(gap)] if reps else p
 
     def oracle_inf(B: Polytope, name: str) -> GridInf:
         try:
@@ -447,7 +454,7 @@ def verify_certificate(
     }
 
     ginf_hull = oracle_inf(ps.B, "[A,B]")
-    for name, chk in inequalities(ps, r, fx, p, ginf_hull.value).items():
+    for name, chk in inequalities(ps, r, fx, g, ginf_hull.value).items():
         report[name] = dict(chk.to_json(), ok=chk.lhs < chk.rhs)
         stated = cert.checks[name]
         differs = _stated_differs(stated, chk, name != "value_localization")

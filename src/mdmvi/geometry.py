@@ -468,7 +468,9 @@ class Hull:
         return Y[:, best, np.arange(len(X))].T
 
     def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds on d(x, [A,B]) for the rows x of X."""
+        """Lower and upper bounds on d(x, [A,B]) for the rows x of X.  Every
+        sum runs term by term (``row_dot``, ``coord_dot``), so no bound
+        takes its bits from numpy's or the BLAS library's summation order."""
         n, k = X.shape[1], len(self.basis)
         Y = X.copy() if k == n else self.center + ((X - self.center) @ self.basis.T) @ self.basis
         out = np.flatnonzero((self.normals @ Y.T > self.offsets[:, None]).any(axis=0))
@@ -476,9 +478,10 @@ class Hull:
         for i in range(0, len(out), rows):
             Y[out[i : i + rows]] = self._nearest(X[out[i : i + rows]])
         diff = X - Y
-        upper = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        upper = np.sqrt(row_dot(diff, diff))
         u = diff / np.where(upper > 0.0, upper, 1.0)[:, None]
-        lower = np.einsum("ij,ij->i", u, X) - np.max(u @ self.V.T, axis=1)
+        support = coord_dot(self.V.T[:, :, None], u.T[:, None, :]).max(axis=0)
+        lower = row_dot(u, X) - support
         return np.maximum(lower, 0.0), upper
 
     def within(self, X, radius: float) -> np.ndarray:

@@ -16,12 +16,12 @@ tight at the cone gradient at y*, or at the facet slope where y* = x.
 Supergradients come from the attaining point (cone formula) with a
 finite-difference fallback, both verified a posteriori on a grid.
 
-The kernel runs on (coordinates, faces, rows) arrays, from face tables
-that ``SupConvSpec`` lays out once with the rows last (``_Faces``): each
-elementwise numpy loop then runs over a contiguous axis of rows, not over
-the two to six coordinates of one row and face.  Every sum over the
-coordinates is still taken term by term, in order, so the layout moves
-no bit.
+The kernel reads the tent's face table (``tent.Faces``), to which
+``SupConvSpec`` adds the two columns that depend on K, through the tent's
+own projection pass (``tent.project``).  It runs on (coordinates, faces,
+rows) arrays, so each elementwise numpy loop runs over a contiguous axis
+of rows, not over the two to six coordinates of one row and face; every
+sum over the coordinates is taken term by term, in order.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _rows_last, as_point, coord_dot, row_dot, row_norms
-from .tent import _CHUNK, TentSpec, _grid_rows, psi_on_grid
+from .geometry import as_point, coord_dot, row_dot, row_norms
+from .tent import _CHUNK, Faces, TentSpec, _grid_rows, eps_superdiff_check_psi, project, psi_on_grid
 
 GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
 _GAP_RAISE = max(100.0 * GAP_TOL, 1e-4)  # a larger certified gap is refused
@@ -56,102 +56,21 @@ class NoAttainingPointError(RuntimeError):
     """No grid point nearly attains the sup-convolution value."""
 
 
-class _Faces(NamedTuple):
-    """Every face of the tent's kept simplices, once each, for one K, laid
-    out for the kernel: each per-face table has the face axis next to last
-    and a trailing row axis of length 1, so that the kernel's per-(face,
-    row) arrays keep their rows innermost and contiguous, and a table
-    indexed by the kernel's best faces, ``t[..., face, 0]``, has one
-    column per row.
-
-    Face j has the vertices ``verts[j]`` (padded with -1), the first its
-    origin.  The rows perp[:, :, j] are an orthonormal basis of the
-    complement of its direction space (zero rows pad it; a ``full`` face
-    has none), and grad[:, j] is the gradient of the levels' interpolant,
-    level[j] at the origin.  For d = x - origin[:, j], the sum over i of
-    d_i lin[i, :, j] holds x's coordinates in that basis, the change of
-    the barycentric weights from the origin to x's projection, and the
-    interpolant's rise to it.  ``tilt`` is the change of the weights along
-    grad; a weight below ``floor`` is more than 1e-9 outside the face.
-    ``root`` is sqrt(K^2 - ||grad||^2), NaN where ||grad|| >= K, and
-    ``slope`` the plane gradient of the first kept simplex holding the
-    face, scaled into the K-ball.  ``V`` and ``levels`` are the tent's
-    vertices and levels, as the conic dual bound reads them.
-    """
-
-    verts: np.ndarray  # (F, k+1)
-    origin: np.ndarray  # (n, F, 1)
-    perp: np.ndarray  # (n, n, F, 1)
-    grad: np.ndarray  # (n, F, 1)
-    level: np.ndarray  # (F, 1)
-    lin: np.ndarray  # (n, n + k+1 + 1, F, 1)
-    tilt: np.ndarray  # (k+1, F, 1)
-    floor: np.ndarray  # (k+1, F, 1)
-    root: np.ndarray  # (F, 1)
-    full: np.ndarray  # (F, 1)
-    slope: np.ndarray  # (n, F, 1)
-    V: np.ndarray  # (n, vertices, 1)
-    levels: np.ndarray  # (vertices, 1)
-
-
-def _faces(t: TentSpec, K: float) -> _Faces:
-    """The faces of the kept simplices (``tent._Facets.verts``), smallest
-    first, each with its frame, interpolant and barycentric map."""
-    V, levels, kept = t.V, t.levels, t.facets
-    n, k1 = V.shape[1], kept.verts.shape[1]
-    owner: dict[tuple, int] = {}  # face -> first kept simplex holding it
-    for j, row in enumerate(kept.verts):
-        for size in range(1, k1 + 1):
-            for face in combinations(sorted(row.tolist()), size):
-                owner.setdefault(face, j)
-    faces = sorted(owner, key=lambda f: (len(f), f))
-    verts = np.full((len(faces), k1), -1)
-    perp = np.zeros((len(faces), n, n))
-    grad = np.zeros((len(faces), n))
-    bary = np.zeros((len(faces), n, k1))
-    for m in range(1, k1 + 1):
-        sel = np.array([len(f) == m for f in faces])
-        idx = np.array([f for f in faces if len(f) == m])
-        verts[sel, :m] = idx
-        E = V[idx[:, 1:]] - V[idx[:, :1]]  # (F, m-1, n) edge vectors
-        if m > 1:
-            M = np.linalg.solve(E @ E.transpose(0, 2, 1), E)  # pinv(E^T)
-            perp[sel, m - 1 :] = np.linalg.svd(E)[2][:, m - 1 :]
-        else:
-            M, perp[sel] = E, np.eye(n)
-        grad[sel] = np.einsum("fi,fin->fn", levels[idx[:, 1:]] - levels[idx[:, :1]], M)
-        bary[sel, :, 0] = -M.sum(axis=1)
-        bary[sel, :, 1:m] = M.transpose(0, 2, 1)
-    gnorm = np.linalg.norm(grad, axis=1)
-    return _Faces(
-        verts=verts,
-        origin=_rows_last(V[verts[:, 0]]),
-        perp=_rows_last(perp),
-        grad=_rows_last(grad),
-        level=_rows_last(levels[verts[:, 0]]),
-        lin=_rows_last(np.concatenate([perp.transpose(0, 2, 1), bary, grad[:, :, None]], axis=2)),
-        tilt=_rows_last(np.einsum("fi,fic->fc", grad, bary)),
-        floor=_rows_last(-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k1)[0]),
-        root=_rows_last(np.sqrt(np.where(gnorm < K, K * K - gnorm * gnorm, np.nan))),
-        full=_rows_last((verts >= 0).sum(axis=1) > n),
-        slope=_clip(_rows_last(kept.slope[[owner[f] for f in faces]]), K),
-        V=_rows_last(V),
-        levels=_rows_last(levels),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SupConvSpec:
     """Tent plus the Lipschitz constant K > 0 of the smoothing cone."""
 
     tent: TentSpec
     K: float
-    faces: _Faces = field(init=False, repr=False)
+    faces: Faces = field(init=False, repr=False)  # the tent's, with root and clipped slopes
 
     def __post_init__(self):
         if not (np.isfinite(self.K) and self.K > 0):
             raise ValueError("K must be positive and finite")
-        object.__setattr__(self, "faces", _faces(self.tent, float(self.K)))
+        K, fc = float(self.K), self.tent.faces
+        gnorm = np.sqrt(coord_dot(fc.grad, fc.grad))
+        root = np.sqrt(np.where(gnorm < K, K * K - gnorm * gnorm, np.nan))
+        object.__setattr__(self, "faces", fc._replace(root=root, slope=_clip(fc.slope, K)))
 
     @property
     def dim(self) -> int:
@@ -198,17 +117,14 @@ def _clip(P: np.ndarray, K: float) -> np.ndarray:
 
 def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """Every face's candidate for every row of X, and the best of them,
-    certified.  The work runs on (coordinates, faces, rows) arrays, rows
-    innermost, and each sum runs term by term over the coordinates
-    (``geometry.coord_dot``), so a row gets the same bits alone or in a
-    batch."""
+    certified.  It opens with the tent's projection pass (``tent.project``)
+    and runs on (coordinates, faces, rows) arrays, rows innermost; each sum
+    runs term by term over the coordinates (``geometry.coord_dot``), so a
+    row gets the same bits alone or in a batch."""
     fc, K = sc.faces, sc.K
     g, n = X.shape
     Xt = np.ascontiguousarray(X.T)  # (n, g)
-    D = Xt[:, None, :] - fc.origin  # (n, F, g)
-    P = D[0] * fc.lin[0]
-    for i in range(1, n):
-        P += D[i] * fc.lin[i]
+    D, P = project(fc, Xt)  # (n, F, g), (n + k+1 + 1, F, g)
     e = P[:n]  # coordinates off the face
     h = np.sqrt(coord_dot(e, e))
     tau = h / fc.root  # y* = x0 + tau grad
@@ -271,22 +187,15 @@ def _kernel_rows(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     return out._replace(value=np.where(out.gap > _GAP_RAISE, np.nan, out.value))
 
 
-def _refuse(X: np.ndarray, out: _Rows) -> _Rows:
-    """``out``, the kernel's rows of X; raises PhiEvalError at the first
-    row that it refuses."""
-    bad = np.isnan(out.value)
-    if bad.any():
-        i = int(bad.argmax())
-        raise PhiEvalError(
-            f"could not certify value at {X[i].tolist()}: gap {out.gap[i]:.3e}"
-        )
-    return out
-
-
 def _evaluate(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """The kernel on the rows of X; raises PhiEvalError at the first row
     that it refuses."""
-    return _refuse(X, _kernel_rows(sc, X))
+    out = _kernel_rows(sc, X)
+    bad = np.isnan(out.value)
+    if bad.any():
+        i = int(bad.argmax())
+        raise PhiEvalError(f"could not certify value at {X[i].tolist()}: gap {out.gap[i]:.3e}")
+    return out
 
 
 def phi_eval(x, sc: SupConvSpec) -> PhiValue:
@@ -439,8 +348,6 @@ def superdiff_transfer_check(p, x, sc: SupConvSpec, eps: float, grid) -> bool:
     Raises NoAttainingPointError when neither the optimizer's attaining
     point nor any grid point reaches the value within eps.
     """
-    from .tent import eps_superdiff_check_psi
-
     x = as_point(x, sc.dim)
     p = as_point(p, sc.dim)
     if eps < 0:

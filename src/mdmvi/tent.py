@@ -5,14 +5,16 @@ On the joint hull [A,B] the tent is the upper envelope of the lifted
 vertices (v_i, level_i), the lifting-map picture of a regular subdivision
 (Gelfand, Kapranov & Zelevinsky 1994).  By LP duality it is the minimum of
 finitely many affine pieces, one per upper-hull facet.  ``TentSpec`` builds
-those pieces once; a tent value, its hull coordinates and an exact
-supergradient then come from one barycentric product, with no LP.  The
-tent is minus infinity outside [A,B].
+those pieces and every face of them once, in one table (``Faces``) that
+the smoothing reads too; a tent value, its hull coordinates and an exact
+supergradient then come from one projection pass (``project``) over the
+pieces, with no LP.  The tent is minus infinity outside [A,B].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -20,46 +22,68 @@ import numpy as np
 from .geometry import (
     HullCoords,
     Polytope,
+    _rows_last,
     affine_frame,
     as_point,
+    coord_dot,
     independent_subsets,
     inf_linear,
-    row_dot,
 )
 
 DEFAULT_CHECK_TOL = 1e-7
 _FEAS_TOL = 1e-9  # hull membership: distance off the affine hull and simplex
-_CHUNK = 1 << 16  # entries of each batched barycentric product
+_CHUNK = 1 << 16  # row-face entries of each batched projection pass
 
 
-class _Facets(NamedTuple):
-    """The tent's affine pieces.  Piece j is the plane through the lifted
-    vertices ``verts[j]``, whose simplex is affinely independent in the
-    affine hull of [A,B]; ``slope[j]``, the plane's gradient, lies in the
-    hull's own direction space.  The affine map ``x @ lin + shift`` gives,
-    for a point x, the barycentric weights of x in every simplex, piece
-    after piece, followed by the residual of x off the affine hull (empty
-    when the hull spans the space).  A weight above ``-slack`` puts x
-    within the feasibility tolerance of that facet of the simplex."""
+class Faces(NamedTuple):
+    """Every face of the tent's kept simplices, once each, smallest first,
+    laid out for a projection pass over rows: each per-face table has the
+    face axis next to last and a trailing row axis of length 1, so that
+    per-(face, row) arrays keep their rows innermost and contiguous, and a
+    table indexed by one face per row, ``t[..., face, 0]``, has one column
+    per row.  The kept simplices are the tail ``pieces``, in the order the
+    subset search keeps them.
 
-    verts: np.ndarray  # (P, k+1) vertex indices
-    levels: np.ndarray  # (P, k+1) their levels
-    slope: np.ndarray  # (P, n)
-    slack: np.ndarray  # (P, k+1)
-    lin: np.ndarray  # (n, P*(k+1) + n - k)
-    shift: np.ndarray  # (P*(k+1) + n - k,)
+    Face j has the vertices ``verts[j]`` (padded with -1), the first its
+    origin.  The rows perp[:, :, j] are an orthonormal basis of the
+    complement of its direction space (zero rows pad it; a ``full`` face
+    has none), and grad[:, j] is the gradient of the levels' interpolant,
+    level[j] at the origin.  ``project`` reads ``lin``; ``tilt`` is the
+    change of the weights along grad, and a weight below ``floor`` is more
+    than 1e-9 outside the face.  ``slope`` is the plane gradient of the
+    first kept simplex holding the face.  ``root`` is None: the
+    smoothing's copy of the table holds sqrt(K^2 - ||grad||^2) there (NaN
+    where ||grad|| >= K), and its slopes scaled into the K-ball.
+    """
+
+    verts: np.ndarray  # (F, k+1)
+    origin: np.ndarray  # (n, F, 1)
+    perp: np.ndarray  # (n, n, F, 1)
+    grad: np.ndarray  # (n, F, 1)
+    level: np.ndarray  # (F, 1)
+    lin: np.ndarray  # (n, n + k+1 + 1, F, 1)
+    tilt: np.ndarray  # (k+1, F, 1)
+    floor: np.ndarray  # (k+1, F, 1)
+    root: np.ndarray | None  # (F, 1) in the smoothing's table
+    full: np.ndarray  # (F, 1)
+    slope: np.ndarray  # (n, F, 1)
+    V: np.ndarray  # (n, vertices, 1)
+    levels: np.ndarray  # (vertices, 1)
+    pieces: slice  # the kept simplices
 
 
-def _facets(V: np.ndarray, levels: np.ndarray) -> _Facets:
-    """Upper-hull facets of the lifted vertices (v_i, level_i).
+def _faces(V: np.ndarray, levels: np.ndarray) -> Faces:
+    """The tent's affine pieces, the upper-hull facets of the lifted
+    vertices (v_i, level_i), and every face of them.
 
-    Reduces V to its affine hull (``geometry.affine_frame``), fits the plane
+    In the affine hull of V (``geometry.affine_frame``) it fits the plane
     through every affinely independent (k+1)-subset S
-    (``geometry.independent_subsets``) in one batched solve,
-    and keeps S when its plane lies on or above every lifted vertex: those
-    are exactly the dual-feasible bases of the tent LP.  Every kept plane
-    majorizes the tent on [A,B] and meets it on conv(S), and the kept
-    simplices cover [A,B].
+    (``geometry.independent_subsets``) in one batched solve, and keeps S
+    when its plane lies on or above every lifted vertex: those are exactly
+    the dual-feasible bases of the tent LP.  Every kept plane majorizes the
+    tent on [A,B] and meets it on conv(S), and the kept simplices cover
+    [A,B].  Each face of them gets its frame, interpolant and barycentric
+    map from the pseudo-inverse of its edge matrix.
     """
     n = V.shape[1]
     center, vt, k = affine_frame(V)
@@ -72,20 +96,63 @@ def _facets(V: np.ndarray, levels: np.ndarray) -> _Facets:
         np.linalg.norm(p, axis=1) * np.linalg.norm(Vr, axis=1).max()
     )
     keep = np.all(Vr @ p.T + c - levels[:, None] >= -1e-12 * scale, axis=0)
-    # weights of x: bary @ [(x - center) @ basis, 1]; residual: the part of
-    # x - center orthogonal to the basis, in the complement's coordinates
-    bary = np.linalg.inv(M[keep].transpose(0, 2, 1))
-    G = (bary[:, :, :k] @ basis.T).reshape(-1, n)
-    h = bary[:, :, k].ravel() - G @ center
-    perp = vt[k:]
-    return _Facets(
-        verts=subsets[keep],
-        levels=levels[subsets[keep]],
-        slope=p[keep] @ basis.T,
-        slack=_FEAS_TOL * np.linalg.norm(G, axis=1).reshape(-1, k + 1),
-        lin=np.vstack([G, perp]).T,
-        shift=np.concatenate([h, -perp @ center]),
+    kept, slopes = subsets[keep], p[keep] @ basis.T
+
+    k1 = k + 1
+    owner: dict[tuple, int] = {}  # face -> first kept simplex holding it
+    for j, row in enumerate(kept):
+        for size in range(1, k1 + 1):
+            for face in combinations(sorted(row.tolist()), size):
+                owner.setdefault(face, j)
+    faces = sorted(owner, key=lambda f: (len(f), f))
+    verts = np.full((len(faces), k1), -1)
+    perp = np.zeros((len(faces), n, n))
+    grad = np.zeros((len(faces), n))
+    bary = np.zeros((len(faces), n, k1))
+    for m in range(1, k1 + 1):
+        sel = np.array([len(f) == m for f in faces])
+        idx = np.array([f for f in faces if len(f) == m])
+        verts[sel, :m] = idx
+        E = V[idx[:, 1:]] - V[idx[:, :1]]  # (F, m-1, n) edge vectors
+        if m > 1:
+            pinv = np.linalg.solve(E @ E.transpose(0, 2, 1), E)  # pinv(E^T)
+            perp[sel, m - 1 :] = np.linalg.svd(E)[2][:, m - 1 :]
+        else:
+            pinv, perp[sel] = E, np.eye(n)
+        grad[sel] = np.einsum("fi,fin->fn", levels[idx[:, 1:]] - levels[idx[:, :1]], pinv)
+        bary[sel, :, 0] = -pinv.sum(axis=1)
+        bary[sel, :, 1:m] = pinv.transpose(0, 2, 1)
+    return Faces(
+        verts=verts,
+        origin=_rows_last(V[verts[:, 0]]),
+        perp=_rows_last(perp),
+        grad=_rows_last(grad),
+        level=_rows_last(levels[verts[:, 0]]),
+        lin=_rows_last(np.concatenate([perp.transpose(0, 2, 1), bary, grad[:, :, None]], axis=2)),
+        tilt=_rows_last(np.einsum("fi,fic->fc", grad, bary)),
+        floor=_rows_last(-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k1)[0]),
+        root=None,
+        full=_rows_last((verts >= 0).sum(axis=1) > n),
+        slope=_rows_last(slopes[[owner[f] for f in faces]]),
+        V=_rows_last(V),
+        levels=_rows_last(levels),
+        pieces=slice(len(faces) - len(kept), None),
     )
+
+
+def project(fc: Faces, Xt: np.ndarray, faces: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The columns x of Xt (n, g) against the ``faces`` of ``fc``:
+    D = x - origin (n, F, g) and P = sum_i D_i lin_i (n + k+1 + 1, F, g),
+    which holds x's coordinates off the face (in the basis ``perp``), the
+    change of the barycentric weights from the origin to x's projection,
+    and the interpolant's rise to it.  The sum runs term by term over the
+    coordinates, so a row gets the same bits alone or in a batch."""
+    D = Xt[:, None, :] - fc.origin[:, faces]
+    lin = fc.lin[:, :, faces]
+    P = D[0] * lin[0]
+    for i in range(1, len(D)):
+        P += D[i] * lin[i]
+    return D, P
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +165,7 @@ class TentSpec:
     s: float
     V: np.ndarray = field(init=False, repr=False)  # vertex rows of A, then of B
     levels: np.ndarray = field(init=False, repr=False)  # r at A's rows, s at B's
-    facets: _Facets = field(init=False, repr=False)
+    faces: Faces = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.A.dim != self.B.dim:
@@ -115,7 +182,7 @@ class TentSpec:
         )
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "facets", _facets(V, levels))
+        object.__setattr__(self, "faces", _faces(V, levels))
 
     @property
     def dim(self) -> int:
@@ -150,33 +217,27 @@ class IncrementBound(NamedTuple):
     rhs: float
 
 
-def _locate(F: _Facets, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the rows of X: the first piece whose simplex holds each row (-1
-    off the hull), its normalized barycentric weights clipped at zero, and
-    the tent value they give.
-
-    Sums run term by term (as ``geometry.row_dot`` does), so a row gets
-    the same bits alone or in a batch.
-    """
-    g, n = X.shape
-    P, k1 = F.verts.shape
-    Y = F.shift + X[:, :1] * F.lin[0]
-    for j in range(1, n):
-        Y = Y + X[:, j : j + 1] * F.lin[j]
-    W = Y[:, : P * k1].reshape(g, P, k1)
-    inside = (W + F.slack).min(axis=2) >= 0.0
-    if Y.shape[1] > P * k1:
-        R = Y[:, P * k1 :]
-        inside &= (row_dot(R, R) <= _FEAS_TOL**2)[:, None]
-    piece = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-    w = np.maximum(W[np.arange(g), piece], 0.0)
-    lev = F.levels[piece]
-    total, value = w[:, 0], w[:, 0] * lev[:, 0]
-    for i in range(1, k1):
-        total = total + w[:, i]
-        value = value + w[:, i] * lev[:, i]
+def _locate(t: TentSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the rows of X: the face index of the first kept simplex that
+    holds each row (-1 off the hull), the row's barycentric weights in it,
+    clipped at zero and normalized (k+1, rows), and the tent value they
+    give.  A kept simplex holds a row within 1e-9 of the hull's affine
+    span whose weights in it are all above its ``floor``.  Sums run term
+    by term, so a row gets the same bits alone or in a batch."""
+    fc, n = t.faces, X.shape[1]
+    _, P = project(fc, np.ascontiguousarray(X.T), fc.pieces)
+    e, W = P[:n], P[n:-1]  # off the hull; the weights less the origin's 1
+    inside = (W >= fc.floor[:, fc.pieces]).all(axis=0) & (coord_dot(e, e) <= _FEAS_TOL**2)
+    held = inside.any(axis=0)
+    piece = np.where(held, inside.argmax(axis=0), -1)
+    w = W[:, piece, np.arange(len(X))]
+    w[0] += 1.0
+    w = np.maximum(w, 0.0)
+    total = w.sum(axis=0)
+    value = coord_dot(w, t.levels[fc.verts[fc.pieces][piece]].T)
     # sum(w_i level_i) / sum(w_i), the value at the normalized weights
-    return piece, w / total[:, None], np.where(piece >= 0, value / total, -np.inf)
+    face = np.where(held, fc.pieces.start + piece, -1)
+    return face, w / total, np.where(held, value / total, -np.inf)
 
 
 def psi_eval(x, t: TentSpec) -> PsiValue:
@@ -188,16 +249,15 @@ def psi_eval(x, t: TentSpec) -> PsiValue:
     Off the hull the value is -inf, with no coordinates and no slope.
     """
     x = as_point(x, t.dim)
-    F = t.facets
-    piece, w, value = _locate(F, x[None, :])
-    j = int(piece[0])
+    face, w, value = _locate(t, x[None, :])
+    j = int(face[0])
     if j < 0:
         return PsiValue(-np.inf, None, None)
     full = np.zeros(len(t.levels))
-    full[F.verts[j]] = w[0]
+    full[t.faces.verts[j]] = w[:, 0]
     mA = t.A.num_vertices
     return PsiValue(
-        float(value[0]), HullCoords(full[:mA], full[mA:]), F.slope[j].copy()
+        float(value[0]), HullCoords(full[:mA], full[mA:]), t.faces.slope[:, j, 0].copy()
     )
 
 
@@ -217,9 +277,9 @@ def psi_on_grid(t: TentSpec, pts: np.ndarray) -> np.ndarray:
     """Tent values on the rows of ``pts``, batched; each equals ``psi_eval``."""
     pts = _grid_rows(t.dim, pts)
     out = np.empty(len(pts))
-    rows = max(1, _CHUNK // t.facets.shift.size)
+    rows = max(1, _CHUNK // len(t.faces.verts[t.faces.pieces]))
     for i in range(0, len(pts), rows):
-        out[i : i + rows] = _locate(t.facets, pts[i : i + rows])[2]
+        out[i : i + rows] = _locate(t, pts[i : i + rows])[2]
     return out
 
 

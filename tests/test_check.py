@@ -16,7 +16,7 @@ from mdmvi.check import (
     SpecInvariantError,
     verify_certificate,
 )
-from mdmvi.functions import f_eval
+from mdmvi.functions import f_eval, f_subgrad
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECK = ROOT / "src" / "mdmvi" / "check.py"
@@ -176,3 +176,44 @@ def test_stated_values_agree_within_the_stated_tolerance(canonical):
 def test_an_honest_report_carries_no_stated_entry(canonical):
     valid, report = verify_certificate(*canonical)
     assert valid and not any("stated" in v for v in report.values() if isinstance(v, dict))
+
+
+def _near_member(problems_dir) -> tuple[Certificate, ProblemSpec]:
+    """quadratic_1d's certificate moved to xi = 0.38 - 2e-9, whose only
+    subgradient is g = xi - 1.2, with p = g + 9e-9 and the checks
+    restated at p: the increment holds at p (slack +7e-9), not at g."""
+    ps = ProblemSpec.from_json_file(problems_dir / "quadratic_1d.json")
+    cert = Certificate.from_json_file(ROOT / "tests" / "golden" / "cert_quadratic_1d.json")
+    xi = np.array([0.38 - 2e-9])
+    (g,) = f_subgrad(ps.f, xi)
+    p = g + 9e-9
+    inf_hull = cert.diagnostics["inf_estimates"]["inf_hull"]
+    data = cert.to_json_dict()
+    data.update(xi=xi.tolist(), p=p.tolist())
+    data["checks"] = {
+        k: v.to_json()
+        for k, v in check.inequalities(ps, cert.params.r, f_eval(ps.f, xi), p, inf_hull).items()
+    }
+    return Certificate.from_json_dict(data), ps
+
+
+def test_the_inequalities_are_tested_at_the_matched_representative(problems_dir):
+    cert, ps = _near_member(problems_dir)
+    assert cert.checks["mean_value_increment"].slack == pytest.approx(7e-9, rel=1e-3)
+    valid, report = verify_certificate(cert, ps)
+    # p is within the membership tolerance of g ...
+    assert report["subgradient_membership"]["ok"]
+    assert report["subgradient_membership"]["distance"] == pytest.approx(9e-9, rel=1e-6)
+    # ... but the increment is false at g, and so is the certificate
+    increment = report["mean_value_increment"]
+    assert increment["slack"] == pytest.approx(-2e-9, rel=1e-3) and not increment["ok"]
+    assert not valid
+
+
+def test_an_honest_p_is_its_own_representative(problems_dir):
+    # each bundled certificate's p is a representative bit for bit, so its
+    # inequalities are recomputed where it states them
+    for golden in sorted((ROOT / "tests" / "golden").glob("cert_*.json")):
+        cert = Certificate.from_json_file(golden)
+        ps = ProblemSpec.from_json_file(problems_dir / f"{golden.stem.removeprefix('cert_')}.json")
+        assert any(np.array_equal(cert.p, g) for g in f_subgrad(ps.f, cert.xi)), golden.stem

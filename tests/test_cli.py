@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from mdmvi.check import INEQUALITIES
+from mdmvi.check import INEQUALITIES, ProblemSpec, inequalities
 from mdmvi.cli import bundled_problems, run_command
+from mdmvi.functions import f_eval
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,6 +102,28 @@ class TestVerifyCommand:
         line = next(s for s in captured.out.splitlines() if "value_localization" in s)
         assert line.startswith("  FAIL value_localization:")
         assert '"stated": {"differs": ["lhs", "slack"], "lhs": -5.0' in line
+        assert "INVALID" in captured.err
+
+    def test_p_near_the_subgradient_with_a_false_increment_fails(self, workdir, capsys, problems_dir):
+        # quadratic_1d at xi = 0.38 - 2e-9, whose only subgradient is
+        # g = xi - 1.2: p = g + 9e-9 passes membership, and the increment,
+        # restated at p with slack +7e-9, is false at g
+        ps = ProblemSpec.from_json_file(problems_dir / "quadratic_1d.json")
+        data = json.loads((ROOT / "tests" / "golden" / "cert_quadratic_1d.json").read_text())
+        xi = 0.38 - 2e-9
+        p = (xi - 1.2) + 9e-9
+        inf_hull = data["diagnostics"]["inf_estimates"]["inf_hull"]
+        checks = inequalities(ps, data["params"]["r"], f_eval(ps.f, [xi]), [p], inf_hull)
+        data.update(xi=[xi], p=[p], checks={k: v.to_json() for k, v in checks.items()})
+        (workdir / "cert.json").write_text(json.dumps(data))
+        shutil.copy(problems_dir / "quadratic_1d.json", workdir / "quadratic_1d.json")
+        capsys.readouterr()
+        assert run_command(["verify", "cert.json", "quadratic_1d.json"]) == 1
+        captured = capsys.readouterr()
+        assert "  ok subgradient_membership:" in captured.out
+        line = next(s for s in captured.out.splitlines() if "mean_value_increment" in s)
+        assert line.startswith("  FAIL mean_value_increment:")
+        assert '"slack": -2.0000000544584395e-09' in line  # recomputed at g
         assert "INVALID" in captured.err
 
     @pytest.mark.parametrize(

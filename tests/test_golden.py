@@ -9,9 +9,12 @@ and the output of ``mdmvi verify`` (``.txt``).
 ``tests/golden/stress_circle8_2d.cert.json`` is the certificate of
 ``tests/specs/circle8_2d.json``, a hull of 16 vertices, and
 ``tests/golden/stress_sphere8_3d.cert.json`` that of
-``tests/specs/sphere8_3d.json``, 8 points per side on a sphere in 3-D.  A
-change that keeps the pipeline's and the verifier's results must
-reproduce every byte.
+``tests/specs/sphere8_3d.json``, 8 points per side on a sphere in 3-D.
+``tests/golden/eval_phi_<name>_g11.csv`` is the output of ``mdmvi eval-phi
+--grid 11`` on ``plane_2d`` and on ``sphere8_3d``: x, phi and psi on the
+inflated hull's grid, so psi is pinned on its own and not only through the
+certificates' level-set separation.  A change that keeps the pipeline's
+and the verifier's results must reproduce every byte.
 """
 
 import json
@@ -80,3 +83,17 @@ def test_verify_reproduces_the_golden_report(name, resolution, problems_dir, cap
     assert text == golden.with_suffix(".json").read_text()
     assert run_command(["verify", str(cert), str(spec), "--resolution", str(resolution)]) == 0
     assert capsys.readouterr().out == golden.with_suffix(".txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Path(__file__).resolve().parents[1] / "src" / "mdmvi" / "problems" / "plane_2d.json",
+     SPECS / "sphere8_3d.json"],
+    ids=lambda p: p.stem,
+)
+def test_eval_phi_reproduces_the_golden_samples(spec, tmp_path):
+    from mdmvi.cli import run_command
+
+    out = tmp_path / "samples.csv"
+    assert run_command(["eval-phi", str(spec), "--grid", "11", "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / f"eval_phi_{spec.stem}_g11.csv").read_text()
