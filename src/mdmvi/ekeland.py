@@ -7,12 +7,13 @@ best grid points gives the point u, and an a-posteriori grid check of the
 domination inequality g(z) + eps ||z - u|| >= g(u) confirms it.  Both read
 g from one ``GTable`` of the grid, built once per pipeline run.  The
 search evaluates g on one batch per round: the stencils of every live
-start at four halving scales, over which each start then replays its
-steps.  One pair search around u then yields the fuzzy pair, from one
-smoothing batch for all its perturbed points and one batch of f's
-subgradients for all its candidates.  Both searches give what one row
-at a time would give, bit for bit, and a smoothing value whose
-certified gap is refused fails them only where they read it.
+start at four or more halving scales, as many as fill a budget of rows,
+over which each start then replays its steps.  One pair search around u
+then yields the fuzzy pair, from one smoothing batch for all its
+perturbed points and one batch of f's subgradients for all its
+candidates.  Both searches give what one row at a time would give, bit
+for bit, and a smoothing value whose certified gap is refused fails them
+only where they read it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .supconv import (
 EVP_TOL = 1e-6  # the domination check's allowance
 RESIDUAL_FACTOR = 10.0  # a pair's residual may reach this times the eps of u
 EKELAND_EPS = 0.1  # the eps of Ekeland's principle for the point u
-_HALVINGS = 0.5 ** np.arange(4)  # the compass scales one round evaluates, relative to h
+_ROUND_ROWS = 48  # the stencil rows a descent round fills with scales past its fourth
 
 
 class DescentError(RuntimeError):
@@ -116,6 +117,13 @@ def _g_rows(Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec) -> np.
     return np.array([memo[k] for k in keys])
 
 
+def _round_scales(rows_per_scale: int) -> int:
+    """How many halving scales a descent round evaluates, when each scale
+    adds ``rows_per_scale`` stencil rows: four, or as many as fit in
+    ``_ROUND_ROWS`` rows where that is more."""
+    return max(4, _ROUND_ROWS // rows_per_scale)
+
+
 def descend_g(
     table: GTable, f1: TestFunction, sc: SupConvSpec, delta: float, seed: int = 0
 ) -> EkelandPoint:
@@ -130,12 +138,17 @@ def descend_g(
     span / 8 and a start stops below 1e-10 max(span, 1).
 
     A halving leaves x in place, so the next stencils are known: each
-    round evaluates, for every live start, the stencils at h, h/2, h/4
-    and h/8 (those not below the stop) in one batch (``f_values``, then
+    round evaluates, for every live start, the stencils at h, h/2, h/4,
+    ... (those not below the stop) in one batch (``f_values``, then
     ``phi_rows`` where f1 is finite), and no point, the table's included,
-    is evaluated twice.  Each start then replays the steps over those
-    scales, up to its first move.  g on a row does not depend on the rest
-    of its batch, so each start takes the path it would take alone.
+    is evaluated twice.  A round takes four scales, or more while the
+    batch stays within ``_ROUND_ROWS`` rows (``_round_scales``): a round
+    costs about the same whatever its rows, and in 1-D, where a scale
+    adds two rows per start, the extra scales save a quarter of the
+    rounds.  Each start then replays the steps over those scales, up to
+    its first move; the scales past it are rows no step reads.  g on a
+    row does not depend on the rest of its batch, so each start takes the
+    path it would take alone.
 
     Only rows that a step reads can fail the run: g is NaN on a refused
     row, and the PhiEvalError is ``phi_eval``'s at the first refused row
@@ -170,7 +183,7 @@ def descend_g(
     halt = None  # (step, start, point) of the earliest read of a refused row
     live = np.nonzero(h >= h_min)[0]
     while len(live):
-        H = h[live, None] * _HALVINGS  # (live, scale)
+        H = h[live, None] * 0.5 ** np.arange(_round_scales(len(live) * len(stencil)))
         use = H >= h_min
         Z = x[live, None, None, :] + H[:, :, None, None] * stencil
         vals = np.full(Z.shape[:3], np.inf)

@@ -488,12 +488,18 @@ class Hull:
         """Whether d(x, [A,B]) <= radius for each row x of X.  The bounds
         settle the rows clear of the radius, where they can be more exact
         than ``dist_to_hull``, which decides the band; a band row equal to
-        a vertex of the hull is at distance exactly 0 and needs neither."""
+        a vertex of the hull is at distance exactly 0 and needs neither.
+        A one-vertex hull decides its band by each row's ``row_norms``
+        distance to the vertex, the bits of ``dist_to_hull`` there: its
+        weights are [1, 0, ...], so its nearest point is the vertex."""
         X = as_rows(X, self.V.shape[1])
         lower, upper = self._bounds(X)
         margin = _SCREEN_MARGIN * (self.scale + np.abs(X).max(axis=1))
         inside = upper <= radius - margin
         band = ~inside & (lower <= radius + margin)
+        if len(self.V) == 1:
+            inside[band] = row_norms(X[band] - self.V[0]) <= radius
+            return inside
         for i in np.flatnonzero(band):
             if radius >= 0 and (X[i] == self.V).all(axis=1).any():
                 inside[i] = True

@@ -235,10 +235,11 @@ def test_valley_takes_a_bounded_number_of_batches(monkeypatch):
     monkeypatch.setattr(ekeland, "phi_eval", None)  # no point-at-a-time path
     point = ekeland.descend_g(*args, **kwargs)
     starts, scales, stencil = 3, 4, 8
-    # 180 batches of at most 96 points, each start's stencils at four
-    # scales together (381 of at most 24 at one scale per batch, 789 of at
-    # most 8 when the starts ran one after another); the golden-section
-    # descent took about 7,500 single evaluations for one start
+    # 178 batches of at most 96 points, each start's stencils at four or
+    # more scales together (180 at four, 381 of at most 24 at one scale per
+    # batch, 789 of at most 8 when the starts ran one after another); the
+    # golden-section descent took about 7,500 single evaluations for one
+    # start
     assert len(batches) <= 200
     assert max(batches) <= starts * scales * stencil
     # below the value where the old descent's 30 sweeps left it
@@ -265,7 +266,8 @@ def test_table_points_are_not_evaluated_again(monkeypatch, problems_dir):
 def test_one_dimensional_stencil_has_two_points(monkeypatch, problems_dir):
     # in 1-D the random directions are +-e1 again and are dropped, so each
     # round's batch holds the pair x + h, x - h for every scale of every
-    # live start: 2 rows per live start per scale
+    # live start: 2 rows per live start per scale, with as many scales as
+    # fill the round's budget of rows
     args, kwargs = descent_inputs(ProblemSpec.from_json_file(problems_dir / "canonical_1d.json"))
     batches = []
     real = ekeland._g_rows
@@ -276,13 +278,44 @@ def test_one_dimensional_stencil_has_two_points(monkeypatch, problems_dir):
 
     monkeypatch.setattr(ekeland, "_g_rows", spy)
     ekeland.descend_g(*args, **kwargs)
-    starts, scales = 3, 4
+    starts, budget = 3, ekeland._ROUND_ROWS
+    scales = budget // (2 * starts)
+    assert scales > 4
     assert len(batches[0]) == 2 * starts * scales
     for Z in batches:
-        assert len(Z) % 2 == 0 and len(Z) <= 2 * starts * scales
+        assert len(Z) % 2 == 0 and len(Z) <= budget
         assert (Z[0::2] > Z[1::2]).all()
-    # 20 rounds, where one scale per round took 59
-    assert len(batches) <= 20
+    # 15 rounds, where four scales per round took 20 and one scale 59
+    assert len(batches) <= 15
+
+
+@pytest.mark.parametrize("name", ["plane_2d", "multivertex_2d@1", "sphere8_3d"])
+def test_a_round_holds_four_scales_where_the_budget_is_full(name, monkeypatch):
+    # three live starts fill the budget at four scales in 2-D and 3-D, so
+    # the first round is as before; no round goes past the budget, or past
+    # four scales where those alone exceed it
+    args, kwargs = descent_inputs(_case(name))
+    rounds = []  # (rows per scale, scales, rows evaluated) of each round
+    real_scales, real_rows = ekeland._round_scales, ekeland._g_rows
+
+    def spy_scales(rows_per_scale):
+        rounds.append([rows_per_scale, real_scales(rows_per_scale)])
+        return rounds[-1][1]
+
+    def spy_rows(Z, *rest):
+        rounds[-1].append(len(Z))
+        return real_rows(Z, *rest)
+
+    monkeypatch.setattr(ekeland, "_round_scales", spy_scales)
+    monkeypatch.setattr(ekeland, "_g_rows", spy_rows)
+    ekeland.descend_g(*args, **kwargs)
+    dim = args[0].pts.shape[1]
+    stencil = 2 * (dim + 2)  # the coordinates and two random directions, both signs
+    assert rounds[0] == [3 * stencil, 4, 3 * 4 * stencil]
+    for rows_per_scale, scales, rows in rounds:
+        assert rows_per_scale % stencil == 0
+        assert rows <= max(ekeland._ROUND_ROWS, 4 * rows_per_scale)
+        assert rows <= scales * rows_per_scale
 
 
 def test_a_batch_evaluates_each_fresh_row_once(monkeypatch, problems_dir):

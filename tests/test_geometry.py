@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mdmvi import (
 from mdmvi.geometry import (
     Hull,
     affine_frame,
+    box_axes,
     as_point,
     hull_vertex_matrix,
     rank_points,
@@ -487,6 +490,71 @@ def test_a_band_row_equal_to_a_vertex_is_inside_without_a_projection(monkeypatch
     assert calls == []
     assert pts.tobytes() == np.array([[0.4, -0.2]]).tobytes()
     assert Hull(P, P).within([[0.4, -0.2]], -1e-300).tolist() == [False]
+
+
+# pair_3d's B; the bytes of ``Hull(B, B).grid(0.5, 11)`` from when 24 of
+# its lattice rows, at exactly delta plus the grid step, went to Wolfe
+PAIR_3D_B = Polytope([[2.0, 0.0, 0.0]])
+PAIR_3D_B_GRID_SHA256 = "7063e6f964e6c8bfe98595b13137df6f22d5dd01a516185e4d32531876ec5537"
+
+
+def _count_projections(monkeypatch) -> list:
+    import mdmvi.geometry as geometry
+
+    calls = []
+    real = geometry.dist_to_hull
+    monkeypatch.setattr(geometry, "dist_to_hull", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_a_one_vertex_hull_grids_without_a_projection(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    pts = Hull(PAIR_3D_B, PAIR_3D_B).grid(0.5, 11)
+    assert calls == []
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == PAIR_3D_B_GRID_SHA256
+
+
+def test_a_band_row_at_a_vertex_of_a_segment_needs_no_projection(monkeypatch):
+    # the vertex rule where the one-vertex rule does not apply: a radius
+    # inside the screen's margin makes both vertices band rows
+    calls = _count_projections(monkeypatch)
+    hull = Hull(Polytope([[0.4, -0.2]]), Polytope([[1.0, 0.3]]))
+    assert hull.within(hull.V, 1e-13).tolist() == [True, True]
+    assert calls == []
+
+
+def _lattice_band_rows() -> np.ndarray:
+    # the rows of that grid's lattice at delta plus the grid step from B
+    v = PAIR_3D_B.vertices[0]
+    axes, step = box_axes(v - 0.5, v + 0.5, 11)
+    lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    rows = lattice[np.abs(row_norms(lattice - v) - (0.5 + step)) < 1e-9]
+    assert len(rows) == 24
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_one_vertex_hull_decides_its_band_as_the_projection(dim, monkeypatch):
+    """Rows at the radius, 1e-12 either side of it and at the vertex, in
+    random directions, and in 3-D the 24 lattice rows above, at radii
+    down to a negative one: ``within`` decides each as ``dist_to_hull``
+    does, and calls it for none."""
+    rng = np.random.default_rng(dim)
+    v = PAIR_3D_B.vertices[0] if dim == 3 else rng.normal(size=dim)
+    P = Polytope([v])
+    radii = [-1e-300, 0.0, 1e-13, 1e-9, 0.35, 0.6, 0.6 + 1e-12]
+    u = rng.normal(size=(40, dim))
+    u /= row_norms(u)[:, None]
+    lengths = np.array([0.0] + [r * (1 + t) for r in radii[1:] for t in (-1e-12, 0.0, 1e-12)])
+    X = (v + lengths[:, None, None] * u).reshape(-1, dim)
+    if dim == 3:
+        X = np.vstack([X, _lattice_band_rows()])
+    dists = [dist_to_hull(x, P, P).d for x in X]
+    calls = _count_projections(monkeypatch)
+    hull = Hull(P, P)
+    for r in radii:
+        assert hull.within(X, r).tolist() == [d <= r for d in dists]
+    assert calls == []
 
 
 @pytest.mark.xfail(
