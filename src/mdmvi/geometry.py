@@ -2,7 +2,9 @@
 distances, and linear-functional infima; with the primitives the search
 and the checker share: the box grid's axes (``box_axes``), the direction
 nets (``sphere_net``) and the term-by-term row sums (``row_dot`` over the
-last axis, ``coord_dot`` over the first).
+last axis, ``coord_dot`` over the first).  The tent, its smoothing and the
+hull screen build their face tables alike, each face's frame by
+``face_frames``, and read them by one projection pass (``project``).
 
 Every operation is a pure function of its inputs; constructed objects are
 treated as immutable, so everything here is safe to call concurrently.
@@ -319,13 +321,49 @@ def independent_subsets(Vr: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarr
     return subsets[regular], M[regular]
 
 
-def _lane_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``coord_dot`` summed as numpy's einsum sums an axis that is
-    contiguous in both operands: its sum-of-products loop runs on two-lane
-    vectors, so the even-indexed and the odd-indexed terms each add up in
-    turn, and then the two lanes."""
-    even = coord_dot(X[0::2], Y[0::2])
-    return even + coord_dot(X[1::2], Y[1::2]) if len(X) > 1 else even
+def face_frames(
+    V: np.ndarray, levels: np.ndarray, faces: list[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The frames of ``faces`` (vertex index tuples, in any order) of the
+    vertex rows V at ``levels``, face axis first, as the tent and the hull
+    screen read them: the vertex table (F, slots), the origin first and -1
+    padding; perp (F, n, n), an orthonormal basis of the complement of
+    each face's direction space (zero rows pad it); bary (F, n, slots),
+    the map of x - origin to the change of the barycentric weights of x's
+    projection onto the face's affine hull (zero in padded slots); and
+    grad (F, n), the gradient of the levels' interpolant.  The weights
+    come from the edge matrix E by one batched solve of E E^T against E
+    per face size, the pseudo-inverse of E^T."""
+    n, slots = V.shape[1], max(map(len, faces))
+    sizes = np.array([len(f) for f in faces])
+    verts = np.full((len(faces), slots), -1)
+    perp = np.zeros((len(faces), n, n))
+    grad = np.zeros((len(faces), n))
+    bary = np.zeros((len(faces), n, slots))
+    for m in range(1, slots + 1):
+        sel = sizes == m
+        idx = np.array([f for f in faces if len(f) == m])
+        verts[sel, :m] = idx
+        E = V[idx[:, 1:]] - V[idx[:, :1]]  # (F, m-1, n) edge vectors
+        if m > 1:
+            pinv = np.linalg.solve(E @ E.transpose(0, 2, 1), E)  # pinv(E^T)
+            perp[sel, m - 1 :] = np.linalg.svd(E)[2][:, m - 1 :]
+        else:
+            pinv, perp[sel] = E, np.eye(n)
+        grad[sel] = np.einsum("fi,fin->fn", levels[idx[:, 1:]] - levels[idx[:, :1]], pinv)
+        bary[sel, :, 0] = -pinv.sum(axis=1)
+        bary[sel, :, 1:m] = pinv.transpose(0, 2, 1)
+    return verts, perp, bary, grad
+
+
+def project(origin: np.ndarray, lin: np.ndarray, Xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns x of Xt (n, g) against a face table laid out rows last
+    (``_rows_last``), with origins ``origin`` (n, F, 1) and linear maps
+    ``lin`` (n, c, F, 1): D = x - origin (n, F, g) and P = sum_i D_i lin_i
+    (c, F, g).  The sum runs term by term over the coordinates
+    (``coord_dot``), so a row gets the same bits alone or in a batch."""
+    D = Xt[:, None, :] - origin
+    return D, coord_dot(D[:, None], lin)
 
 
 _SCREEN_MARGIN = 1e-12  # per unit of coordinate scale, far above rounding
@@ -367,28 +405,28 @@ class Hull:
     The screen's two-sided bounds on the distance to [A,B] decide most
     rows of a batch without a projection.  Once per hull, in the frame of
     its affine hull (dimension k), it finds the facet planes
-    (``_facet_planes``) and keeps the boundary faces: the affinely
-    independent subsets of at most k distinct vertices ``V`` that lie on
-    one facet plane.  A row whose projection y onto the affine hull meets
-    every facet inequality lies over the hull, and y is its nearest point;
-    any other row x gets the nearest y of the hull points that its clipped,
-    renormalized affine weights give in each boundary face.  Either y
-    bounds d(x, [A,B]) from above by ||x - y||, and the support function
-    in the direction u = (x - y) / ||x - y|| bounds it from below by
-    <u, x> - max_v <u, v>.  The nearest point of the hull is that
-    projection or lies in the relative interior of a boundary face, which
-    then reproduces it, so both bounds meet the distance up to rounding; a
-    margin of 1e-12 per unit of coordinate scale, far above rounding,
-    separates the rows they settle from the band left to the exact
-    projection.
+    (``_facet_planes``) and builds, by ``face_frames`` as the tent does,
+    the table of its boundary faces: the affinely independent subsets of
+    at most k distinct vertices ``V`` on one facet plane, single vertices
+    included (where k = 0, the one vertex).  A row whose projection y onto
+    the affine hull meets every facet inequality lies over the hull, and
+    y is its nearest point; any other row x gets the nearest y of the hull
+    points that its barycentric weights in the boundary faces give,
+    clipped at zero and renormalized (``_nearest``).
 
-    The boundary-face tables are built once, coordinates and faces outer
-    and a trailing row axis of length 1: ``corners`` (n, c, 1) holds the
-    vertices on some facet, and ``faces`` holds, per face size s, the
-    faces' origins (n, p, 1), the pseudo-inverses of their edge matrices
-    (n, s-1, p, 1) and their vertices (s, n, p, 1).  So the projection
-    (``_nearest``) works on (coordinates, faces, rows) arrays, whose
-    elementwise loops run over contiguous rows.
+    Neither bound rests on the accuracy of those weights.  Clipped and
+    renormalized, any weights give a hull point y, so ||x - y|| bounds
+    d(x, [A,B]) from above, and the support function bounds it from below
+    in any direction u = (x - y) / ||x - y||, by <u, x> - max_v <u, v>.
+    The weights make the bounds tight: the nearest point of the hull is
+    the projection or lies inside a boundary face, whose weights reproduce
+    it.  A margin of 1e-12 per unit of coordinate scale separates the rows
+    the bounds settle from the band left to the exact projection; a row
+    that weights further off leave unsettled falls in the band.
+
+    The table is laid out rows last, as the tent's (``tent.Faces``), so
+    the projection's elementwise loops run over contiguous rows; a padded
+    slot of ``points`` holds V's last vertex (index -1) at weight 0.
     """
 
     A: Polytope
@@ -398,9 +436,9 @@ class Hull:
     basis: np.ndarray = field(init=False, repr=False)  # (k, n) orthonormal rows spanning it
     normals: np.ndarray = field(init=False, repr=False)  # (facets, n) outward facet normals
     offsets: np.ndarray = field(init=False, repr=False)  # inside: normals @ y <= offsets
-    corners: np.ndarray = field(init=False, repr=False)  # (n, c, 1) vertices on some facet
-    faces: list = field(init=False, repr=False)  # (origin, pinv of edges, vertices) per size
-    width: int = field(init=False, repr=False)  # candidate hull points per outside row
+    faces: np.ndarray = field(init=False, repr=False)  # (F, s = max(k, 1)) vertex indices, -1 pads
+    points: np.ndarray = field(init=False, repr=False)  # (s, n, F, 1) their vertices
+    lin: np.ndarray = field(init=False, repr=False)  # (n, s, F, 1) x - points[0] to the weights
     scale: float = field(init=False, repr=False)  # 1 + the largest vertex coordinate
 
     def __post_init__(self):
@@ -414,57 +452,36 @@ class Hull:
             frame_normals, frame_offsets, on = _facet_planes(Vr)
             normals = frame_normals @ basis
             offsets = frame_offsets + normals @ center
-        faces = []
-        for size in range(2, k + 1):
-            subsets = set()
-            for mask in on:
-                idx = np.flatnonzero(mask)
-                if len(idx) >= size:
-                    subsets.update(map(tuple, idx[independent_subsets(Vr[idx], size)[0]]))
-            if subsets:
-                S = np.array(sorted(subsets))
-                edges = V[S[:, 1:]] - V[S[:, :1]]
-                faces.append(
-                    (
-                        _rows_last(V[S[:, 0]]),
-                        _rows_last(np.linalg.pinv(edges)),
-                        # + 0.0 turns -0.0 into 0.0, so no weighted sum of the
-                        # vertices is -0.0 (nor is einsum's, which starts at 0.0)
-                        _rows_last(V[S] + 0.0),
-                    )
-                )
-        corners = _rows_last(V[on.any(axis=0)])
+        subsets = {(i,) for i in np.flatnonzero(on.any(axis=0)).tolist()} or {(0,)}
+        for mask in on:
+            idx = np.flatnonzero(mask)
+            for size in range(2, min(k, len(idx)) + 1):
+                subsets.update(map(tuple, idx[independent_subsets(Vr[idx], size)[0]].tolist()))
+        subsets = sorted(subsets, key=lambda f: (len(f), f))
+        faces, _, bary, _ = face_frames(V, np.zeros(len(V)), subsets)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "width", corners.shape[1] + sum(f[0].shape[1] for f in faces))
+        object.__setattr__(self, "points", _rows_last(V[faces]))
+        object.__setattr__(self, "lin", _rows_last(bary))
         object.__setattr__(self, "scale", 1.0 + float(np.abs(V).max()))
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
-        """The nearest, for each row, of the hull points its affine weights
-        give in the boundary vertices and in every boundary face.  The work
-        runs on (coordinates, faces, rows) arrays, rows innermost.  Each
-        sum over the coordinates rounds as ``np.einsum`` rounds it on
-        (rows, faces, coordinates) arrays: in two lanes (``_lane_dot``)
-        where the summed axis is contiguous in both of einsum's operands,
-        an edge's weights and the squared distances, and in turn
-        (``coord_dot``) elsewhere."""
-        Xt = np.ascontiguousarray(X.T)[:, None, :]  # (n, 1, rows)
-        cands = [np.broadcast_to(self.corners, self.corners.shape[:2] + (len(X),))]
-        for origin, pinv, verts in self.faces:
-            D = (Xt - origin)[:, None]  # (n, 1, p, rows)
-            T = (_lane_dot if pinv.shape[1] == 1 else coord_dot)(D, pinv)  # (size-1, p, rows)
-            W = np.concatenate([1.0 - T.sum(axis=0, keepdims=True), T])
-            W = np.maximum(W, 0.0)
-            W /= W.sum(axis=0)
-            cands.append(coord_dot(W[:, None], verts))
-        Y = np.concatenate(cands, axis=1)  # (n, candidates, rows)
-        D = Xt - Y
-        best = _lane_dot(D, D).argmin(axis=0)
+        """The nearest, for each row, of the hull points that its weights in
+        the boundary faces give, clipped at zero and renormalized: one
+        ``project`` pass, then the points and their squared distances by
+        ``coord_dot``, on (coordinates, faces, rows) arrays."""
+        Xt = np.ascontiguousarray(X.T)  # (n, rows)
+        W = project(self.points[0], self.lin, Xt)[1]  # (s, F, rows), less the origin's 1
+        W[0] += 1.0
+        np.maximum(W, 0.0, out=W)
+        W /= W.sum(axis=0)
+        Y = coord_dot(W[:, None], self.points)  # (n, F, rows)
+        D = Xt[:, None] - Y
+        best = coord_dot(D, D).argmin(axis=0)
         return Y[:, best, np.arange(len(X))].T
 
     def _bounds(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +491,7 @@ class Hull:
         n, k = X.shape[1], len(self.basis)
         Y = X.copy() if k == n else self.center + ((X - self.center) @ self.basis.T) @ self.basis
         out = np.flatnonzero((self.normals @ Y.T > self.offsets[:, None]).any(axis=0))
-        rows = max(1, _SCREEN_CHUNK // (max(1, self.width) * (n + 1)))
+        rows = max(1, _SCREEN_CHUNK // (len(self.faces) * (n + 1)))
         for i in range(0, len(out), rows):
             Y[out[i : i + rows]] = self._nearest(X[out[i : i + rows]])
         diff = X - Y

@@ -17,23 +17,23 @@ Supergradients come from the attaining point (cone formula) with a
 finite-difference fallback, both verified a posteriori on a grid.
 
 The kernel reads the tent's face table (``tent.Faces``), to which
-``SupConvSpec`` adds the two columns that depend on K, through the tent's
-own projection pass (``tent.project``).  It runs on (coordinates, faces,
-rows) arrays, so each elementwise numpy loop runs over a contiguous axis
-of rows, not over the two to six coordinates of one row and face; every
-sum over the coordinates is taken term by term, in order.
+``SupConvSpec`` adds the two columns that depend on K, through the
+projection pass the tent and the hull screen share (``geometry.project``);
+the boundary dual tries only that table's faces as its active sets
+(``_least_supergradient``).  It runs on (coordinates, faces, rows)
+arrays, so each elementwise numpy loop runs over a contiguous axis of
+rows; every sum over the coordinates is taken term by term, in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_point, coord_dot, row_dot, row_norms
-from .tent import _CHUNK, Faces, TentSpec, _grid_rows, eps_superdiff_check_psi, project, psi_on_grid
+from .geometry import as_point, coord_dot, project, row_dot, row_norms
+from .tent import _CHUNK, Faces, TentSpec, _grid_rows, eps_superdiff_check_psi, psi_on_grid
 
 GAP_TOL = 1e-8  # the smoothing's duality-gap tolerance, as certificates record it
 _GAP_RAISE = max(100.0 * GAP_TOL, 1e-4)  # a larger certified gap is refused
@@ -117,14 +117,14 @@ def _clip(P: np.ndarray, K: float) -> np.ndarray:
 
 def _kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     """Every face's candidate for every row of X, and the best of them,
-    certified.  It opens with the tent's projection pass (``tent.project``)
+    certified.  It opens with the face table's projection pass (``project``)
     and runs on (coordinates, faces, rows) arrays, rows innermost; each sum
     runs term by term over the coordinates (``geometry.coord_dot``), so a
     row gets the same bits alone or in a batch."""
     fc, K = sc.faces, sc.K
     g, n = X.shape
     Xt = np.ascontiguousarray(X.T)  # (n, g)
-    D, P = project(fc, Xt)  # (n, F, g), (n + k+1 + 1, F, g)
+    D, P = project(fc.origin, fc.lin, Xt)  # (n, F, g), (n + k+1 + 1, F, g)
     e = P[:n]  # coordinates off the face
     h = np.sqrt(coord_dot(e, e))
     tau = h / fc.root  # y* = x0 + tau grad
@@ -164,13 +164,22 @@ def _least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.nda
     vertex (to a relative 1e-9), clipped to norm K, as the one column
     (n, 1) that ``_dual_value`` reads.  Where value = psi(x) that is the
     least-norm supergradient of the tent at x, an exact dual whenever
-    phi_K(x) = psi(x).  It is the least-norm solution of at most n active
-    constraints, so every such set is tried."""
+    phi_K(x) = psi(x).
+
+    It is the least-norm solution of some active set, and the faces of at
+    most n vertices of the tent's simplices (``sc.faces``, in (size,
+    lexicographic) order) hold one.  By KKT p = sum_j lam_j (v_j - x),
+    lam_j >= 0, over the active j; their lifted vertices lie on the plane
+    z -> value + <p, z - x>, and every lifted vertex on or below it, so
+    they span a face of an upper facet.  By Caratheodory some of them with
+    v_j - x linearly independent carry p, and those, affinely independent
+    in the facet, make a face of a kept simplex."""
     A, b = sc.tent.V - x, sc.tent.levels - value
     slack = 1e-9 * (1.0 + np.abs(b).max() + np.linalg.norm(A, axis=1).max())
+    verts, sizes = sc.faces.verts, (sc.faces.verts >= 0).sum(axis=1)
     P = [np.zeros((1, len(x)))]
-    for size in range(1, min(len(x), len(A)) + 1):
-        J = list(combinations(range(len(A)), size))
+    for size in range(1, min(len(x), verts.shape[1]) + 1):
+        J = verts[sizes == size, :size]
         P.append((np.linalg.pinv(A[J]) @ b[J][..., None])[..., 0])
     P = np.vstack(P)  # the first row, 0, is the fallback when none is feasible
     norms = np.where((P @ A.T >= b - slack).all(axis=1), np.linalg.norm(P, axis=1), np.inf)

@@ -6,9 +6,10 @@ vertices (v_i, level_i), the lifting-map picture of a regular subdivision
 (Gelfand, Kapranov & Zelevinsky 1994).  By LP duality it is the minimum of
 finitely many affine pieces, one per upper-hull facet.  ``TentSpec`` builds
 those pieces and every face of them once, in one table (``Faces``) that
-the smoothing reads too; a tent value, its hull coordinates and an exact
-supergradient then come from one projection pass (``project``) over the
-pieces, with no LP.  The tent is minus infinity outside [A,B].
+the smoothing reads too, framed as the hull screen's faces are
+(``geometry.face_frames``); a tent value, its hull coordinates and an
+exact supergradient then come from one projection pass over the pieces
+(``geometry.project``), with no LP.  The tent is -inf outside [A,B].
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .geometry import (
     affine_frame,
     as_point,
     coord_dot,
+    face_frames,
     independent_subsets,
     inf_linear,
+    project,
 )
 
 DEFAULT_CHECK_TOL = 1e-7
@@ -48,9 +51,9 @@ class Faces(NamedTuple):
     origin.  The rows perp[:, :, j] are an orthonormal basis of the
     complement of its direction space (zero rows pad it; a ``full`` face
     has none), and grad[:, j] is the gradient of the levels' interpolant,
-    level[j] at the origin.  ``project`` reads ``lin``; ``tilt`` is the
-    change of the weights along grad, and a weight below ``floor`` is more
-    than 1e-9 outside the face.  ``slope`` is the plane gradient of the
+    level[j] at the origin.  ``geometry.project`` reads ``lin``; ``tilt``
+    is the change of the weights along grad, and a weight below ``floor``
+    is more than 1e-9 outside the face.  ``slope`` is the plane gradient of the
     first kept simplex holding the face.  ``root`` is None: the
     smoothing's copy of the table holds sqrt(K^2 - ||grad||^2) there (NaN
     where ||grad|| >= K), and its slopes scaled into the K-ball.
@@ -83,7 +86,7 @@ def _faces(V: np.ndarray, levels: np.ndarray) -> Faces:
     the dual-feasible bases of the tent LP.  Every kept plane majorizes the
     tent on [A,B] and meets it on conv(S), and the kept simplices cover
     [A,B].  Each face of them gets its frame, interpolant and barycentric
-    map from the pseudo-inverse of its edge matrix.
+    map from ``geometry.face_frames``.
     """
     n = V.shape[1]
     center, vt, k = affine_frame(V)
@@ -98,30 +101,13 @@ def _faces(V: np.ndarray, levels: np.ndarray) -> Faces:
     keep = np.all(Vr @ p.T + c - levels[:, None] >= -1e-12 * scale, axis=0)
     kept, slopes = subsets[keep], p[keep] @ basis.T
 
-    k1 = k + 1
     owner: dict[tuple, int] = {}  # face -> first kept simplex holding it
     for j, row in enumerate(kept):
-        for size in range(1, k1 + 1):
+        for size in range(1, k + 2):
             for face in combinations(sorted(row.tolist()), size):
                 owner.setdefault(face, j)
     faces = sorted(owner, key=lambda f: (len(f), f))
-    verts = np.full((len(faces), k1), -1)
-    perp = np.zeros((len(faces), n, n))
-    grad = np.zeros((len(faces), n))
-    bary = np.zeros((len(faces), n, k1))
-    for m in range(1, k1 + 1):
-        sel = np.array([len(f) == m for f in faces])
-        idx = np.array([f for f in faces if len(f) == m])
-        verts[sel, :m] = idx
-        E = V[idx[:, 1:]] - V[idx[:, :1]]  # (F, m-1, n) edge vectors
-        if m > 1:
-            pinv = np.linalg.solve(E @ E.transpose(0, 2, 1), E)  # pinv(E^T)
-            perp[sel, m - 1 :] = np.linalg.svd(E)[2][:, m - 1 :]
-        else:
-            pinv, perp[sel] = E, np.eye(n)
-        grad[sel] = np.einsum("fi,fin->fn", levels[idx[:, 1:]] - levels[idx[:, :1]], pinv)
-        bary[sel, :, 0] = -pinv.sum(axis=1)
-        bary[sel, :, 1:m] = pinv.transpose(0, 2, 1)
+    verts, perp, bary, grad = face_frames(V, levels, faces)
     return Faces(
         verts=verts,
         origin=_rows_last(V[verts[:, 0]]),
@@ -130,7 +116,7 @@ def _faces(V: np.ndarray, levels: np.ndarray) -> Faces:
         level=_rows_last(levels[verts[:, 0]]),
         lin=_rows_last(np.concatenate([perp.transpose(0, 2, 1), bary, grad[:, :, None]], axis=2)),
         tilt=_rows_last(np.einsum("fi,fic->fc", grad, bary)),
-        floor=_rows_last(-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k1)[0]),
+        floor=_rows_last(-1e-9 * np.linalg.norm(bary, axis=1) - np.eye(k + 1)[0]),
         root=None,
         full=_rows_last((verts >= 0).sum(axis=1) > n),
         slope=_rows_last(slopes[[owner[f] for f in faces]]),
@@ -138,21 +124,6 @@ def _faces(V: np.ndarray, levels: np.ndarray) -> Faces:
         levels=_rows_last(levels),
         pieces=slice(len(faces) - len(kept), None),
     )
-
-
-def project(fc: Faces, Xt: np.ndarray, faces: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """The columns x of Xt (n, g) against the ``faces`` of ``fc``:
-    D = x - origin (n, F, g) and P = sum_i D_i lin_i (n + k+1 + 1, F, g),
-    which holds x's coordinates off the face (in the basis ``perp``), the
-    change of the barycentric weights from the origin to x's projection,
-    and the interpolant's rise to it.  The sum runs term by term over the
-    coordinates, so a row gets the same bits alone or in a batch."""
-    D = Xt[:, None, :] - fc.origin[:, faces]
-    lin = fc.lin[:, :, faces]
-    P = D[0] * lin[0]
-    for i in range(1, len(D)):
-        P += D[i] * lin[i]
-    return D, P
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +196,8 @@ def _locate(t: TentSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     span whose weights in it are all above its ``floor``.  Sums run term
     by term, so a row gets the same bits alone or in a batch."""
     fc, n = t.faces, X.shape[1]
-    _, P = project(fc, np.ascontiguousarray(X.T), fc.pieces)
+    Xt = np.ascontiguousarray(X.T)
+    _, P = project(fc.origin[:, fc.pieces], fc.lin[:, :, fc.pieces], Xt)
     e, W = P[:n], P[n:-1]  # off the hull; the weights less the origin's 1
     inside = (W >= fc.floor[:, fc.pieces]).all(axis=0) & (coord_dot(e, e) <= _FEAS_TOL**2)
     held = inside.any(axis=0)

@@ -1,21 +1,23 @@
-"""The rows-first smoothing kernel and hull-screen projection that the
-rows-last ones in ``mdmvi.supconv._kernel`` and ``mdmvi.geometry.Hull``
-replaced, kept as the reference those are tested against, bit for bit.
+"""The rows-first smoothing kernel that the rows-last one in
+``mdmvi.supconv._kernel`` replaced, and the boundary dual that tries
+every active set of at most n vertices, which ``_least_supergradient``
+replaced by the faces of the tent's simplices: kept as the references
+those are tested against, bit for bit.
 
-They lay each per-(row, face) array out as (rows, faces, coordinates),
-with the short coordinate axis innermost, and sum over it with
-``row_dot`` and ``np.einsum``.  They read the tables that ``SupConvSpec``
-and ``Hull`` build, copied back to that layout, C-contiguous as they were
-built (``rows_first_faces``, ``rows_first_hull_faces``); a transposition
-moves no bit.
+The kernel lays each per-(row, face) array out as (rows, faces,
+coordinates), with the short coordinate axis innermost, and sums over it
+with ``row_dot``.  It reads the table that ``SupConvSpec`` builds, copied
+back to that layout, C-contiguous as it was built (``rows_first_faces``);
+a transposition moves no bit.
 """
 
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 
-from mdmvi.geometry import Hull, row_dot
-from mdmvi.supconv import _GAP_EXACT, SupConvSpec, _least_supergradient, _Rows
+from mdmvi.geometry import row_dot
+from mdmvi.supconv import _GAP_EXACT, SupConvSpec, _clip, _Rows
 
 
 def _rows_first(table: np.ndarray) -> np.ndarray:
@@ -73,7 +75,7 @@ def reference_kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
         reference_dual_value(fc.slope[face], X, sc),
     )
     for i in np.nonzero(upper - value > _GAP_EXACT)[0]:
-        p = _least_supergradient(sc, X[i], value[i]).T
+        p = reference_least_supergradient(sc, X[i], value[i]).T
         upper[i : i + 1] = np.minimum(
             upper[i : i + 1], reference_dual_value(p, X[i : i + 1], sc)
         )
@@ -81,23 +83,17 @@ def reference_kernel(sc: SupConvSpec, X: np.ndarray) -> _Rows:
     return _Rows(value, Y, np.maximum(upper - value, 0.0))
 
 
-def rows_first_hull_faces(hull: Hull) -> tuple[np.ndarray, list]:
-    """``hull.corners`` as (corners, n) and ``hull.faces`` as (origin (p, n),
-    pinv of the edges (p, n, size-1), vertices (p, size, n)) per size."""
-    faces = [tuple(map(_rows_first, face)) for face in hull.faces]
-    return _rows_first(hull.corners), faces
-
-
-def reference_nearest(hull: Hull, X: np.ndarray) -> np.ndarray:
-    corners, faces = rows_first_hull_faces(hull)
-    cands = [np.broadcast_to(corners, (len(X),) + corners.shape)]
-    for origin, pinv, verts in faces:
-        T = np.einsum("rpn,pnk->rpk", X[:, None, :] - origin, pinv)
-        W = np.concatenate([1.0 - T.sum(axis=2, keepdims=True), T], axis=2)
-        W = np.maximum(W, 0.0)
-        W /= W.sum(axis=2, keepdims=True)
-        cands.append(np.einsum("rpj,pjn->rpn", W, verts))
-    Y = np.concatenate(cands, axis=1)
-    D = X[:, None, :] - Y
-    best = np.einsum("rpn,rpn->rp", D, D).argmin(axis=1)
-    return Y[np.arange(len(X)), best]
+def reference_least_supergradient(sc: SupConvSpec, x: np.ndarray, value: float) -> np.ndarray:
+    """The least-norm p with value + <p, v_i - x> >= level_i at every
+    vertex (to a relative 1e-9), clipped to norm K, as one column (n, 1):
+    the least-norm solution of every set of at most n active constraints
+    among all the vertices is tried, in the order ``combinations`` gives."""
+    A, b = sc.tent.V - x, sc.tent.levels - value
+    slack = 1e-9 * (1.0 + np.abs(b).max() + np.linalg.norm(A, axis=1).max())
+    P = [np.zeros((1, len(x)))]
+    for size in range(1, min(len(x), len(A)) + 1):
+        J = list(combinations(range(len(A)), size))
+        P.append((np.linalg.pinv(A[J]) @ b[J][..., None])[..., 0])
+    P = np.vstack(P)  # the first row, 0, is the fallback when none is feasible
+    norms = np.where((P @ A.T >= b - slack).all(axis=1), np.linalg.norm(P, axis=1), np.inf)
+    return _clip(P[np.argmin(norms)][:, None], sc.K)

@@ -16,6 +16,7 @@ from mdmvi import (
     inf_linear,
     sample_set,
 )
+from mdmvi import geometry
 from mdmvi.geometry import (
     Hull,
     affine_frame,
@@ -398,13 +399,10 @@ EXTRA_ROWS = {
 }
 
 
-@pytest.mark.parametrize("radius", [0.0, 2.5e-10, 1e-9, 0.05, 0.5])
-@pytest.mark.parametrize("name", sorted(DEGENERATE_HULLS))
-def test_within_is_the_projection_comparison_on_degenerate_facets(name, radius):
-    """Coplanar, collinear and nearly collinear boundary vertices, many
-    vertices, a flat hull in 3-D, a single vertex and shared vertices:
-    inside rows, vertices, midpoints and outside rows, off the hull's span
-    and on it, with rows at the radius and 1e-12 either side of it."""
+def _degenerate_rows(name):
+    """A degenerate hull's pair, its rows, and its rows outside it: inside
+    rows, vertices, midpoints and outside rows, off the hull's span and on
+    it."""
     A, B = (Polytope(np.array(v, dtype=float)) for v in DEGENERATE_HULLS[name])
     V = hull_vertex_matrix(A, B)
     rng = np.random.default_rng(len(V))
@@ -413,7 +411,35 @@ def test_within_is_the_projection_comparison_on_degenerate_facets(name, radius):
     center, vt, k = affine_frame(V)
     outside = center + 1.5 * rng.normal(size=(12, V.shape[1]))
     outside = np.vstack([outside, center + (outside - center) @ vt[:k].T @ vt[:k]])  # on the span
-    _assert_within_is_the_projection_comparison(A, B, rows + list(outside), outside, radius)
+    return A, B, rows + list(outside), outside
+
+
+@pytest.mark.parametrize("radius", [0.0, 2.5e-10, 1e-9, 0.05, 0.5])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_HULLS))
+def test_within_is_the_projection_comparison_on_degenerate_facets(name, radius):
+    """Coplanar, collinear and nearly collinear boundary vertices, many
+    vertices, a flat hull in 3-D, a single vertex and shared vertices:
+    inside rows, vertices, midpoints and outside rows, off the hull's span
+    and on it, with rows at the radius and 1e-12 either side of it."""
+    _assert_within_is_the_projection_comparison(*_degenerate_rows(name), radius)
+
+
+@pytest.mark.parametrize("radius", [0.0, 2.5e-10, 1e-9, 0.05, 0.5])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_HULLS))
+def test_within_does_not_rest_on_the_weight_map(name, radius, monkeypatch):
+    """With the screen's weight map scaled by 1 + 1e-9, 1e-9 off and far
+    above the margin, the decisions on the rows above stay the projection
+    comparison: clipped, renormalized weights still give hull points, so
+    the bounds stay bounds, and a row they no longer settle falls in the
+    band that the exact projection decides."""
+    real = geometry.face_frames
+
+    def scaled(*args):
+        verts, perp, bary, grad = real(*args)
+        return verts, perp, bary * (1.0 + 1e-9), grad
+
+    monkeypatch.setattr(geometry, "face_frames", scaled)
+    _assert_within_is_the_projection_comparison(*_degenerate_rows(name), radius)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -433,11 +459,25 @@ def test_facet_planes_hold_every_facet_of_qhull(seed, dim):
         assert gap.min() < 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(1, 20))
+def test_every_facet_of_qhull_is_a_face_of_the_screen(seed, dim):
+    """Cross-check against scipy's Qhull, where it is installed (skipped
+    without it): each facet of the simplicial hull of random points, as
+    the vertex indices Qhull gives, is a face of the screen's table."""
+    spatial = pytest.importorskip("scipy.spatial")
+    V = np.random.default_rng(seed).normal(size=(int(seed % 10 + dim + 1), dim))
+    hull = Hull(Polytope(V[: len(V) // 2]), Polytope(V[len(V) // 2 :]))
+    faces = set(map(tuple, hull.faces.tolist()))
+    for simplex in spatial.ConvexHull(hull.V).simplices:
+        assert tuple(sorted(simplex.tolist())) in faces
+
+
 def test_screen_width_grows_with_the_boundary_not_the_subsets():
     """32 points in the plane: the rows are scored against the boundary's
     vertices and edges, not against every vertex subset (5,488 points)."""
     hull = Hull(Polytope(_circle(16, 0.0)), Polytope(_circle(16, 2.0)))
-    assert hull.width < 200
+    assert len(hull.faces) < 200
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
