@@ -92,29 +92,16 @@ def g_table(f1: TestFunction, sc: SupConvSpec, pts) -> GTable:
     return GTable(pts, fvals, phis, gvals)
 
 
-def _row_keys(X: np.ndarray) -> list[bytes]:
-    """The bytes of each row of X, as ``x.tobytes()`` gives them, read
-    from one view of X's rows as single byte strings."""
-    X = np.ascontiguousarray(X, dtype=float)
-    return X.view(np.dtype((np.void, X.itemsize * X.shape[1])))[:, 0].tolist()
-
-
-def _g_rows(Z: np.ndarray, memo: dict, f1: TestFunction, sc: SupConvSpec) -> np.ndarray:
-    """g on the rows of Z.  Rows found in ``memo`` (point bytes -> g) are
-    read from it; the others, each distinct row once, are evaluated in one
-    batch and added to it.  g is NaN on a row whose smoothing is refused
-    (see ``phi_rows``).  The keys are the rows' bytes (``_row_keys``)."""
-    keys = _row_keys(Z)
-    fresh = dict.fromkeys(k for k in keys if k not in memo)
-    if fresh:
-        F = np.frombuffer(b"".join(fresh), dtype=float).reshape(-1, Z.shape[1])
-        vals = f_values(f1, F)
-        ok = np.isfinite(vals)
-        vals[~ok] = np.inf
-        if ok.any():
-            vals[ok] -= phi_rows(sc, F[ok])
-        memo.update(zip(fresh, vals.tolist()))
-    return np.array([memo[k] for k in keys])
+def _g_rows(Z: np.ndarray, f1: TestFunction, sc: SupConvSpec) -> np.ndarray:
+    """g on the rows of Z, in one batch: ``f_values``, then ``phi_rows``
+    where f1 is finite.  g is +inf where f1 is +inf, and NaN on a row
+    whose smoothing is refused (see ``phi_rows``)."""
+    vals = f_values(f1, Z)
+    ok = np.isfinite(vals)
+    vals[~ok] = np.inf
+    if ok.any():
+        vals[ok] -= phi_rows(sc, Z[ok])
+    return vals
 
 
 def _round_scales(rows_per_scale: int) -> int:
@@ -139,16 +126,17 @@ def descend_g(
 
     A halving leaves x in place, so the next stencils are known: each
     round evaluates, for every live start, the stencils at h, h/2, h/4,
-    ... (those not below the stop) in one batch (``f_values``, then
-    ``phi_rows`` where f1 is finite), and no point, the table's included,
-    is evaluated twice.  A round takes four scales, or more while the
-    batch stays within ``_ROUND_ROWS`` rows (``_round_scales``): a round
-    costs about the same whatever its rows, and in 1-D, where a scale
-    adds two rows per start, the extra scales save a quarter of the
-    rounds.  Each start then replays the steps over those scales, up to
-    its first move; the scales past it are rows no step reads.  g on a
-    row does not depend on the rest of its batch, so each start takes the
-    path it would take alone.
+    ... (those not below the stop) in one batch (``_g_rows``).  Each
+    round evaluates every row it uses, a point of the table or of an
+    earlier round included: g on a row does not depend on the rest of
+    its batch, and equals the table's there, so a revisited point gets
+    the same bits.  A round takes four scales, or more while the batch
+    stays within ``_ROUND_ROWS`` rows (``_round_scales``): a round costs
+    about the same whatever its rows, and in 1-D, where a scale adds two
+    rows per start, the extra scales save a quarter of the rounds.  Each
+    start then replays the steps over those scales, up to its first
+    move; the scales past it are rows no step reads.  So each start
+    takes the path it would take alone.
 
     Only rows that a step reads can fail the run: g is NaN on a refused
     row, and the PhiEvalError is ``phi_eval``'s at the first refused row
@@ -174,7 +162,6 @@ def descend_g(
     stencil = np.vstack([dirs, -np.array(dirs)])
     span = float(np.linalg.norm(grid.max(axis=0) - grid.min(axis=0))) + delta
     h_min = 1e-10 * max(span, 1.0)
-    memo = dict(zip(_row_keys(grid), gvals.tolist()))
 
     # every start keeps its own x, g(x), h and count of steps taken
     x, fx = grid[seeds], gvals[seeds].astype(float)
@@ -187,7 +174,7 @@ def descend_g(
         use = H >= h_min
         Z = x[live, None, None, :] + H[:, :, None, None] * stencil
         vals = np.full(Z.shape[:3], np.inf)
-        vals[use] = _g_rows(Z[use].reshape(-1, dim), memo, f1, sc).reshape(-1, len(stencil))
+        vals[use] = _g_rows(Z[use].reshape(-1, dim), f1, sc).reshape(-1, len(stencil))
         refused = np.isnan(vals)
         bad = refused.any(axis=2)
         # a move, or a read of a refused row, ends the replay
@@ -275,12 +262,13 @@ def fuzzy_pair(
 
     The search is batched: one ``phi_supergradients`` call gives the
     checked supergradient at every y of the pattern, one ``f_subgrads``
-    batch f's representatives at every candidate x, each distinct point
-    once, and one batched dot every residual and separation.  The walk
-    then visits the pattern in order, keeping the least residual plus
-    separation by more than 1e-15, and stops at the first y whose best
-    pair has residual at most 1e-12, so only a y it visits can raise
-    PhiEvalError, as one call per y did.
+    batch f's representatives at u and at every y (u twice, as the
+    candidate x and as the y of the zero offset), and one batched dot
+    every residual and separation.  The walk then visits the pattern in
+    order, keeping the least residual plus separation by more than
+    1e-15, and stops at the first y whose best pair has residual at most
+    1e-12, so only a y it visits can raise PhiEvalError, as one call per
+    y did.
     """
     if not (np.isfinite(search_radius) and search_radius > 0):
         raise ValueError("search_radius must be positive and finite")
@@ -288,7 +276,7 @@ def fuzzy_pair(
     offsets = _perturbation_offsets(f.dim, search_radius)
     Y = base + offsets
     # u is a candidate x for every y, and is y itself at the zero offset
-    subgrads = _subgrads_by_row(f, np.vstack([base, Y]))
+    subgrads = f_subgrads(f, np.vstack([base, Y]))
     sg = phi_supergradients(Y, sc, grid, grid_phi)
     Q = -sg.p
     # every candidate (y's index, x = u, p) in the walk's order: x = y, then x = u
@@ -331,14 +319,3 @@ def fuzzy_pair(
         residual=residuals[best],
         separation=to_u[i] if at_u else 0.0,
     )
-
-
-def _subgrads_by_row(f: TestFunction, X: np.ndarray) -> list[list[np.ndarray]]:
-    """f's subgradient representatives at each row of X, from one batch
-    of its distinct rows; a ``TestFunction`` gives none outside its
-    domain."""
-    keys = _row_keys(X)
-    distinct = list(dict.fromkeys(keys))
-    U = np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, X.shape[1])
-    by_key = dict(zip(distinct, f_subgrads(f, U)))
-    return [by_key[k] for k in keys]

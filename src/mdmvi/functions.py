@@ -177,6 +177,8 @@ def sin_quadratic(c: float, w, Q, a) -> TestFunction:
     w = as_point(w)
     a = as_point(a, w.size)
     Q = np.asarray(Q, dtype=float)
+    if Q.shape != (w.size, w.size):
+        raise ValueError("Q must be square and match w")
     Q = 0.5 * (Q + Q.T)
 
     def rows(X):
@@ -237,10 +239,14 @@ def _json_numbers(data: dict, key: str):
 
 def make_function(fid: str, params: dict) -> TestFunction:
     """Build a catalog member from its JSON id and parameters; a numeric
-    parameter holding anything but JSON numbers is refused (TypeError)."""
+    parameter holding anything but JSON numbers is refused (TypeError),
+    and one holding NaN or an infinity too (ValueError)."""
 
     def num(key):
-        return _json_numbers(params, key)
+        value = _json_numbers(params, key)
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{key} must be finite")
+        return value
 
     try:
         if fid == "linear":

@@ -452,12 +452,11 @@ class Hull:
             frame_normals, frame_offsets, on = _facet_planes(Vr)
             normals = frame_normals @ basis
             offsets = frame_offsets + normals @ center
-        subsets = {(i,) for i in np.flatnonzero(on.any(axis=0)).tolist()} or {(0,)}
-        for mask in on:
-            idx = np.flatnonzero(mask)
-            for size in range(2, min(k, len(idx)) + 1):
-                subsets.update(map(tuple, idx[independent_subsets(Vr[idx], size)[0]].tolist()))
-        subsets = sorted(subsets, key=lambda f: (len(f), f))
+        # the independent subsets on one facet plane, in (size, lexicographic) order
+        subsets = [(i,) for i in np.flatnonzero(on.any(axis=0)).tolist()] or [(0,)]
+        for size in range(2, k + 1):
+            S = independent_subsets(Vr, size)[0]
+            subsets += map(tuple, S[on[:, S].all(axis=2).any(axis=0)].tolist())
         faces, _, bary, _ = face_frames(V, np.zeros(len(V)), subsets)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "center", center)

@@ -272,6 +272,50 @@ def test_negative_spec_seed_exits_2(workdir, capsys, monkeypatch):
         assert f"{param} must hold JSON numbers" in err[0]
 
 
+@pytest.mark.parametrize("Q", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[1.0]]])
+def test_sin_quadratic_of_the_wrong_shape_exits_2(workdir, capsys, problems_dir, Q):
+    data = json.loads((problems_dir / "plane_2d.json").read_text())
+    params = {"c": 0.3, "w": [3.0, 1.0], "Q": Q, "a": [0.0, 0.0]}
+    data["function"] = {"id": "sin_quadratic", "params": params}
+    (workdir / "bad.json").write_text(json.dumps(data))
+    assert run_command(["certificate", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Q must be square" in err[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+# a bundled problem, and the path in its function's params to the entry made non-finite
+NON_FINITE_PARAMS = {
+    "linear-b": ("canonical_1d", ["b"]),
+    "quadratic-Q": ("quadratic_1d", ["Q", 0, 0]),
+    "max_affine-slopes": ("max_affine_1d", ["slopes", 1, 0]),
+    "max_affine-offsets": ("max_affine_1d", ["offsets", 1]),
+    "sin_quadratic-c": ("sin_quadratic_1d", ["c"]),
+    "sin_quadratic-Q": ("sin_quadratic_1d", ["Q", 0, 0]),
+    "restricted-base": ("restricted_quadratic_1d", ["base", "params", "Q", 0, 0]),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PARAMS))
+def test_non_finite_catalog_parameters_exit_2(workdir, capsys, problems_dir, case, value):
+    # Python's json reads NaN and Infinity; a catalog member refuses them
+    name, path = NON_FINITE_PARAMS[case]
+    data = json.loads((problems_dir / f"{name}.json").read_text())
+    held = data["function"]["params"]
+    for key in path[:-1]:
+        held = held[key]
+    held[path[-1]] = value
+    (workdir / "bad.json").write_text(json.dumps(data))
+    assert run_command(["certificate", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    named = [key for key in path if isinstance(key, str)][-1]
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{named} must be finite" in err[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

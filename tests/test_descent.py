@@ -38,8 +38,9 @@ BUNDLED = (
 VALLEY_SEED = 150510646
 
 PAIR_3D = Path(__file__).resolve().parents[1] / "benchmarks" / "specs" / "pair_3d.json"
+SPECS = Path(__file__).resolve().parent / "specs"
 # eight points per side on a sphere: a 3-D hull of many vertices
-SPHERE8_3D = Path(__file__).resolve().parent / "specs" / "sphere8_3d.json"
+SPHERE8_3D = SPECS / "sphere8_3d.json"
 
 
 class _Stop(Exception):
@@ -115,12 +116,12 @@ def test_same_bits_as_compass_reference_on_multivertex_2d(seed):
 
 
 def _case(name: str) -> ProblemSpec:
-    """A bundled problem by name, ``pair_3d``, ``sphere8_3d`` or
-    ``multivertex_2d@<seed>``."""
+    """A bundled problem by name, ``pair_3d``, a spec of ``tests/specs``
+    or ``multivertex_2d@<seed>``."""
     if name == "pair_3d":
         return ProblemSpec.from_json_file(PAIR_3D)
-    if name == "sphere8_3d":
-        return ProblemSpec.from_json_file(SPHERE8_3D)
+    if name in ("circle8_2d", "sphere8_3d"):
+        return ProblemSpec.from_json_file(SPECS / f"{name}.json")
     if name.startswith("multivertex_2d@"):
         return ProblemSpec.from_json_dict(dict(MULTIVERTEX_2D, seed=int(name.split("@")[1])))
     return ProblemSpec.from_json_file(
@@ -146,7 +147,9 @@ def _lockstep_batches(args, kwargs, monkeypatch) -> list[list[bytes]]:
 
 
 def _speculative_only(args, kwargs, monkeypatch) -> set[bytes]:
-    """The rows descend_g evaluates that the lockstep reference does not."""
+    """The rows descend_g evaluates that the lockstep reference does not,
+    the table's aside: the reference reads those from its memo, and the
+    run's ``g_table`` has already certified them."""
     rows = set()
     real = ekeland.phi_rows
 
@@ -158,7 +161,7 @@ def _speculative_only(args, kwargs, monkeypatch) -> set[bytes]:
         mp.setattr(ekeland, "phi_rows", spy)
         ekeland.descend_g(*args, **kwargs)
     read = {z for batch in _lockstep_batches(args, kwargs, monkeypatch) for z in batch}
-    return rows - read
+    return rows - read - {z.tobytes() for z in args[0].pts}
 
 
 REFUSAL_CASES = ("canonical_1d", "quadratic_1d", "plane_2d", "multivertex_2d@1")
@@ -246,23 +249,6 @@ def test_valley_takes_a_bounded_number_of_batches(monkeypatch):
     assert point.value < -0.039983
 
 
-def test_table_points_are_not_evaluated_again(monkeypatch, problems_dir):
-    args, kwargs = descent_inputs(ProblemSpec.from_json_file(problems_dir / "plane_2d.json"))
-    table = args[0]
-    known = {z.tobytes() for z in table.pts}
-    seen = []
-    real = ekeland.f_values
-
-    def spy(f, X):
-        seen.extend(x.tobytes() for x in X)
-        return real(f, X)
-
-    monkeypatch.setattr(ekeland, "f_values", spy)
-    ekeland.descend_g(*args, **kwargs)
-    assert seen and not known.intersection(seen)
-    assert len(seen) == len(set(seen))
-
-
 def test_one_dimensional_stencil_has_two_points(monkeypatch, problems_dir):
     # in 1-D the random directions are +-e1 again and are dropped, so each
     # round's batch holds the pair x + h, x - h for every scale of every
@@ -318,24 +304,12 @@ def test_a_round_holds_four_scales_where_the_budget_is_full(name, monkeypatch):
         assert rows <= scales * rows_per_scale
 
 
-def test_a_batch_evaluates_each_fresh_row_once(monkeypatch, problems_dir):
-    # two starts' stencils may share a point; it is evaluated once, and a
-    # memo row not at all
-    (table, f1, sc, _), kwargs = descent_inputs(
-        ProblemSpec.from_json_file(problems_dir / "canonical_1d.json")
-    )
-    memo = {table.pts[0].tobytes(): float(table.g[0])}
-    fresh = table.pts[0] + 1e-3
-    Z = np.vstack([fresh, table.pts[0], fresh])
-    seen = []
-    real = ekeland.f_values
-
-    def spy(f, X):
-        seen.append(X.copy())
-        return real(f, X)
-
-    monkeypatch.setattr(ekeland, "f_values", spy)
-    vals = ekeland._g_rows(Z, memo, f1, sc)
-    assert len(seen) == 1 and seen[0].tobytes() == fresh.tobytes()
-    assert vals[0] == vals[2] and vals[1] == table.g[0]
-    assert memo[fresh.tobytes()] == vals[0]
+@pytest.mark.parametrize("name", BUNDLED + ("circle8_2d", "sphere8_3d"))
+def test_g_rows_reproduce_the_table_in_any_batch(name):
+    # the descent evaluates table points and revisited points again; g on
+    # a row is the table's, whatever the rest of its batch holds
+    (table, f1, sc, _), _ = descent_inputs(_case(name))
+    n = len(table.pts)
+    for order in (np.arange(n), np.arange(n)[::-1], np.repeat(np.arange(n), 2)):
+        got = ekeland._g_rows(table.pts[order], f1, sc)
+        assert got.tobytes() == table.g[order].tobytes()

@@ -35,17 +35,18 @@ def test_multivertex_2d_ends_in_a_certificate_or_a_documented_error():
     assert valid, report
 
 
-def test_pair_search_evaluates_no_point_twice_in_a_run(monkeypatch):
-    # one batch of the smoothing for every y, and one of f's subgradients
-    # for every candidate x, each point in it once; no batch of f values
+def test_pair_search_makes_one_batch_of_each_kind_in_a_run(monkeypatch):
+    # one batch of the smoothing for every y, each point in it once, and
+    # one of f's subgradients at u and every y; no batch of f values
     ps = ProblemSpec.from_json_dict(MULTIVERTEX_2D)
     seen = {"phi": [], "f": [], "subgrad": []}
-    in_pair = []
+    in_pair, us = [], []
     real_pair = mdmvt.fuzzy_pair
     real_sg, real_f, real_sub = ekeland.phi_supergradients, ekeland.f_values, ekeland.f_subgrads
 
     def pair_spy(*args, **kwargs):
         in_pair.append(True)
+        us.append(args[0].u.tobytes())
         try:
             return real_pair(*args, **kwargs)
         finally:
@@ -66,11 +67,12 @@ def test_pair_search_evaluates_no_point_twice_in_a_run(monkeypatch):
     with pytest.raises(CertificateSearchError):
         run(ps)
     assert seen.pop("f") == []
-    for key, calls in seen.items():
-        assert len(calls) == 1, key
-        assert calls[0] and len(calls[0]) == len(set(calls[0])), key
-    # u and every y are candidate x; u is also the y of the zero offset
-    assert len(seen["subgrad"][0]) == len(seen["phi"][0])
+    assert len(us) == len(seen["phi"]) == len(seen["subgrad"]) == 1
+    (ys,), (xs,) = seen["phi"], seen["subgrad"]
+    assert ys and len(ys) == len(set(ys))
+    # u is a candidate x for every y, and is also the y of the zero offset
+    assert ys[0] == us[0]
+    assert xs == us + ys
 
 
 def test_run_searches_for_one_pair(monkeypatch):

@@ -8,7 +8,6 @@ the benchmark fixtures with a spy on the rows of f it reads.
 """
 
 import dataclasses
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +61,14 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
     ps = small_spec
     c_grid = sample_set(ps.A, ps.B, ps.delta, ps.resolution)
 
-    estimates = []
+    estimates, argmins = [], {}
     real_estimate = mdmvt._estimate_inf
 
     def estimate_spy(*args, **kwargs):
         estimates.append(args[1:4])
-        return real_estimate(*args, **kwargs)
+        est = real_estimate(*args, **kwargs)
+        argmins[kwargs["name"]] = est.argmin
+        return est
 
     monkeypatch.setattr(mdmvt, "_estimate_inf", estimate_spy)
 
@@ -80,24 +81,24 @@ def test_run_evaluates_each_c_grid_point_once(monkeypatch, small_spec):
 
     monkeypatch.setattr(geometry.Hull, "grid", grid_spy)
 
-    f1_points = Counter()
-    real_restrict = mdmvt._restrict_to
+    tables = []
+    real_table = mdmvt.g_table
 
-    def restrict_spy(*args):
-        f1 = real_restrict(*args)
+    def table_spy(f1, sc, pts):
+        tables.append(np.array(pts))
+        return real_table(f1, sc, pts)
 
-        def rows(X):
-            f1_points.update(x.tobytes() for x in X)
-            return f1.rows(X)
-
-        return dataclasses.replace(f1, rows=rows)
-
-    monkeypatch.setattr(mdmvt, "_restrict_to", restrict_spy)
+    monkeypatch.setattr(mdmvt, "g_table", table_spy)
 
     cert = run(ps)
     assert len(estimates) == 4
     assert samples.count((ps.A, ps.B, ps.delta)) == 1
-    assert [f1_points[z.tobytes()] for z in c_grid] == [1] * len(c_grid)
+    # one table of g, on the C grid and the argmin of f over A, which is
+    # added only when the grid lacks it
+    argmin = argmins["inf_A"]
+    on_grid = np.all(c_grid == argmin, axis=1).any()
+    want = c_grid if on_grid else np.vstack([c_grid, argmin])
+    assert len(tables) == 1 and tables[0].tobytes() == want.tobytes()
     assert not hasattr(ekeland, "sample_set")  # the search samples no grid of its own
     assert verify_certificate(cert, ps)[0]
 
